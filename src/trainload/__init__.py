@@ -45,7 +45,7 @@ from .instance import (
     serialize_instance,
 )
 from .model_stats import compare, count_model_a, count_model_b
-from .oracle import enumerate_optima, iter_feasible_solutions, verify_solver
+from .oracle import enumerate_optima, iter_feasible_solutions
 from .qubo import build_qubo, decode_solution, encode_solution, energy_of, export_qubo
 
 __version__ = "0.1.0"
@@ -95,5 +95,4 @@ __all__ = [
     "simulate_loading",
     "solve",
     "solve_many",
-    "verify_solver",
 ]

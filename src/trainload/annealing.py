@@ -46,6 +46,7 @@ from .instance import Instance
 from .rng import stream
 
 MOVE_KINDS = ("swap", "relocate", "config")
+MAX_NEIGHBOR_RETRIES = 50
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,6 @@ class SaParams:
     cooling_rate: float = 0.95
     iters_per_level: int = 100
     seed: int = 0
-    max_neighbor_retries: int = 50
 
     def __post_init__(self) -> None:
         if self.t_initial <= 0 or self.t_final <= 0:
@@ -68,8 +68,6 @@ class SaParams:
             raise ValueError("cooling_rate must lie in (0, 1)")
         if self.iters_per_level < 1:
             raise ValueError("iters_per_level must be positive")
-        if self.max_neighbor_retries < 1:
-            raise ValueError("max_neighbor_retries must be positive")
 
 
 class LevelStats(NamedTuple):
@@ -82,6 +80,9 @@ class LevelStats(NamedTuple):
 
 @dataclass(frozen=True)
 class SaResult:
+    """Best plan of a solve.  ``wall_time`` and ``evaluations`` cover every
+    run of a :func:`solve_many` call; the rest is the best run's."""
+
     best_solution: Solution
     best_report: EvaluationReport
     trace: tuple[LevelStats, ...]
@@ -89,14 +90,9 @@ class SaResult:
     evaluations: int
 
 
-def initial_solution(instance: Instance, seed: int = 0) -> Solution:
+def initial_solution(instance: Instance) -> Solution:
     """Empty plan: nothing assigned, each wagon on its most permissive
-    config (largest per-slot limit sum, ties to the lowest index).
-
-    The construction is deterministic; ``seed`` is accepted for signature
-    symmetry with the rest of the solver and is currently unused.
-    """
-    del seed
+    config (largest per-slot limit sum, ties to the lowest index)."""
     configs = {}
     for w in instance.wagons:
         best = max(range(len(w.configs)), key=lambda b: sum(w.configs[b].per_slot_max))
@@ -189,7 +185,6 @@ def generate_neighbor(
     current: Solution,
     rng: Random,
     *,
-    max_retries: int = 50,
     move_counter: dict | None = None,
 ) -> Solution:
     """Draw a feasible neighbor of ``current``.
@@ -197,14 +192,14 @@ def generate_neighbor(
     Each attempt draws a move kind uniformly, constructs a candidate (length
     compatibility is respected by construction), then verifies every hard
     constraint; a violating candidate is discarded and the attempt repeats.
-    Returns ``current`` itself when ``max_retries`` attempts all fail.
+    Returns ``current`` itself when ``MAX_NEIGHBOR_RETRIES`` attempts all fail.
     ``move_counter``, when given, tallies drawn move kinds (for calibration
     tests).
     """
     amap = current.assignment_map
     cmap = current.config_map
     occupied = {ws: c for c, ws in amap.items()}
-    for _ in range(max_retries):
+    for _ in range(MAX_NEIGHBOR_RETRIES):
         kind = MOVE_KINDS[rng.randrange(len(MOVE_KINDS))]
         if move_counter is not None:
             move_counter[kind] = move_counter.get(kind, 0) + 1
@@ -238,7 +233,7 @@ def solve(instance: Instance, params: SaParams = SaParams()) -> SaResult:
     started = time.perf_counter()
     rng = stream(params.seed, "anneal")
 
-    current = initial_solution(instance, params.seed)
+    current = initial_solution(instance)
     current_obj = shifted_objective(instance, current)
     evaluations = 1
     best, best_obj = current, current_obj
@@ -249,9 +244,7 @@ def solve(instance: Instance, params: SaParams = SaParams()) -> SaResult:
     while temperature > params.t_final:
         accepted = 0
         for _ in range(params.iters_per_level):
-            candidate = generate_neighbor(
-                instance, current, rng, max_retries=params.max_neighbor_retries
-            )
+            candidate = generate_neighbor(instance, current, rng)
             if candidate is current:
                 continue
             candidate_obj = shifted_objective(instance, candidate)
@@ -276,18 +269,17 @@ def solve(instance: Instance, params: SaParams = SaParams()) -> SaResult:
 
 def solve_many(instance: Instance, params: SaParams, runs: int) -> SaResult:
     """Independent runs with seeds ``params.seed + i``; best objective wins,
-    ties going to the lowest seed."""
+    ties going to the lowest seed.  Wall time and evaluations are summed
+    over all runs."""
     if runs < 1:
         raise ValueError("runs must be positive")
-    best: SaResult | None = None
-    for i in range(runs):
-        result = solve(instance, replace(params, seed=params.seed + i))
-        if best is None or (
-            result.best_report.objective_shifted < best.best_report.objective_shifted
-        ):
-            best = result
-    assert best is not None
-    return best
+    results = [solve(instance, replace(params, seed=params.seed + i)) for i in range(runs)]
+    best = min(results, key=lambda r: r.best_report.objective_shifted)
+    return replace(
+        best,
+        wall_time=sum(r.wall_time for r in results),
+        evaluations=sum(r.evaluations for r in results),
+    )
 
 
 def trace_csv(trace: tuple[LevelStats, ...]) -> str:

@@ -11,7 +11,8 @@ Six subcommands cover the full workflow::
 
 Exit codes: 0 success; 1 the inputs were understood but the verdict is
 negative (infeasible solution, failed ``qubo --check``); 2 bad usage, file
-format, or validation errors; 3 oracle budget exceeded.
+format, or validation errors; 3 enumeration budget exceeded (``oracle``
+beyond ``--limit``, ``qubo --check`` beyond the default oracle budget).
 
 Relative output paths (``-o``, ``--trace``, ``--events``) are resolved
 against ``$TRAINLOAD_OUT_DIR`` when that variable is set; inputs are not.
@@ -345,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--check",
         action="store_true",
-        help="enumerate feasible solutions and verify encoded energies",
+        help="enumerate feasible solutions (default oracle budget) and verify encoded energies",
     )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_qubo)

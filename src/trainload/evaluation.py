@@ -35,7 +35,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Any, Iterable, Mapping, NamedTuple
 
-from .instance import Instance
+from .instance import DocumentReader, Instance
 
 
 class DanglingReferenceError(ValueError):
@@ -112,6 +112,16 @@ class Solution:
     def canonical(self) -> "Solution":
         """Entries sorted (containers by id, configs by wagon id)."""
         return Solution(tuple(sorted(self.assignments)), tuple(sorted(self.configs)))
+
+    def to_dict(self) -> dict:
+        """The solution-file object, entries in their stored order."""
+        return {
+            "assignments": [
+                {"container": a.container, "wagon": a.wagon, "slot": a.slot}
+                for a in self.assignments
+            ],
+            "configs": [{"wagon": c.wagon, "config": c.config} for c in self.configs],
+        }
 
 
 class ViolationKind(Enum):
@@ -310,7 +320,7 @@ def count_rehandles_compact(instance: Instance, solution: Solution) -> int:
 
 class CraneMove(NamedTuple):
     """One crane action.  ``tier`` is the source tier for lift/load and the
-    destination tier for restack; buffer loads use stack=-1, tier=-1."""
+    destination tier for restack."""
 
     op: str  # "lift" | "load" | "restack"
     container: str
@@ -320,14 +330,7 @@ class CraneMove(NamedTuple):
     slot: int | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "op": self.op,
-            "container": self.container,
-            "stack": self.stack,
-            "tier": self.tier,
-            "wagon": self.wagon,
-            "slot": self.slot,
-        }
+        return self._asdict()
 
 
 @dataclass(frozen=True)
@@ -336,23 +339,17 @@ class SimulationResult:
     events: tuple[CraneMove, ...]
 
 
-def simulate_loading(
-    instance: Instance, solution: Solution, *, restack_in_place: bool = True
-) -> SimulationResult:
+def simulate_loading(instance: Instance, solution: Solution) -> SimulationResult:
     """Replay the crane and count rehandles from first principles.
 
-    Default semantics restack lifted blockers onto their own stack after
-    the target is extracted, preserving order.  With
-    ``restack_in_place=False`` blockers stay in the buffer for good — a
-    strictly cheaper regime kept as a non-default mode for comparison; only
-    the default mode matches :func:`count_rehandles_compact`.
+    Lifted blockers are restacked onto their own stack after the target is
+    extracted, preserving order.
     """
     violations = check_feasibility(instance, solution)
     if violations:
         raise InfeasibleSolutionError(violations)
 
     state = [list(stack) for stack in instance.yard.stacks]
-    buffered: set[str] = set()
     targets_by_wagon: dict[int, dict[int, list[str]]] = {}
     for a in solution.assignments:
         w = instance.wagon_position[a.wagon]
@@ -371,10 +368,6 @@ def simulate_loading(
             )
             for target in targets:
                 wagon_id, slot_idx = slot_of[target]
-                if target in buffered:
-                    buffered.discard(target)
-                    events.append(CraneMove("load", target, -1, -1, wagon_id, slot_idx))
-                    continue
                 pos = state[k].index(target)
                 lifted: list[str] = []
                 while len(state[k]) - 1 > pos:
@@ -384,12 +377,9 @@ def simulate_loading(
                     rehandles += 1
                 state[k].pop()
                 events.append(CraneMove("load", target, k, pos, wagon_id, slot_idx))
-                if restack_in_place:
-                    for blocker in reversed(lifted):
-                        events.append(CraneMove("restack", blocker, k, len(state[k])))
-                        state[k].append(blocker)
-                else:
-                    buffered.update(lifted)
+                for blocker in reversed(lifted):
+                    events.append(CraneMove("restack", blocker, k, len(state[k])))
+                    state[k].append(blocker)
 
     return SimulationResult(rehandles=rehandles, events=tuple(events))
 
@@ -504,47 +494,19 @@ class SolutionFormatError(ValueError):
     """Malformed solution file."""
 
 
+_read = DocumentReader(SolutionFormatError)
+
+
 def load_solution(content: bytes | str) -> Solution:
     """Parse solution JSON.  Reference validity is *not* checked here;
     pair with an instance via :func:`check_feasibility` or :func:`evaluate`."""
-    if isinstance(content, bytes):
-        try:
-            content = content.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise SolutionFormatError(f"not valid UTF-8: {exc}") from exc
-    try:
-        doc = json.loads(content)
-    except json.JSONDecodeError as exc:
-        raise SolutionFormatError(
-            f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-    if not isinstance(doc, dict):
-        raise SolutionFormatError("top level: expected an object")
-    for key in doc:
-        if key not in _SOLUTION_KEYS:
-            raise SolutionFormatError(f"top level: unknown key '{key}'")
-    for key in _SOLUTION_KEYS:
-        if key not in doc:
-            raise SolutionFormatError(f"top level: missing key '{key}'")
-
-    def _field(obj: dict, key: str, where: str) -> Any:
-        if key not in obj:
-            raise SolutionFormatError(f"{where}: missing key '{key}'")
-        return obj[key]
+    doc = _read.document(content, _SOLUTION_KEYS)
 
     assignments = []
-    if not isinstance(doc["assignments"], list):
-        raise SolutionFormatError("assignments: expected an array")
-    for i, raw in enumerate(doc["assignments"]):
+    for i, raw in enumerate(_read.array(doc["assignments"], "assignments")):
         where = f"assignments[{i}]"
-        if not isinstance(raw, dict):
-            raise SolutionFormatError(f"{where}: expected an object")
-        for key in raw:
-            if key not in _ASSIGNMENT_KEYS:
-                raise SolutionFormatError(f"{where}: unknown key '{key}'")
-        container = _field(raw, "container", where)
-        wagon = _field(raw, "wagon", where)
-        slot = _field(raw, "slot", where)
+        obj = _read.object(raw, where, _ASSIGNMENT_KEYS)
+        container, wagon, slot = obj["container"], obj["wagon"], obj["slot"]
         if not isinstance(container, str) or not isinstance(wagon, str):
             raise SolutionFormatError(f"{where}: container and wagon must be strings")
         if not isinstance(slot, int) or isinstance(slot, bool):
@@ -552,17 +514,10 @@ def load_solution(content: bytes | str) -> Solution:
         assignments.append(Assignment(container, wagon, slot))
 
     configs = []
-    if not isinstance(doc["configs"], list):
-        raise SolutionFormatError("configs: expected an array")
-    for i, raw in enumerate(doc["configs"]):
+    for i, raw in enumerate(_read.array(doc["configs"], "configs")):
         where = f"configs[{i}]"
-        if not isinstance(raw, dict):
-            raise SolutionFormatError(f"{where}: expected an object")
-        for key in raw:
-            if key not in _CONFIG_KEYS:
-                raise SolutionFormatError(f"{where}: unknown key '{key}'")
-        wagon = _field(raw, "wagon", where)
-        config = _field(raw, "config", where)
+        obj = _read.object(raw, where, _CONFIG_KEYS)
+        wagon, config = obj["wagon"], obj["config"]
         if not isinstance(wagon, str):
             raise SolutionFormatError(f"{where}: wagon must be a string")
         if not isinstance(config, int) or isinstance(config, bool):
@@ -574,15 +529,7 @@ def load_solution(content: bytes | str) -> Solution:
 
 def serialize_solution(solution: Solution) -> str:
     """Canonical JSON: assignments sorted by container id, configs by wagon."""
-    sol = solution.canonical()
-    doc = {
-        "assignments": [
-            {"container": a.container, "wagon": a.wagon, "slot": a.slot}
-            for a in sol.assignments
-        ],
-        "configs": [{"wagon": c.wagon, "config": c.config} for c in sol.configs],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(solution.canonical().to_dict(), indent=2) + "\n"
 
 
 def load_solution_file(path: Any) -> Solution:

@@ -242,26 +242,64 @@ def derive_blocking_pairs(instance: Instance) -> list[BlockingPair]:
     return pairs
 
 
-def linear_index(instance: Instance, stack: int, tier: int) -> int:
-    """Flatten an occupied yard position to ``max_tiers * stack + tier``."""
-    stacks = instance.yard.stacks
-    if not 0 <= stack < len(stacks):
-        raise IndexError(f"no stack {stack}")
-    if not 0 <= tier < len(stacks[stack]):
-        raise IndexError(f"stack {stack} has no occupied tier {tier}")
-    return instance.yard.max_tiers * stack + tier
+# ---------------------------------------------------------------------------
+# JSON documents
+# ---------------------------------------------------------------------------
 
 
-def from_linear_index(instance: Instance, index: int) -> tuple[int, int]:
-    """Inverse of :func:`linear_index`; only occupied positions are valid."""
-    tiers = instance.yard.max_tiers
-    if index < 0:
-        raise IndexError(f"negative linear index {index}")
-    stack, tier = divmod(index, tiers)
-    stacks = instance.yard.stacks
-    if stack >= len(stacks) or tier >= len(stacks[stack]):
-        raise IndexError(f"linear index {index} does not name an occupied position")
-    return stack, tier
+class DocumentReader:
+    """Strict reading of one JSON file format.
+
+    Every problem — bytes that are not UTF-8, text that is not JSON (nesting
+    too deep included), a wrong type, an unknown or missing key — raises the
+    format's ``error`` class with the path of the offending field.
+    """
+
+    def __init__(self, error: type[ValueError]):
+        self.error = error
+
+    def document(self, content: bytes | str, keys: tuple[str, ...]) -> dict:
+        """Decode and parse ``content``: a top-level object with exactly ``keys``."""
+        if isinstance(content, bytes):
+            try:
+                content = content.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise self.error(f"not valid UTF-8: {exc}") from exc
+        try:
+            doc = json.loads(content)
+        except json.JSONDecodeError as exc:
+            raise self.error(
+                f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+            ) from exc
+        except (RecursionError, ValueError) as exc:  # too deep; integer too long
+            raise self.error(f"invalid JSON: {exc}") from exc
+        return self.object(doc, "top level", keys)
+
+    def object(self, value: Any, where: str, keys: tuple[str, ...]) -> dict:
+        if not isinstance(value, dict):
+            raise self.error(f"{where}: expected an object")
+        for key in value:
+            if key not in keys:
+                raise self.error(f"{where}: unknown key '{key}'")
+        for key in keys:
+            if key not in value:
+                raise self.error(f"{where}: missing key '{key}'")
+        return value
+
+    def array(self, value: Any, where: str) -> list:
+        if not isinstance(value, list):
+            raise self.error(f"{where}: expected an array")
+        return value
+
+    def integer(self, value: Any, where: str) -> int:
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise self.error(f"{where}: expected an integer")
+        return value
+
+    def string(self, value: Any, where: str) -> str:
+        if not isinstance(value, str):
+            raise self.error(f"{where}: expected a string")
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -271,43 +309,11 @@ def from_linear_index(instance: Instance, index: int) -> tuple[int, int]:
 _TOP_KEYS = ("alpha", "train_max_weight", "max_tiers", "containers", "stacks", "wagons")
 _CONTAINER_KEYS = ("id", "teu", "weight", "value")
 _WAGON_KEYS = ("id", "max_weight", "slots", "configs")
-
-
-def _check_keys(obj: dict, allowed: tuple[str, ...], where: str) -> None:
-    for key in obj:
-        if key not in allowed:
-            raise InstanceFormatError(f"{where}: unknown key '{key}'")
-    for key in allowed:
-        if key not in obj:
-            raise InstanceFormatError(f"{where}: missing key '{key}'")
-
-
-def _as_object(value: Any, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise InstanceFormatError(f"{where}: expected an object")
-    return value
-
-
-def _as_array(value: Any, where: str) -> list:
-    if not isinstance(value, list):
-        raise InstanceFormatError(f"{where}: expected an array")
-    return value
-
-
-def _as_int(value: Any, where: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InstanceFormatError(f"{where}: expected an integer")
-    return value
-
-
-def _as_str(value: Any, where: str) -> str:
-    if not isinstance(value, str):
-        raise InstanceFormatError(f"{where}: expected a string")
-    return value
+_read = DocumentReader(InstanceFormatError)
 
 
 def _as_length(value: Any, where: str) -> ContainerLength:
-    teu = _as_int(value, where)
+    teu = _read.integer(value, where)
     if teu not in (1, 2):
         raise InstanceFormatError(f"{where}: teu must be 1 or 2, got {teu}")
     return ContainerLength(teu)
@@ -321,76 +327,60 @@ def load_instance(content: bytes | str) -> Instance:
     data is well-formed but inconsistent (duplicate ids, over-tall stacks,
     containers missing from the yard, ...).
     """
-    if isinstance(content, bytes):
-        try:
-            content = content.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise InstanceFormatError(f"not valid UTF-8: {exc}") from exc
-    try:
-        doc = json.loads(content)
-    except json.JSONDecodeError as exc:
-        raise InstanceFormatError(
-            f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-
-    top = _as_object(doc, "top level")
-    _check_keys(top, _TOP_KEYS, "top level")
+    top = _read.document(content, _TOP_KEYS)
 
     containers = []
-    for i, raw in enumerate(_as_array(top["containers"], "containers")):
+    for i, raw in enumerate(_read.array(top["containers"], "containers")):
         where = f"containers[{i}]"
-        obj = _as_object(raw, where)
-        _check_keys(obj, _CONTAINER_KEYS, where)
+        obj = _read.object(raw, where, _CONTAINER_KEYS)
         containers.append(
             Container(
-                id=_as_str(obj["id"], f"{where}.id"),
+                id=_read.string(obj["id"], f"{where}.id"),
                 length=_as_length(obj["teu"], f"{where}.teu"),
-                weight=_as_int(obj["weight"], f"{where}.weight"),
-                value=_as_int(obj["value"], f"{where}.value"),
+                weight=_read.integer(obj["weight"], f"{where}.weight"),
+                value=_read.integer(obj["value"], f"{where}.value"),
             )
         )
 
     stacks = []
-    for k, raw in enumerate(_as_array(top["stacks"], "stacks")):
-        arr = _as_array(raw, f"stacks[{k}]")
-        stacks.append(tuple(_as_str(cid, f"stacks[{k}][{j}]") for j, cid in enumerate(arr)))
+    for k, raw in enumerate(_read.array(top["stacks"], "stacks")):
+        arr = _read.array(raw, f"stacks[{k}]")
+        stacks.append(tuple(_read.string(cid, f"stacks[{k}][{j}]") for j, cid in enumerate(arr)))
 
     wagons = []
-    for i, raw in enumerate(_as_array(top["wagons"], "wagons")):
+    for i, raw in enumerate(_read.array(top["wagons"], "wagons")):
         where = f"wagons[{i}]"
-        obj = _as_object(raw, where)
-        _check_keys(obj, _WAGON_KEYS, where)
+        obj = _read.object(raw, where, _WAGON_KEYS)
         slots = []
-        for si, sraw in enumerate(_as_array(obj["slots"], f"{where}.slots")):
-            sobj = _as_object(sraw, f"{where}.slots[{si}]")
-            _check_keys(sobj, ("teu",), f"{where}.slots[{si}]")
+        for si, sraw in enumerate(_read.array(obj["slots"], f"{where}.slots")):
+            sobj = _read.object(sraw, f"{where}.slots[{si}]", ("teu",))
             slots.append(Slot(_as_length(sobj["teu"], f"{where}.slots[{si}].teu")))
         configs = []
-        for b, craw in enumerate(_as_array(obj["configs"], f"{where}.configs")):
-            arr = _as_array(craw, f"{where}.configs[{b}]")
+        for b, craw in enumerate(_read.array(obj["configs"], f"{where}.configs")):
+            arr = _read.array(craw, f"{where}.configs[{b}]")
             configs.append(
                 WeightConfig(
                     tuple(
-                        _as_int(limit, f"{where}.configs[{b}][{j}]")
+                        _read.integer(limit, f"{where}.configs[{b}][{j}]")
                         for j, limit in enumerate(arr)
                     )
                 )
             )
         wagons.append(
             Wagon(
-                id=_as_str(obj["id"], f"{where}.id"),
+                id=_read.string(obj["id"], f"{where}.id"),
                 slots=tuple(slots),
                 configs=tuple(configs),
-                max_weight=_as_int(obj["max_weight"], f"{where}.max_weight"),
+                max_weight=_read.integer(obj["max_weight"], f"{where}.max_weight"),
             )
         )
 
     return Instance(
         containers=tuple(containers),
-        yard=Yard(stacks=tuple(stacks), max_tiers=_as_int(top["max_tiers"], "max_tiers")),
+        yard=Yard(stacks=tuple(stacks), max_tiers=_read.integer(top["max_tiers"], "max_tiers")),
         wagons=tuple(wagons),
-        train_max_weight=_as_int(top["train_max_weight"], "train_max_weight"),
-        rehandle_unit_cost=_as_int(top["alpha"], "alpha"),
+        train_max_weight=_read.integer(top["train_max_weight"], "train_max_weight"),
+        rehandle_unit_cost=_read.integer(top["alpha"], "alpha"),
     )
 
 

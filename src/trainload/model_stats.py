@@ -21,32 +21,35 @@ Exact identities, by construction::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, fields, replace
 
 from .instance import Instance, derive_blocking_pairs
 
 
+class _Counts:
+    """Base of the count dataclasses: ``total`` sums every field."""
+
+    @property
+    def total(self) -> int:
+        return sum(getattr(self, f.name) for f in fields(self))
+
+    def to_dict(self) -> dict:
+        """Every field in declaration order, then ``total``."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["total"] = self.total
+        return out
+
+
 @dataclass(frozen=True)
-class VariableCounts:
+class VariableCounts(_Counts):
     assignment: int
     config: int
     rehandle: int
 
-    @property
-    def total(self) -> int:
-        return self.assignment + self.config + self.rehandle
-
-    def to_dict(self) -> dict:
-        return {
-            "assignment": self.assignment,
-            "config": self.config,
-            "rehandle": self.rehandle,
-            "total": self.total,
-        }
-
 
 @dataclass(frozen=True)
-class ConstraintCounts:
+class ConstraintCounts(_Counts):
     assign_once: int
     slot_once: int
     one_config: int
@@ -54,30 +57,6 @@ class ConstraintCounts:
     wagon_weight: int
     train_weight: int
     rehandle_link: int
-
-    @property
-    def total(self) -> int:
-        return (
-            self.assign_once
-            + self.slot_once
-            + self.one_config
-            + self.slot_weight
-            + self.wagon_weight
-            + self.train_weight
-            + self.rehandle_link
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "assign_once": self.assign_once,
-            "slot_once": self.slot_once,
-            "one_config": self.one_config,
-            "slot_weight": self.slot_weight,
-            "wagon_weight": self.wagon_weight,
-            "train_weight": self.train_weight,
-            "rehandle_link": self.rehandle_link,
-            "total": self.total,
-        }
 
 
 @dataclass(frozen=True)
@@ -111,22 +90,8 @@ class ModelComparison:
 
 
 def _compatible_triples(instance: Instance) -> int:
-    by_length = {length: 0 for length in set(c.length for c in instance.containers)}
-    for c in instance.containers:
-        by_length[c.length] += 1
-    return sum(by_length.get(length, 0) for _, _, length in instance.all_slots)
-
-
-def _shared_constraints(instance: Instance) -> ConstraintCounts:
-    return ConstraintCounts(
-        assign_once=len(instance.containers),
-        slot_once=instance.total_slots,
-        one_config=len(instance.wagons),
-        slot_weight=instance.total_slots,
-        wagon_weight=len(instance.wagons),
-        train_weight=1,
-        rehandle_link=0,
-    )
+    by_length = Counter(c.length for c in instance.containers)
+    return sum(by_length[length] for _, _, length in instance.all_slots)
 
 
 def count_model_b(instance: Instance) -> ModelStats:
@@ -136,30 +101,31 @@ def count_model_b(instance: Instance) -> ModelStats:
         config=sum(len(w.configs) for w in instance.wagons),
         rehandle=0,
     )
-    return ModelStats(model="B", variables=variables, constraints=_shared_constraints(instance))
+    constraints = ConstraintCounts(
+        assign_once=len(instance.containers),
+        slot_once=instance.total_slots,
+        one_config=len(instance.wagons),
+        slot_weight=instance.total_slots,
+        wagon_weight=len(instance.wagons),
+        train_weight=1,
+        rehandle_link=0,
+    )
+    return ModelStats(model="B", variables=variables, constraints=constraints)
 
 
 def count_model_a(instance: Instance) -> ModelStats:
     """Conventional formulation: adds one rehandle indicator per
     (container, wagon) and one linkage constraint per (blocking pair, wagon)."""
-    base = count_model_b(instance)
-    n_link = len(derive_blocking_pairs(instance)) * len(instance.wagons)
-    variables = VariableCounts(
-        assignment=base.variables.assignment,
-        config=base.variables.config,
-        rehandle=len(instance.containers) * len(instance.wagons),
+    b = count_model_b(instance)
+    wagons = len(instance.wagons)
+    return replace(
+        b,
+        model="A",
+        variables=replace(b.variables, rehandle=len(instance.containers) * wagons),
+        constraints=replace(
+            b.constraints, rehandle_link=len(derive_blocking_pairs(instance)) * wagons
+        ),
     )
-    shared = base.constraints
-    constraints = ConstraintCounts(
-        assign_once=shared.assign_once,
-        slot_once=shared.slot_once,
-        one_config=shared.one_config,
-        slot_weight=shared.slot_weight,
-        wagon_weight=shared.wagon_weight,
-        train_weight=shared.train_weight,
-        rehandle_link=n_link,
-    )
-    return ModelStats(model="A", variables=variables, constraints=constraints)
 
 
 def _reduction_pct(a: int, b: int) -> float:

@@ -8,9 +8,10 @@ container-major (walk the yard, pick a free slot or nothing per container).
 They must visit the same solution set; the test suite cross-checks them, so
 a bug in one enumerator cannot silently validate itself.
 
-A budget guard refuses instances whose raw search space (config
-combinations times per-slot occupancy choices, before any feasibility
-pruning) exceeds the caller's limit.
+A budget guard in :func:`iter_feasible_solutions`, shared by every
+enumeration, refuses instances whose raw search space (config combinations
+times per-slot occupancy choices, before any feasibility pruning) exceeds
+the caller's limit.
 """
 
 from __future__ import annotations
@@ -53,12 +54,6 @@ class OracleResult:
     optimal_solutions: tuple[Solution, ...]
     enumerated: int
     search_space: int
-
-
-@dataclass(frozen=True)
-class OracleCheck:
-    gap: int
-    is_optimal: bool
 
 
 def estimate_search_space(instance: Instance) -> int:
@@ -121,12 +116,19 @@ def _assignments_container_major(instance: Instance) -> Iterator[tuple[Assignmen
 
 
 def iter_feasible_solutions(
-    instance: Instance, order: str = "slot-major"
+    instance: Instance, order: str = "slot-major", limit: int = DEFAULT_BUDGET
 ) -> Iterator[Solution]:
     """Yield every feasible solution exactly once (canonically sorted
-    entries within each solution; overall yield order depends on ``order``)."""
+    entries within each solution; overall yield order depends on ``order``).
+
+    Raises :class:`BudgetExceededError` on the first draw, before any work,
+    if the raw search space is larger than ``limit``.
+    """
     if order not in _ORDERS:
         raise ValueError(f"order must be one of {_ORDERS}")
+    estimate = estimate_search_space(instance)
+    if estimate > limit:
+        raise BudgetExceededError(estimate, limit)
     walk = (
         _assignments_slot_major(instance)
         if order == "slot-major"
@@ -154,14 +156,10 @@ def enumerate_optima(
     result is never empty.  Raises :class:`BudgetExceededError` before any
     work if the raw search space is larger than ``limit``.
     """
-    estimate = estimate_search_space(instance)
-    if estimate > limit:
-        raise BudgetExceededError(estimate, limit)
-
     best: int | None = None
     argmins: list[Solution] = []
     count = 0
-    for solution in iter_feasible_solutions(instance, order):
+    for solution in iter_feasible_solutions(instance, order, limit):
         count += 1
         obj = shifted_objective(instance, solution)
         if best is None or obj < best:
@@ -176,25 +174,8 @@ def enumerate_optima(
         optimum=best,
         optimal_solutions=tuple(argmins),
         enumerated=count,
-        search_space=estimate,
+        search_space=estimate_search_space(instance),
     )
-
-
-def verify_solver(
-    instance: Instance, solver_result, limit: int = DEFAULT_BUDGET
-) -> OracleCheck:
-    """Gap between a solver run's best shifted objective and the true optimum.
-
-    ``solver_result`` is an annealing result (anything exposing
-    ``best_report.objective_shifted``) or a plain objective value.
-    """
-    if hasattr(solver_result, "best_report"):
-        best_objective = solver_result.best_report.objective_shifted
-    else:
-        best_objective = int(solver_result)
-    result = enumerate_optima(instance, limit)
-    gap = best_objective - result.optimum
-    return OracleCheck(gap=gap, is_optimal=gap == 0)
 
 
 def oracle_report_dict(result: OracleResult) -> dict:
@@ -202,14 +183,5 @@ def oracle_report_dict(result: OracleResult) -> dict:
     return {
         "optimum": result.optimum,
         "count_feasible": result.enumerated,
-        "optima": [
-            {
-                "assignments": [
-                    {"container": a.container, "wagon": a.wagon, "slot": a.slot}
-                    for a in s.assignments
-                ],
-                "configs": [{"wagon": c.wagon, "config": c.config} for c in s.configs],
-            }
-            for s in result.optimal_solutions
-        ],
+        "optima": [s.to_dict() for s in result.optimal_solutions],
     }

@@ -21,9 +21,9 @@ Energy contract: for every feasible solution ``s``,
 single constant ``C0 = total yard value``.  The default penalty weight —
 rehandle cost of clearing every blocking pair, plus total value, plus one —
 exceeds any objective spread available to a feasible state, so constraint
-violations cost more than the worst feasible plan; the weight and the
-per-family overrides stay exposed because extreme instances may want a
-bigger hammer.
+violations cost more than the worst feasible plan; the weight stays
+exposed (``penalty=``, one value for every constraint family) because
+extreme instances may want a bigger hammer.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 from .evaluation import (
     Assignment,
@@ -41,7 +41,7 @@ from .evaluation import (
     check_feasibility,
     InfeasibleSolutionError,
 )
-from .instance import Instance, derive_blocking_pairs
+from .instance import DocumentReader, Instance, derive_blocking_pairs
 
 PENALTY_FAMILIES = (
     "assign_once",
@@ -63,6 +63,11 @@ class EmptyModelError(ValueError):
 
 class EncodingError(ValueError):
     """Solution cannot be encoded (typically: weight_unit too coarse)."""
+
+
+class QuboFormatError(ValueError):
+    """Malformed QUBO JSON: bad JSON, wrong types, unknown or missing keys,
+    or terms and variables that do not fit the model size."""
 
 
 @dataclass(frozen=True)
@@ -181,30 +186,10 @@ class _Accumulator:
         return {key: v for key, v in sorted(self.coefficients.items()) if v != 0}
 
 
-def _resolve_penalties(
-    instance: Instance, penalty: int | Mapping[str, int] | None
-) -> dict[str, int]:
-    base = default_penalty(instance)
-    weights = {family: base for family in PENALTY_FAMILIES}
-    if penalty is None:
-        return weights
-    if isinstance(penalty, int):
-        if penalty < 1:
-            raise ValueError("penalty must be positive")
-        return {family: penalty for family in PENALTY_FAMILIES}
-    for family, value in penalty.items():
-        if family not in PENALTY_FAMILIES:
-            raise ValueError(f"unknown penalty family '{family}'")
-        if value < 1:
-            raise ValueError(f"penalty for '{family}' must be positive")
-        weights[family] = value
-    return weights
-
-
 def build_qubo(
     instance: Instance,
     *,
-    penalty: int | Mapping[str, int] | None = None,
+    penalty: int | None = None,
     weight_unit: int = 100,
 ) -> tuple[QuboModel, VariableMap]:
     """Assemble the QUBO for an instance.
@@ -213,10 +198,16 @@ def build_qubo(
     one compatible assignment variable exists (they are vacuous otherwise);
     wagon and train weight constraints always materialise, so even a
     containerless instance keeps its config selectors and capacity slacks.
+    ``penalty`` weighs every constraint family alike; ``None`` picks
+    :func:`default_penalty`.
     """
     if weight_unit < 1:
         raise ValueError("weight_unit must be a positive integer")
-    weights = _resolve_penalties(instance, penalty)
+    if penalty is not None and penalty < 1:
+        raise ValueError("penalty must be positive")
+    weights = dict.fromkeys(
+        PENALTY_FAMILIES, default_penalty(instance) if penalty is None else penalty
+    )
     unit = weight_unit
 
     w_up = {c.id: (c.weight + unit - 1) // unit for c in instance.containers}
@@ -554,27 +545,65 @@ def parse_qubo_text(content: str) -> QuboModel:
     return QuboModel(n=n, coefficients=coefficients, offset=offset, penalties={}, weight_unit=1)
 
 
-def parse_qubo_json(content: str) -> tuple[QuboModel, VariableMap]:
-    doc = json.loads(content)
-    entries = tuple(
-        QuboVariable(
-            index=e["index"],
-            kind=e["kind"],
-            container=e.get("container"),
-            wagon=e.get("wagon"),
-            slot=e.get("slot"),
-            config=e.get("config"),
-            constraint=e.get("constraint"),
-            bit=e.get("bit"),
-            coefficient=e.get("coefficient"),
-        )
-        for e in doc["variables"]
-    )
+_QUBO_KEYS = ("n", "offset", "terms", "variables", "penalties", "weight_unit")
+_VARIABLE_KEYS = {
+    "assignment": ("index", "kind", "container", "wagon", "slot"),
+    "config": ("index", "kind", "wagon", "config"),
+    "slack": ("index", "kind", "constraint", "bit", "coefficient"),
+}
+_STRING_FIELDS = ("container", "wagon", "constraint")
+_read = DocumentReader(QuboFormatError)
+
+
+def parse_qubo_json(content: bytes | str) -> tuple[QuboModel, VariableMap]:
+    """Parse the JSON export.  Raises :class:`QuboFormatError`, naming the
+    offending field, unless every key is known and present, every number is
+    an integer (``weight_unit`` positive), ``variables[k].index == k`` for
+    all ``n`` variables, and
+    every term is a distinct ``[i, j, value]`` with ``0 <= i <= j < n``."""
+    doc = _read.document(content, _QUBO_KEYS)
+    n = _read.integer(doc["n"], "n")
+    weight_unit = _read.integer(doc["weight_unit"], "weight_unit")
+    if weight_unit < 1:
+        raise QuboFormatError("weight_unit: must be positive")
+    penalties = _read.object(doc["penalties"], "penalties", PENALTY_FAMILIES)
+    for family, weight in penalties.items():
+        _read.integer(weight, f"penalties.{family}")
+
+    variables = _read.array(doc["variables"], "variables")
+    if len(variables) != n:
+        raise QuboFormatError(f"variables: {len(variables)} entries for n={n}")
+    entries = []
+    for k, raw in enumerate(variables):
+        where = f"variables[{k}]"
+        kind = raw.get("kind") if isinstance(raw, dict) else None
+        if not isinstance(kind, str) or kind not in _VARIABLE_KEYS:
+            raise QuboFormatError(f"{where}.kind: expected one of {', '.join(_VARIABLE_KEYS)}")
+        _read.object(raw, where, _VARIABLE_KEYS[kind])
+        if _read.integer(raw["index"], f"{where}.index") != k:
+            raise QuboFormatError(f"{where}.index: expected {k}")
+        for key in _VARIABLE_KEYS[kind][2:]:
+            (_read.string if key in _STRING_FIELDS else _read.integer)(raw[key], f"{where}.{key}")
+        entries.append(QuboVariable(**raw))
+
+    coefficients: dict[tuple[int, int], int] = {}
+    for k, term in enumerate(_read.array(doc["terms"], "terms")):
+        if type(term) is not list or len(term) != 3:
+            raise QuboFormatError(f"terms[{k}]: expected [i, j, value]")
+        i, j, value = term
+        if type(i) is not int or type(j) is not int or type(value) is not int:
+            raise QuboFormatError(f"terms[{k}]: expected integers")
+        if not 0 <= i <= j < n:
+            raise QuboFormatError(f"terms[{k}]: indices out of range for n={n}")
+        coefficients[i, j] = value
+        if len(coefficients) <= k:
+            raise QuboFormatError(f"terms[{k}]: duplicate term ({i}, {j})")
+
     model = QuboModel(
-        n=doc["n"],
-        coefficients={(i, j): value for i, j, value in doc["terms"]},
-        offset=doc["offset"],
-        penalties=dict(doc["penalties"]),
-        weight_unit=doc["weight_unit"],
+        n=n,
+        coefficients=coefficients,
+        offset=_read.integer(doc["offset"], "offset"),
+        penalties=penalties,
+        weight_unit=weight_unit,
     )
-    return model, VariableMap(entries=entries, weight_unit=doc["weight_unit"])
+    return model, VariableMap(entries=tuple(entries), weight_unit=weight_unit)

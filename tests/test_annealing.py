@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -5,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import TWENTY, make_instance, random_feasible_solution, random_instance
+from trainload import annealing
 from trainload.annealing import (
     MOVE_KINDS,
     SaParams,
@@ -106,7 +108,7 @@ def test_neighbor_returns_current_when_no_move_exists():
         train_max_weight=0,
     )
     current = initial_solution(instance)
-    neighbor = generate_neighbor(instance, current, stream(0, "anneal"), max_retries=5)
+    neighbor = generate_neighbor(instance, current, stream(0, "anneal"))
     assert neighbor is current
 
 
@@ -197,6 +199,17 @@ def test_solve_many_ties_keep_the_lowest_seed(pair_instance):
     assert picked.trace == solo.trace
 
 
+def test_solve_many_totals_cover_every_run(pair_instance, monkeypatch):
+    params = SaParams(t_initial=50.0, t_final=0.1, cooling_rate=0.8, iters_per_level=50, seed=20)
+    solos = [solve(pair_instance, replace(params, seed=20 + i)) for i in range(3)]
+    # A clock that advances one second per reading: each run takes 1 s.
+    monkeypatch.setattr(annealing.time, "perf_counter", itertools.count().__next__)
+    picked = solve_many(pair_instance, params, runs=3)
+    assert picked.evaluations == sum(r.evaluations for r in solos)
+    assert picked.wall_time == 3
+    assert picked.trace == solos[0].trace
+
+
 def test_solve_many_requires_positive_runs(pair_instance):
     with pytest.raises(ValueError):
         solve_many(pair_instance, SaParams(), 0)
@@ -222,7 +235,6 @@ def test_trace_csv_shape(pair_instance):
         dict(cooling_rate=1.0),
         dict(cooling_rate=0.0),
         dict(iters_per_level=0),
-        dict(max_neighbor_retries=0),
     ],
 )
 def test_param_validation(kwargs):

@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -170,6 +173,19 @@ def test_eval_rejects_malformed_solution(tmp_path, capsys, instance_path):
     assert "missing key 'configs'" in stderr
 
 
+@pytest.mark.parametrize("which", ["instance", "solution"])
+def test_eval_rejects_deeply_nested_json(tmp_path, capsys, instance_path, which):
+    sol = tmp_path / "sol.json"
+    sol.write_text(serialize_solution(Solution((), (ConfigChoice("w0", 0),))))
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    paths = {"instance": instance_path, "solution": sol, which: deep}
+    code, _, stderr = run(capsys, "eval", str(paths["instance"]), str(paths["solution"]))
+    assert code == 2
+    assert "invalid JSON" in stderr
+    assert "Traceback" not in stderr
+
+
 def test_missing_instance_file_is_a_usage_error(capsys):
     code, _, stderr = run(capsys, "eval", "/nonexistent.json", "/also-missing.json")
     assert code == 2
@@ -233,6 +249,17 @@ def test_oracle_reports_and_writes_best(tmp_path, capsys, instance_path):
     assert json.loads(stdout)["feasible"] is True
 
 
+def test_qubo_check_budget_exit_code(tmp_path, capsys):
+    out = tmp_path / "model.txt"
+    code, stdout, stderr = run(
+        capsys, "qubo", str(DATA_DIR / "instance3.json"), "--check", "-o", str(out)
+    )
+    assert code == 3
+    assert "exceeds budget" in stderr
+    assert "check" not in stdout
+    assert not out.exists()
+
+
 def test_oracle_budget_exit_code(capsys):
     code, _, stderr = run(
         capsys, "oracle", str(DATA_DIR / "instance3.json"), "--limit", "1000"
@@ -280,3 +307,20 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["gen"])  # all the required shape flags are missing
     assert excinfo.value.code == 2
+
+
+def readme_commands() -> list[list[str]]:
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
+    lines = [line.strip() for block in blocks for line in block.splitlines()]
+    return [shlex.split(line)[1:] for line in lines if line.startswith("trainload ")]
+
+
+def test_readme_commands_run(tmp_path, capsys, monkeypatch):
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == {"gen", "solve", "eval", "stats", "qubo", "oracle"}
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("TRAINLOAD_OUT_DIR", raising=False)
+    for argv in commands:
+        code, _, stderr = run(capsys, *argv)
+        assert code == 0, (argv, stderr)

@@ -222,9 +222,9 @@ def test_later_wagon_blocker_still_costs(pair_instance):
     assert count_rehandles_compact(instance, solution) == 1
 
 
-def test_permanent_buffer_mode_can_be_cheaper():
+def test_restacked_blockers_are_lifted_again():
     # Stack a,b,c: dig out `a` first (2 lifts), then `b` from the next
-    # wagon.  Restacked blockers must be re-lifted; buffered ones must not.
+    # wagon.  The restacked `c` must be lifted a second time.
     instance = make_instance(
         containers=[("a", TWENTY, 100, 9), ("b", TWENTY, 100, 5), ("c", TWENTY, 100, 1)],
         stacks=[("a", "b", "c")],
@@ -236,16 +236,10 @@ def test_permanent_buffer_mode_can_be_cheaper():
     )
     solution = plan({"a": ("w0", 0), "b": ("w1", 0)}, {"w0": 0, "w1": 0})
 
-    in_place = simulate_loading(instance, solution)
-    buffered = simulate_loading(instance, solution, restack_in_place=False)
-    assert in_place.rehandles == 3
-    assert buffered.rehandles == 2
-    assert count_rehandles_compact(instance, solution) == in_place.rehandles
-
-    # The buffered run loads `b` straight from the buffer.
-    buffer_loads = [e for e in buffered.events if e.op == "load" and e.stack == -1]
-    assert [e.container for e in buffer_loads] == ["b"]
-    assert buffer_loads[0].tier == -1
+    result = simulate_loading(instance, solution)
+    assert result.rehandles == 3
+    assert count_rehandles_compact(instance, solution) == 3
+    assert [e.container for e in result.events if e.op == "lift"] == ["c", "b", "c"]
 
 
 def test_simulation_rejects_infeasible_plans(pair_instance):

@@ -23,9 +23,7 @@ from trainload.instance import (
     WeightConfig,
     Yard,
     derive_blocking_pairs,
-    from_linear_index,
     generate_instance,
-    linear_index,
     load_instance,
     load_instance_file,
     serialize_instance,
@@ -209,33 +207,6 @@ def test_blocking_pair_count_is_sum_of_binomials():
             len(s) * (len(s) - 1) // 2 for s in instance.yard.stacks
         )
         assert len(derive_blocking_pairs(instance)) == expected
-
-
-def test_linear_index_round_trip():
-    rng = random.Random(55)
-    for _ in range(30):
-        instance = random_instance(rng)
-        for k, stack in enumerate(instance.yard.stacks):
-            for l in range(len(stack)):
-                idx = linear_index(instance, k, l)
-                assert from_linear_index(instance, idx) == (k, l)
-
-
-def test_linear_index_rejects_unoccupied_positions():
-    instance = make_instance(
-        containers=[("a", TWENTY, 1, 1)],
-        stacks=[("a",)],
-        wagons=[("w0", (), ((),), 0)],
-        max_tiers=3,
-    )
-    with pytest.raises(IndexError):
-        linear_index(instance, 0, 1)  # above the only container
-    with pytest.raises(IndexError):
-        linear_index(instance, 1, 0)  # no such stack
-    with pytest.raises(IndexError):
-        from_linear_index(instance, 1)
-    with pytest.raises(IndexError):
-        from_linear_index(instance, -1)
 
 
 def test_instance3_totals():

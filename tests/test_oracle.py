@@ -12,7 +12,6 @@ from trainload.oracle import (
     estimate_search_space,
     iter_feasible_solutions,
     oracle_report_dict,
-    verify_solver,
 )
 
 
@@ -128,6 +127,9 @@ def test_budget_guard_fires_before_enumerating():
         enumerate_optima(instance, limit=10**6)
     assert excinfo.value.estimate == estimate
     assert "10" in str(excinfo.value)
+    # The guard lives in the enumerator itself, shared with `qubo --check`.
+    with pytest.raises(BudgetExceededError):
+        next(iter_feasible_solutions(instance))
 
 
 def test_search_space_estimate_covers_actual_count():
@@ -139,19 +141,21 @@ def test_search_space_estimate_covers_actual_count():
         assert actual <= estimate
 
 
-def test_verify_solver_accepts_plain_objectives(pair_instance):
-    check = verify_solver(pair_instance, -16)
-    assert check.is_optimal and check.gap == 0
-    check = verify_solver(pair_instance, -10)
-    assert not check.is_optimal and check.gap == 6
-
-
 def test_report_dict_shape(pair_instance):
     result = enumerate_optima(pair_instance)
     payload = oracle_report_dict(result)
     assert payload["optimum"] == -16
     assert payload["count_feasible"] == result.enumerated
     assert all({"assignments", "configs"} == set(s) for s in payload["optima"])
+
+    # Configs are reported in train order, not re-sorted by wagon id.
+    reversed_ids = make_instance(
+        containers=[("a", TWENTY, 100, 1)],
+        stacks=[("a",)],
+        wagons=[("wb", (), ((),), 0), ("wa", (), ((),), 0)],
+    )
+    payload = oracle_report_dict(enumerate_optima(reversed_ids))
+    assert [c["wagon"] for c in payload["optima"][0]["configs"]] == ["wb", "wa"]
 
 
 def test_rejects_unknown_order(pair_instance):

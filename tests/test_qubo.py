@@ -17,6 +17,7 @@ from trainload.qubo import (
     EmptyModelError,
     EncodingError,
     PENALTY_FAMILIES,
+    QuboFormatError,
     SlackWidthError,
     _register_coefficients,
     build_qubo,
@@ -251,18 +252,10 @@ def test_default_penalty_formula(pair_instance):
 
 def test_penalty_overrides(pair_instance):
     model, _ = build_qubo(pair_instance, penalty=50)
-    assert all(w == 50 for w in model.penalties.values())
+    assert model.penalties == dict.fromkeys(PENALTY_FAMILIES, 50)
 
-    model, _ = build_qubo(pair_instance, penalty={"train_weight": 9999})
-    assert model.penalties["train_weight"] == 9999
-    assert model.penalties["assign_once"] == default_penalty(pair_instance)
-
-    with pytest.raises(ValueError, match="unknown penalty family"):
-        build_qubo(pair_instance, penalty={"gravity": 3})
     with pytest.raises(ValueError, match="positive"):
         build_qubo(pair_instance, penalty=0)
-    with pytest.raises(ValueError, match="positive"):
-        build_qubo(pair_instance, penalty={"slot_once": -4})
 
 
 def test_minimum_energy_states_are_exactly_the_optima(scan_instance):
@@ -373,6 +366,50 @@ def test_export_is_deterministic(pair_instance):
 def test_text_parser_rejects_malformed_input(content, fragment):
     with pytest.raises(ValueError, match=fragment):
         parse_qubo_text(content)
+
+
+def _qubo_doc(pair_instance) -> dict:
+    model, varmap = build_qubo(pair_instance, weight_unit=1)
+    return json.loads(export_qubo(model, varmap, fmt="json"))
+
+
+@pytest.mark.parametrize(
+    "mutate, fragment",
+    [
+        (lambda d: d.update(extra=1), "top level: unknown key 'extra'"),
+        (lambda d: d.pop("offset"), "top level: missing key 'offset'"),
+        (lambda d: d.update(n="7"), "n: expected an integer"),
+        (lambda d: d.update(offset=1.5), "offset: expected an integer"),
+        (lambda d: d.update(weight_unit=0), "weight_unit: must be positive"),
+        (lambda d: d["penalties"].pop("slot_once"), "penalties: missing key 'slot_once'"),
+        (lambda d: d["penalties"].update(assign_once=True), "assign_once: expected an integer"),
+        (lambda d: d.update(n=d["n"] + 1), "entries for n="),
+        (lambda d: d["variables"].reverse(), r"variables\[0\].index: expected 0"),
+        (lambda d: d["variables"][0].update(kind="spin"), r"variables\[0\].kind: expected one of"),
+        (lambda d: d["variables"][0].update(config=1), r"variables\[0\]: unknown key 'config'"),
+        (lambda d: d["variables"][0].pop("slot"), r"variables\[0\]: missing key 'slot'"),
+        (lambda d: d["variables"][0].update(wagon=3), r"variables\[0\].wagon: expected a string"),
+        (lambda d: d["variables"][-1].update(bit="0"), r"\].bit: expected an integer"),
+        (lambda d: d.update(terms={}), "terms: expected an array"),
+        (lambda d: d["terms"].append([0, 1]), r"terms\[\d+\]: expected \[i, j, value\]"),
+        (lambda d: d["terms"].append([0, 1, 2.0]), r"terms\[\d+\]: expected integers"),
+        (lambda d: d["terms"].append([1, 0, 5]), r"terms\[\d+\]: indices out of range"),
+        (lambda d: d["terms"].append([0, d["n"], 5]), "out of range"),
+        (lambda d: d["terms"].append([-1, 0, 5]), "out of range"),
+        (lambda d: d["terms"].append(list(d["terms"][0])), r"\]: duplicate term \(0, 0\)"),
+    ],
+)
+def test_json_parser_rejects_malformed_input(pair_instance, mutate, fragment):
+    doc = _qubo_doc(pair_instance)
+    mutate(doc)
+    with pytest.raises(QuboFormatError, match=fragment):
+        parse_qubo_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("content", ["{nope", b"\xff", "[" * 200_000, "[]"])
+def test_json_parser_rejects_non_documents(content):
+    with pytest.raises(QuboFormatError):
+        parse_qubo_json(content)
 
 
 def test_unknown_export_format(pair_instance):
