@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
-"""Benchmark the annealer on three generated instances of increasing size.
+"""Benchmark the annealer on generated instances of increasing size.
 
 Runs the production cooling schedule (1000 -> 0.001, rate 0.95, 100
 iterations per level) with a configurable number of restarts per
 instance and prints one summary row per instance.  Use --runs to trade
-wall time for solution quality.
+wall time for solution quality.  Every solve makes the same number of
+evaluations, so the ``us/eval`` column shows how the cost of one move
+grows with the yard: the 100- and 400-container shapes are there to show
+that it stays flat.
 """
 
 from __future__ import annotations
@@ -19,11 +22,13 @@ SHAPES = [
     ("small", 6, 1, 3, 2, 9, 42),
     ("medium", 12, 2, 4, 5, 18, 1),
     ("large", 20, 8, 4, 19, 28, 7),
+    ("yard100", 100, 20, 4, 48, 140, 1),
+    ("yard400", 400, 80, 4, 192, 560, 1),
 ]
 
 HEADER = (
     f"{'instance':<10} {'cont':>4} {'wag':>4} {'objective':>10} "
-    f"{'rehandles':>9} {'slot%':>7} {'teu%':>7} {'value%':>7} {'evals':>9} {'time_s':>7}"
+    f"{'rehandles':>9} {'slot%':>7} {'teu%':>7} {'value%':>7} {'evals':>9} {'time_s':>7} {'us/eval':>7}"
 )
 
 
@@ -46,7 +51,8 @@ def main(argv: list[str] | None = None) -> int:
             f"{name:<10} {containers:>4} {wagons:>4} "
             f"{report.objective_shifted:>10} {report.rehandles:>9} "
             f"{report.slot_utilization_pct:>7.2f} {report.teu_utilization_pct:>7.2f} "
-            f"{report.value_pct:>7.2f} {result.evaluations:>9} {result.wall_time:>7.2f}"
+            f"{report.value_pct:>7.2f} {result.evaluations:>9} {result.wall_time:>7.2f} "
+            f"{1e6 * result.wall_time / result.evaluations:>7.2f}"
         )
     return 0
 

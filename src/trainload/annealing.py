@@ -22,6 +22,24 @@ Three neighborhood moves, drawn uniformly per attempt:
 ``config``    Re-pick the weight configuration of a wagon that has more
               than one (single-config wagons are never drawn).
 
+Moves are checked and costed incrementally on an integer-indexed
+:class:`AnnealState` with running slot, wagon and train loads.  Because the
+current plan is feasible, a candidate is feasible iff the few quantities it
+changes stay within their limits (delta feasibility): a swap or relocate
+touches at most two slot limits, two wagon loads and the train load, and a
+config move re-checks one wagon's slots against the new limits.  The
+objective change (delta cost) uses the closed form of the rehandle count:
+a loaded container's shortfall is the number of containers above it that
+are not loaded onto the same or an earlier wagon, so a move re-scores only
+the containers it moves and the containers below them in their stacks.
+Value changes only when a container enters or leaves the train.
+
+``check_feasibility``, ``shifted_objective`` and ``evaluate`` stay the
+reference: the state starts from a plan they verify and score, ``solve``
+re-evaluates its best plan with them and raises if the two disagree, and
+the test suite cross-checks every delta verdict and running total against
+them.
+
 Determinism: a run is a pure function of (instance, params); the RNG stream
 is derived from ``params.seed`` and nothing reads the clock except the
 reported wall time.
@@ -31,12 +49,14 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_left, insort
 from dataclasses import dataclass, replace
 from random import Random
 from typing import NamedTuple
 
 from .evaluation import (
     EvaluationReport,
+    InfeasibleSolutionError,
     Solution,
     check_feasibility,
     evaluate,
@@ -60,6 +80,8 @@ class SaParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.t_initial) and math.isfinite(self.t_final)):
+            raise ValueError("temperatures must be finite")
         if self.t_initial <= 0 or self.t_final <= 0:
             raise ValueError("temperatures must be positive")
         if self.t_final >= self.t_initial:
@@ -110,74 +132,252 @@ def accept(delta: float, temperature: float, rng: Random) -> bool:
     return rng.random() < math.exp(-delta / temperature)
 
 
-def _empty_compatible_slots(
-    instance: Instance, occupied: dict[tuple[str, int], str], length
-) -> list[tuple[str, int]]:
-    return [
-        (wid, si)
-        for wid, si, slot_length in instance.all_slots
-        if slot_length == length and (wid, si) not in occupied
-    ]
+class AnnealState:
+    """A feasible plan in integer-indexed form, with running loads and
+    objective, that draws, checks, costs and applies moves.
 
+    Containers are indexed in ``instance.containers`` order, slots in
+    ``instance.all_slots`` order and wagons in train order.  A *move* is a
+    pair ``(changes, config)``: ``changes`` is a tuple of ``(container,
+    slot)`` pairs giving each moved container's new slot (``-1`` takes it
+    off the train), and ``config`` is ``None`` or a ``(wagon, config)``
+    pair.  The order in which draws consume the random stream is part of
+    the solver's seeded output: kinds by ``randrange(3)``, swap partners
+    from ``instance.containers`` order, relocated containers from the
+    assigned ids in sorted order, empty slots in ``all_slots`` order and
+    config alternatives in index order.
+    """
 
-def _try_swap(instance, amap, occupied, rng):
-    ids = instance.containers
-    if not ids:
-        return None
-    a = ids[rng.randrange(len(ids))].id
-    if a not in amap:
-        # Degenerate swap with an empty slot: insertion.
-        empties = _empty_compatible_slots(
-            instance, occupied, instance.container_map[a].length
-        )
-        if not empties:
+    def __init__(self, instance: Instance, solution: Solution):
+        violations = check_feasibility(instance, solution)
+        if violations:
+            raise InfeasibleSolutionError(violations)
+        self.instance = instance
+        containers = instance.containers
+        index = {c.id: i for i, c in enumerate(containers)}
+        self.length = [int(c.length) for c in containers]
+        self.weight = [c.weight for c in containers]
+        self.value = [c.value for c in containers]
+        self.by_rank = sorted(range(len(containers)), key=lambda i: containers[i].id)
+        self.rank = [0] * len(containers)
+        for r, i in enumerate(self.by_rank):
+            self.rank[i] = r
+        self.above: list[tuple[int, ...]] = [()] * len(containers)
+        self.below: list[tuple[int, ...]] = [()] * len(containers)
+        for stack in instance.yard.stacks:
+            ids = [index[cid] for cid in stack]
+            for l, i in enumerate(ids):
+                self.below[i] = tuple(ids[:l])
+                self.above[i] = tuple(ids[l + 1 :])
+
+        wagon_index = instance.wagon_position
+        self.slot_wagon = [wagon_index[wid] for wid, _, _ in instance.all_slots]
+        self.slot_length = [int(length) for _, _, length in instance.all_slots]
+        self.slot_limits = [
+            tuple(cfg.per_slot_max[si] for cfg in instance.wagon_map[wid].configs)
+            for wid, si, _ in instance.all_slots
+        ]
+        self.wagon_slots: list[list[int]] = [[] for _ in instance.wagons]
+        for s, w in enumerate(self.slot_wagon):
+            self.wagon_slots[w].append(s)
+        self.wagon_max = [w.max_weight for w in instance.wagons]
+        self.config_count = [len(w.configs) for w in instance.wagons]
+        self.flexible = [w for w, n in enumerate(self.config_count) if n >= 2]
+        self.train_max = instance.train_max_weight
+        self.alpha = instance.rehandle_unit_cost
+        self.unloaded = len(instance.wagons)  # the position of a yard container
+
+        slot_of = {(wid, si): s for s, (wid, si, _) in enumerate(instance.all_slots)}
+        self.occupant = [-1] * len(instance.all_slots)
+        self.slot = [-1] * len(containers)
+        self.position = [self.unloaded] * len(containers)
+        self.wagon_load = [0] * len(instance.wagons)
+        self.train_load = 0
+        for cid, ws in solution.assignment_map.items():
+            i, s = index[cid], slot_of[ws]
+            self.occupant[s], self.slot[i] = i, s
+            self.position[i] = self.slot_wagon[s]
+            self.wagon_load[self.slot_wagon[s]] += self.weight[i]
+            self.train_load += self.weight[i]
+        self.config = [solution.config_map[w.id] for w in instance.wagons]
+        self.empty: list[list[int]] = [[], [], []]  # indexed by length in TEU
+        for s, i in enumerate(self.occupant):
+            if i < 0:
+                self.empty[self.slot_length[s]].append(s)
+        self.assigned = sorted(self.rank[i] for i, s in enumerate(self.slot) if s >= 0)
+        self.objective = shifted_objective(instance, solution)
+
+    # -- drawing ---------------------------------------------------------------
+
+    def propose(self, kind: str, rng: Random):
+        """Construct one candidate move of ``kind``, unchecked; ``None``
+        when the kind has nothing to move."""
+        if kind == "swap":
+            n = len(self.weight)
+            if not n:
+                return None
+            a = rng.randrange(n)
+            if self.slot[a] < 0:
+                # Degenerate swap with an empty slot: insertion.
+                empties = self.empty[self.length[a]]
+                if not empties:
+                    return None
+                return ((a, empties[rng.randrange(len(empties))]),), None
+            if n < 2:
+                return None
+            b = a
+            while b == a:
+                b = rng.randrange(n)
+            if self.length[a] != self.length[b]:
+                return None
+            if self.slot[b] >= 0:
+                return ((a, self.slot[b]), (b, self.slot[a])), None
+            return ((b, self.slot[a]), (a, -1)), None
+        if kind == "relocate":
+            if not self.assigned:
+                return None
+            c = self.by_rank[self.assigned[rng.randrange(len(self.assigned))]]
+            empties = self.empty[self.length[c]]
+            if empties:
+                return ((c, empties[rng.randrange(len(empties))]),), None
+            return ((c, -1),), None
+        if not self.flexible:
             return None
-        new = dict(amap)
-        new[a] = empties[rng.randrange(len(empties))]
-        return new
-    if len(ids) < 2:
-        return None
-    b = a
-    while b == a:
-        b = ids[rng.randrange(len(ids))].id
-    la = instance.container_map[a].length
-    lb = instance.container_map[b].length
-    if la != lb:
-        return None
-    new = dict(amap)
-    if b in amap:
-        new[a], new[b] = amap[b], amap[a]
-    else:
-        new[b] = amap[a]
-        del new[a]
-    return new
+        w = self.flexible[rng.randrange(len(self.flexible))]
+        b = rng.randrange(self.config_count[w] - 1)
+        return (), (w, b if b < self.config[w] else b + 1)
 
+    def fits(self, move) -> bool:
+        """Delta feasibility: whether the plan stays feasible after ``move``."""
+        changes, config = move
+        weight, occupant = self.weight, self.occupant
+        if config is not None:
+            w, b = config
+            return all(
+                occupant[s] < 0 or weight[occupant[s]] <= self.slot_limits[s][b]
+                for s in self.wagon_slots[w]
+            )
+        load: dict[int, int] = {}
+        train = 0
+        for i, s in changes:
+            wt = weight[i]
+            old = self.slot[i]
+            if old >= 0:
+                w = self.slot_wagon[old]
+                load[w] = load.get(w, 0) - wt
+                train -= wt
+            if s >= 0:
+                w = self.slot_wagon[s]
+                if wt > self.slot_limits[s][self.config[w]]:
+                    return False
+                load[w] = load.get(w, 0) + wt
+                train += wt
+        for w, d in load.items():
+            if self.wagon_load[w] + d > self.wagon_max[w]:
+                return False
+        return self.train_load + train <= self.train_max
 
-def _try_relocate(instance, amap, occupied, rng):
-    if not amap:
+    def draw(self, rng: Random, move_counter: dict | None = None):
+        """A feasible move, redrawn up to ``MAX_NEIGHBOR_RETRIES`` times;
+        ``None`` when every attempt fails.  ``move_counter``, when given,
+        tallies the drawn kinds."""
+        for _ in range(MAX_NEIGHBOR_RETRIES):
+            kind = MOVE_KINDS[rng.randrange(len(MOVE_KINDS))]
+            if move_counter is not None:
+                move_counter[kind] = move_counter.get(kind, 0) + 1
+            move = self.propose(kind, rng)
+            if move is not None and self.fits(move):
+                return move
         return None
-    assigned = sorted(amap)
-    c = assigned[rng.randrange(len(assigned))]
-    empties = _empty_compatible_slots(
-        instance, occupied, instance.container_map[c].length
-    )
-    new = dict(amap)
-    if empties:
-        new[c] = empties[rng.randrange(len(empties))]
-    else:
-        del new[c]
-    return new
 
+    # -- costing and applying --------------------------------------------------
 
-def _try_config(instance, cmap, rng):
-    flexible = [w for w in instance.wagons if len(w.configs) >= 2]
-    if not flexible:
-        return None
-    w = flexible[rng.randrange(len(flexible))]
-    alternatives = [b for b in range(len(w.configs)) if b != cmap.get(w.id)]
-    new = dict(cmap)
-    new[w.id] = alternatives[rng.randrange(len(alternatives))]
-    return new
+    def _shortfall(self, i: int) -> int:
+        """Rehandles charged to container ``i``: the containers above it
+        that are not loaded onto the same or an earlier wagon."""
+        position = self.position
+        p = position[i]
+        count = 0
+        if p != self.unloaded:
+            for a in self.above[i]:
+                if position[a] > p:
+                    count += 1
+        return count
+
+    def delta(self, move) -> int:
+        """Change of the shifted objective if ``move`` were applied."""
+        changes, _ = move
+        value = 0
+        moved = []
+        for i, s in changes:
+            if (s >= 0) != (self.slot[i] >= 0):
+                value += self.value[i] if s < 0 else -self.value[i]
+            p = self.slot_wagon[s] if s >= 0 else self.unloaded
+            if p != self.position[i]:
+                moved.append((i, p))
+        if not moved or not self.alpha:
+            return value
+        touched = set()
+        for i, _ in moved:
+            touched.add(i)
+            touched.update(self.below[i])
+        position = self.position
+        before = sum(map(self._shortfall, touched))
+        old = [(i, position[i]) for i, _ in moved]
+        for i, p in moved:
+            position[i] = p
+        after = sum(map(self._shortfall, touched))
+        for i, p in old:
+            position[i] = p
+        return self.alpha * (after - before) + value
+
+    def apply(self, move, delta: int) -> None:
+        """Make ``move``, whose objective change is ``delta``, current."""
+        changes, config = move
+        if config is not None:
+            w, b = config
+            self.config[w] = b
+        weight, rank, assigned = self.weight, self.rank, self.assigned
+        for i, _ in changes:
+            s = self.slot[i]
+            if s >= 0:
+                self.occupant[s] = -1
+                self.wagon_load[self.slot_wagon[s]] -= weight[i]
+                self.train_load -= weight[i]
+                insort(self.empty[self.slot_length[s]], s)
+                del assigned[bisect_left(assigned, rank[i])]
+        for i, s in changes:
+            self.slot[i] = s
+            if s < 0:
+                self.position[i] = self.unloaded
+                continue
+            w = self.slot_wagon[s]
+            self.occupant[s] = i
+            self.position[i] = w
+            self.wagon_load[w] += weight[i]
+            self.train_load += weight[i]
+            empties = self.empty[self.slot_length[s]]
+            del empties[bisect_left(empties, s)]
+            insort(assigned, rank[i])
+        self.objective += delta
+
+    def snapshot(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The container→slot array and the configs, for :meth:`solution`."""
+        return tuple(self.slot), tuple(self.config)
+
+    def solution(self, snapshot=None) -> Solution:
+        """The current plan, or a snapshotted one, as a :class:`Solution`."""
+        slots, configs = snapshot or self.snapshot()
+        instance = self.instance
+        all_slots = instance.all_slots
+        return Solution.from_maps(
+            {
+                instance.containers[i].id: all_slots[s][:2]
+                for i, s in enumerate(slots)
+                if s >= 0
+            },
+            {w.id: b for w, b in zip(instance.wagons, configs)},
+        )
 
 
 def generate_neighbor(
@@ -187,56 +387,40 @@ def generate_neighbor(
     *,
     move_counter: dict | None = None,
 ) -> Solution:
-    """Draw a feasible neighbor of ``current``.
+    """Draw a feasible neighbor of ``current``, exactly as :func:`solve` does.
 
     Each attempt draws a move kind uniformly, constructs a candidate (length
-    compatibility is respected by construction), then verifies every hard
-    constraint; a violating candidate is discarded and the attempt repeats.
-    Returns ``current`` itself when ``MAX_NEIGHBOR_RETRIES`` attempts all fail.
-    ``move_counter``, when given, tallies drawn move kinds (for calibration
-    tests).
+    compatibility is respected by construction), then verifies the
+    constraints the move touches; a violating candidate is discarded and
+    the attempt repeats.  Returns ``current`` itself when
+    ``MAX_NEIGHBOR_RETRIES`` attempts all fail.  Raises
+    :class:`InfeasibleSolutionError` when ``current`` is infeasible, since
+    the move checks assume a feasible start.  ``move_counter``, when given,
+    tallies drawn move kinds (for calibration tests).
     """
-    amap = current.assignment_map
-    cmap = current.config_map
-    occupied = {ws: c for c, ws in amap.items()}
-    for _ in range(MAX_NEIGHBOR_RETRIES):
-        kind = MOVE_KINDS[rng.randrange(len(MOVE_KINDS))]
-        if move_counter is not None:
-            move_counter[kind] = move_counter.get(kind, 0) + 1
-        if kind == "config":
-            new_cmap = _try_config(instance, cmap, rng)
-            if new_cmap is None:
-                continue
-            candidate = Solution.from_maps(amap, new_cmap)
-        else:
-            new_amap = (
-                _try_swap(instance, amap, occupied, rng)
-                if kind == "swap"
-                else _try_relocate(instance, amap, occupied, rng)
-            )
-            if new_amap is None:
-                continue
-            candidate = Solution.from_maps(new_amap, cmap)
-        if check_feasibility(instance, candidate):
-            continue
-        return candidate
-    return current
+    state = AnnealState(instance, current)
+    move = state.draw(rng, move_counter)
+    if move is None:
+        return current
+    state.apply(move, state.delta(move))
+    return state.solution()
 
 
 def solve(instance: Instance, params: SaParams = SaParams()) -> SaResult:
     """Run one annealing schedule and return the best plan found.
 
     The best solution is tracked against every accepted state, so the
-    result can never be worse than the initial (empty) plan; all emitted
-    solutions are feasible by construction.
+    result can never be worse than the initial (empty) plan.  The best plan
+    is re-evaluated with :func:`evaluate`; a :class:`RuntimeError` is raised
+    if that reference finds it infeasible or scores it differently from the
+    running objective.
     """
     started = time.perf_counter()
     rng = stream(params.seed, "anneal")
 
-    current = initial_solution(instance)
-    current_obj = shifted_objective(instance, current)
+    state = AnnealState(instance, initial_solution(instance))
     evaluations = 1
-    best, best_obj = current, current_obj
+    best, best_obj = state.snapshot(), state.objective
 
     trace: list[LevelStats] = []
     temperature = params.t_initial
@@ -244,23 +428,30 @@ def solve(instance: Instance, params: SaParams = SaParams()) -> SaResult:
     while temperature > params.t_final:
         accepted = 0
         for _ in range(params.iters_per_level):
-            candidate = generate_neighbor(instance, current, rng)
-            if candidate is current:
+            move = state.draw(rng)
+            if move is None:
                 continue
-            candidate_obj = shifted_objective(instance, candidate)
+            delta = state.delta(move)
             evaluations += 1
-            if accept(candidate_obj - current_obj, temperature, rng):
-                current, current_obj = candidate, candidate_obj
+            if accept(delta, temperature, rng):
+                state.apply(move, delta)
                 accepted += 1
-            if current_obj < best_obj:
-                best, best_obj = current, current_obj
-        trace.append(LevelStats(level, temperature, current_obj, best_obj, accepted))
+                if state.objective < best_obj:
+                    best, best_obj = state.snapshot(), state.objective
+        trace.append(LevelStats(level, temperature, state.objective, best_obj, accepted))
         temperature *= params.cooling_rate
         level += 1
 
+    best_solution = state.solution(best)
+    report = evaluate(instance, best_solution)
+    if not report.feasible or report.objective_shifted != best_obj:
+        raise RuntimeError(
+            f"annealing state disagrees with evaluate: tracked objective {best_obj}, "
+            f"evaluated {report.objective_shifted}, violations {list(report.violations)}"
+        )
     return SaResult(
-        best_solution=best,
-        best_report=evaluate(instance, best),
+        best_solution=best_solution,
+        best_report=report,
         trace=tuple(trace),
         wall_time=time.perf_counter() - started,
         evaluations=evaluations,

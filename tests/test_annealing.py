@@ -9,6 +9,7 @@ from conftest import TWENTY, make_instance, random_feasible_solution, random_ins
 from trainload import annealing
 from trainload.annealing import (
     MOVE_KINDS,
+    AnnealState,
     SaParams,
     accept,
     generate_neighbor,
@@ -17,7 +18,13 @@ from trainload.annealing import (
     solve_many,
     trace_csv,
 )
-from trainload.evaluation import check_feasibility, evaluate
+from trainload.evaluation import (
+    InfeasibleSolutionError,
+    Solution,
+    check_feasibility,
+    evaluate,
+    shifted_objective,
+)
 from trainload.instance import GenSpec, generate_instance
 from trainload.oracle import enumerate_optima
 from trainload.rng import stream
@@ -115,8 +122,6 @@ def test_neighbor_returns_current_when_no_move_exists():
 def test_swap_exchanges_occupied_slots(pair_instance):
     # Force the state where both containers are loaded, then watch moves
     # preserve feasibility while shuffling them.
-    from trainload.evaluation import Solution
-
     current = Solution.from_maps(
         {"a": ("w0", 0), "b": ("w0", 1)}, {"w0": 0}
     )
@@ -127,6 +132,98 @@ def test_swap_exchanges_occupied_slots(pair_instance):
         seen.add(nxt.assignments)
         current = nxt
     assert len(seen) > 1  # the chain actually moves
+
+
+def test_neighbor_of_an_infeasible_plan_raises(pair_instance):
+    overweight = Solution.from_maps({"a": ("w0", 0), "b": ("w0", 1)}, {"w0": 1})
+    unconfigured = Solution.from_maps({}, {})
+    for current in (overweight, unconfigured):
+        with pytest.raises(InfeasibleSolutionError):
+            generate_neighbor(pair_instance, current, stream(0, "anneal"))
+
+
+# ---------------------------------------------------------------------------
+# Incremental state against the reference
+# ---------------------------------------------------------------------------
+
+
+def materialise(instance, state: AnnealState, move) -> Solution:
+    """The plan ``move`` would make, built from the state's current plan."""
+    changes, config = move
+    current = state.solution()
+    amap, cmap = dict(current.assignment_map), dict(current.config_map)
+    for i, s in changes:
+        cid = instance.containers[i].id
+        if s < 0:
+            del amap[cid]
+        else:
+            amap[cid] = instance.all_slots[s][:2]
+    if config is not None:
+        w, b = config
+        cmap[instance.wagons[w].id] = b
+    return Solution.from_maps(amap, cmap)
+
+
+def recount_loads(instance, solution: Solution) -> tuple[list[int], int]:
+    wagon = [0] * len(instance.wagons)
+    for a in solution.assignments:
+        wagon[instance.wagon_position[a.wagon]] += instance.container_map[a.container].weight
+    return wagon, sum(wagon)
+
+
+MUTABLE = ("occupant", "slot", "position", "config", "wagon_load", "train_load",
+           "empty", "assigned", "objective")
+
+
+def test_delta_checks_agree_with_the_reference():
+    # Drive the state through many draws from random feasible starts.  Every
+    # drawn candidate is materialised and judged by check_feasibility and
+    # shifted_objective; the delta verdict must agree in both directions,
+    # and after each applied move the incremental bookkeeping must equal
+    # that of a state rebuilt from scratch.
+    rng = random.Random(31)
+    admitted = rejected = applied = 0
+    for _ in range(80):
+        instance = random_instance(rng, max_containers=8, max_wagons=3)
+        state = AnnealState(instance, random_feasible_solution(instance, rng))
+        move_rng = stream(rng.randrange(2**32), "anneal")
+        for _ in range(150):
+            kind = MOVE_KINDS[move_rng.randrange(len(MOVE_KINDS))]
+            move = state.propose(kind, move_rng)
+            if move is None:
+                continue
+            candidate = materialise(instance, state, move)
+            fits = state.fits(move)
+            assert fits == (check_feasibility(instance, candidate) == []), (kind, move)
+            if not fits:
+                rejected += 1
+                continue
+            admitted += 1
+            delta = state.delta(move)
+            assert state.objective + delta == shifted_objective(instance, candidate)
+            if not accept(delta, 2.0, move_rng):
+                continue
+            state.apply(move, delta)
+            applied += 1
+            current = state.solution()
+            assert current == candidate
+            assert check_feasibility(instance, current) == []
+            assert state.objective == shifted_objective(instance, current)
+            assert (state.wagon_load, state.train_load) == recount_loads(instance, current)
+            rebuilt = AnnealState(instance, current)
+            for name in MUTABLE:
+                assert getattr(state, name) == getattr(rebuilt, name), name
+    assert admitted > 2000 and rejected > 1000 and applied > 1000
+
+
+def test_solve_raises_when_the_reference_disagrees(pair_instance, monkeypatch):
+    real = annealing.evaluate
+    monkeypatch.setattr(
+        annealing, "evaluate",
+        lambda instance, solution: replace(real(instance, solution), objective_shifted=1),
+    )
+    with pytest.raises(RuntimeError, match="disagrees"):
+        solve(pair_instance, SaParams(t_initial=10.0, t_final=1.0, cooling_rate=0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +332,11 @@ def test_trace_csv_shape(pair_instance):
         dict(cooling_rate=1.0),
         dict(cooling_rate=0.0),
         dict(iters_per_level=0),
+        dict(t_initial=math.inf),
+        dict(t_initial=math.nan),
+        dict(t_final=math.nan),
+        dict(t_final=-math.inf),
+        dict(t_initial=math.inf, t_final=math.inf),
     ],
 )
 def test_param_validation(kwargs):

@@ -120,6 +120,24 @@ def test_solve_json_report(tmp_path, capsys, instance_path):
     assert "time_s" in payload
 
 
+@pytest.mark.parametrize(
+    "schedule",
+    [
+        ("--t-initial", "inf"),
+        ("--t-initial", "nan"),
+        ("--t-final", "nan"),
+        ("--t-final=-inf",),
+    ],
+)
+def test_solve_rejects_non_finite_temperatures(tmp_path, capsys, instance_path, schedule):
+    sol = tmp_path / "sol.json"
+    code, stdout, stderr = run(capsys, "solve", str(instance_path), *schedule, "-o", str(sol))
+    assert code == 2
+    assert "temperatures must be finite" in stderr
+    assert stdout == ""
+    assert not sol.exists()
+
+
 def test_solve_then_eval_round_trip(tmp_path, capsys, instance_path):
     sol = tmp_path / "sol.json"
     run(
