@@ -67,6 +67,10 @@ from .rng import stream
 
 MOVE_KINDS = ("swap", "relocate", "config")
 MAX_NEIGHBOR_RETRIES = 50
+# Most move draws (levels x iters_per_level, times runs for solve_many) a
+# schedule may plan: at about 1e5 draws/s, a quarter of an hour.  The
+# production schedule plans 27,000.
+MAX_PLANNED_ITERATIONS = 10**8
 
 
 @dataclass(frozen=True)
@@ -90,6 +94,26 @@ class SaParams:
             raise ValueError("cooling_rate must lie in (0, 1)")
         if self.iters_per_level < 1:
             raise ValueError("iters_per_level must be positive")
+        if self.planned_iterations > MAX_PLANNED_ITERATIONS:
+            raise ValueError(
+                f"schedule plans {self.planned_levels} levels x {self.iters_per_level} "
+                f"iterations, above the cap of {MAX_PLANNED_ITERATIONS}"
+            )
+
+    @property
+    def planned_levels(self) -> int:
+        """Cooling levels the schedule runs, in closed form: the number of
+        ``k >= 0`` with ``t_initial * cooling_rate**k > t_final``.  When
+        ``t_final`` lies within rounding of such a power, this can differ by
+        one from the levels :func:`solve` runs, whose temperatures come from
+        repeated multiplication."""
+        ratio = math.log(self.t_final) - math.log(self.t_initial)
+        return math.ceil(ratio / math.log(self.cooling_rate))
+
+    @property
+    def planned_iterations(self) -> int:
+        """Move draws the schedule plans: levels times ``iters_per_level``."""
+        return self.planned_levels * self.iters_per_level
 
 
 class LevelStats(NamedTuple):
@@ -461,9 +485,15 @@ def solve(instance: Instance, params: SaParams = SaParams()) -> SaResult:
 def solve_many(instance: Instance, params: SaParams, runs: int) -> SaResult:
     """Independent runs with seeds ``params.seed + i``; best objective wins,
     ties going to the lowest seed.  Wall time and evaluations are summed
-    over all runs."""
+    over all runs.  Raises :class:`ValueError` before any run if the runs
+    together plan more than :data:`MAX_PLANNED_ITERATIONS` draws."""
     if runs < 1:
         raise ValueError("runs must be positive")
+    if runs * params.planned_iterations > MAX_PLANNED_ITERATIONS:
+        raise ValueError(
+            f"{runs} runs of {params.planned_iterations} iterations, "
+            f"above the cap of {MAX_PLANNED_ITERATIONS}"
+        )
     results = [solve(instance, replace(params, seed=params.seed + i)) for i in range(runs)]
     best = min(results, key=lambda r: r.best_report.objective_shifted)
     return replace(

@@ -8,6 +8,7 @@ import pytest
 from conftest import TWENTY, make_instance, random_feasible_solution, random_instance
 from trainload import annealing
 from trainload.annealing import (
+    MAX_PLANNED_ITERATIONS,
     MOVE_KINDS,
     AnnealState,
     SaParams,
@@ -251,6 +252,17 @@ def test_default_schedule_has_270_levels(pair_instance):
     assert expected == 270
 
 
+@pytest.mark.parametrize(
+    "params",
+    [SaParams(), SaParams(t_initial=100.0, t_final=0.1, cooling_rate=0.8, iters_per_level=60)],
+    ids=["production", "short"],
+)
+def test_planned_levels_match_the_trace(pair_instance, params):
+    result = solve(pair_instance, params)
+    assert params.planned_levels == len(result.trace) == level_count(params)
+    assert result.evaluations <= 1 + params.planned_iterations
+
+
 def test_solve_is_deterministic(pair_instance):
     params = SaParams(t_initial=10.0, t_final=0.01, cooling_rate=0.8, iters_per_level=30, seed=5)
     a = solve(pair_instance, params)
@@ -312,6 +324,14 @@ def test_solve_many_requires_positive_runs(pair_instance):
         solve_many(pair_instance, SaParams(), 0)
 
 
+def test_solve_many_rejects_plans_above_the_cap_before_any_run(pair_instance, monkeypatch):
+    monkeypatch.setattr(annealing, "solve", lambda *args: pytest.fail("a run was started"))
+    params = SaParams()
+    runs = MAX_PLANNED_ITERATIONS // params.planned_iterations + 1
+    with pytest.raises(ValueError, match="above the cap"):
+        solve_many(pair_instance, params, runs)
+
+
 def test_trace_csv_shape(pair_instance):
     params = SaParams(t_initial=10.0, t_final=1.0, cooling_rate=0.5, iters_per_level=5)
     result = solve(pair_instance, params)
@@ -337,6 +357,9 @@ def test_trace_csv_shape(pair_instance):
         dict(t_final=math.nan),
         dict(t_final=-math.inf),
         dict(t_initial=math.inf, t_final=math.inf),
+        # About 1.4e9 levels, and 270 levels of 1e12 iterations: above the cap.
+        dict(t_initial=1e300, t_final=1e-300, cooling_rate=0.999999, iters_per_level=1),
+        dict(iters_per_level=10**12),
     ],
 )
 def test_param_validation(kwargs):

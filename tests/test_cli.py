@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from conftest import DATA_DIR
+from trainload import annealing
 from trainload.cli import main
 from trainload.evaluation import load_solution_file, serialize_solution, Solution
 from trainload.evaluation import Assignment, ConfigChoice
@@ -134,6 +135,26 @@ def test_solve_rejects_non_finite_temperatures(tmp_path, capsys, instance_path, 
     code, stdout, stderr = run(capsys, "solve", str(instance_path), *schedule, "-o", str(sol))
     assert code == 2
     assert "temperatures must be finite" in stderr
+    assert stdout == ""
+    assert not sol.exists()
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [
+        ("--t-initial", "1e300", "--t-final", "1e-300", "--cooling", "0.999999", "--iters", "1"),
+        ("--iters", str(10**12)),
+        ("--runs", str(10**9)),
+    ],
+)
+def test_solve_rejects_schedules_above_the_cap(
+    tmp_path, capsys, instance_path, monkeypatch, schedule
+):
+    monkeypatch.setattr(annealing, "solve", lambda *args: pytest.fail("a run was started"))
+    sol = tmp_path / "sol.json"
+    code, stdout, stderr = run(capsys, "solve", str(instance_path), *schedule, "-o", str(sol))
+    assert code == 2
+    assert "above the cap" in stderr
     assert stdout == ""
     assert not sol.exists()
 

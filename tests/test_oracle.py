@@ -1,11 +1,21 @@
 import itertools
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from conftest import TWENTY, make_instance, random_instance
-from trainload.evaluation import Solution, evaluate
-from trainload.instance import GenSpec, generate_instance
+from trainload import oracle
+from trainload.evaluation import (
+    Assignment,
+    ConfigChoice,
+    Solution,
+    check_feasibility,
+    evaluate,
+    shifted_objective,
+)
+from trainload.instance import GenSpec, WeightConfig, generate_instance
 from trainload.oracle import (
     BudgetExceededError,
     enumerate_optima,
@@ -105,6 +115,111 @@ def brute_force_best_value(instance) -> int:
                     best = max(best, value)
                     break  # any further config combo can't beat this subset
     return best
+
+
+def reference_feasible_solutions(instance) -> Counter:
+    """Independent brute force over the reference rule set: every injective
+    container->compatible-slot map times every config combination, kept iff
+    ``check_feasibility`` accepts it.  No pruning, no factoring."""
+    slots = instance.all_slots
+    options = [
+        [None] + [j for j, (_, _, length) in enumerate(slots) if length == c.length]
+        for c in instance.containers
+    ]
+    combos = list(
+        itertools.product(
+            *(
+                [ConfigChoice(w.id, b) for b in range(len(w.configs))]
+                for w in instance.wagons
+            )
+        )
+    )
+    found: Counter = Counter()
+    for placement in itertools.product(*options):
+        taken = [j for j in placement if j is not None]
+        if len(taken) != len(set(taken)):
+            continue
+        assignments = tuple(
+            sorted(
+                Assignment(c.id, slots[j][0], slots[j][1])
+                for c, j in zip(instance.containers, placement)
+                if j is not None
+            )
+        )
+        for configs in combos:
+            solution = Solution(assignments, configs)
+            if check_feasibility(instance, solution) == []:
+                found[(assignments, configs)] += 1
+    return found
+
+
+def coarsened(instance, step=1000):
+    """The instance with every weight and limit rounded down to a multiple of
+    ``step``, so that loads often meet their limits exactly."""
+
+    def down(x):
+        return x - x % step
+
+    return replace(
+        instance,
+        containers=tuple(replace(c, weight=down(c.weight)) for c in instance.containers),
+        wagons=tuple(
+            replace(
+                w,
+                max_weight=down(w.max_weight),
+                configs=tuple(
+                    WeightConfig(tuple(down(x) for x in cfg.per_slot_max)) for cfg in w.configs
+                ),
+            )
+            for w in instance.wagons
+        ),
+        train_max_weight=down(instance.train_max_weight),
+    )
+
+
+def test_pruned_factored_enumeration_matches_the_reference():
+    rng = random.Random(5150)
+    draws = [random_instance(rng, max_containers=5, max_wagons=2) for _ in range(200)]
+    loaded = 0
+    for instance in draws + [coarsened(instance) for instance in draws]:
+        reference = reference_feasible_solutions(instance)
+        loaded += any(assignments for assignments, _ in reference)
+        for order in ("slot-major", "container-major"):
+            seen = Counter(
+                (s.assignments, s.configs) for s in iter_feasible_solutions(instance, order)
+            )
+            assert seen == reference, order
+
+            result = enumerate_optima(instance, order=order)
+            scores = {key: shifted_objective(instance, Solution(*key)) for key in reference}
+            optimum = min(scores.values())
+            assert result.optimum == optimum
+            assert result.enumerated == sum(reference.values())
+            assert result.optimal_solutions == tuple(
+                Solution(*key) for key in sorted(k for k, v in scores.items() if v == optimum)
+            )
+    assert loaded >= 150  # many draws can load something
+
+
+def test_enumerate_optima_raises_when_the_reference_disagrees(pair_instance, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "check_feasibility", lambda instance, solution: ["broken"])
+        with pytest.raises(RuntimeError, match="disagrees"):
+            enumerate_optima(pair_instance)
+
+    # A reference that scores a plan differently the second time it sees it:
+    # the enumeration scores each assignment once, the re-check once more.
+    real = oracle.shifted_objective
+    seen = set()
+
+    def drifting(instance, solution):
+        again = solution in seen
+        seen.add(solution)
+        return real(instance, solution) + again
+
+    monkeypatch.setattr(oracle, "shifted_objective", drifting)
+    with pytest.raises(RuntimeError, match="disagrees"):
+        enumerate_optima(pair_instance)
 
 
 def test_zero_rehandle_cost_reduces_to_value_packing():
