@@ -48,6 +48,7 @@ reported wall time.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from bisect import bisect_left, insort
 from dataclasses import dataclass, replace
@@ -90,6 +91,13 @@ class SaParams:
             raise ValueError("temperatures must be positive")
         if self.t_final >= self.t_initial:
             raise ValueError("t_final must be below t_initial")
+        # Below the smallest normal float, t * cooling_rate can round back to
+        # t, so the cooling loop would never reach t_final.
+        if self.t_final < sys.float_info.min:
+            raise ValueError(
+                f"t_final must be at least {sys.float_info.min} (subnormal temperatures "
+                "stop cooling)"
+            )
         if not 0.0 < self.cooling_rate < 1.0:
             raise ValueError("cooling_rate must lie in (0, 1)")
         if self.iters_per_level < 1:

@@ -5,8 +5,11 @@ exact optimum of the shifted objective together with *all* optimal
 solutions.  Two structurally different enumeration orders are provided —
 slot-major (walk the train, pick an occupant or nothing per slot) and
 container-major (walk the yard, pick a free slot or nothing per container).
-They must visit the same solution set; the test suite cross-checks them, so
-a bug in one enumerator cannot silently validate itself.
+They must visit the same solution set; the test suite cross-checks them.
+That cross-check covers the two walk structures only: both share the
+weight pruning and the config factoring below, so a bug there shows up
+the same way in either order.  The shared steps are guarded instead by a
+test-only unpruned brute force and by golden digests of the output.
 
 Both walks enumerate assignments only and carry running slot, wagon and
 train loads.  Weights are non-negative, so loads only grow as a partial
@@ -108,6 +111,8 @@ class _Loads:
         self.train = 0
         self.wagons = instance.wagons
         # Per wagon: its slot loads -> the ConfigChoices that admit them.
+        # Many complete assignments repeat a wagon's loads, so this saves
+        # most of the per-leaf config checks.
         self.admitting: list[dict[tuple[int, ...], tuple[ConfigChoice, ...]]] = [
             {} for _ in instance.wagons
         ]

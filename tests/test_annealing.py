@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -254,8 +255,13 @@ def test_default_schedule_has_270_levels(pair_instance):
 
 @pytest.mark.parametrize(
     "params",
-    [SaParams(), SaParams(t_initial=100.0, t_final=0.1, cooling_rate=0.8, iters_per_level=60)],
-    ids=["production", "short"],
+    [
+        SaParams(),
+        SaParams(t_initial=100.0, t_final=0.1, cooling_rate=0.8, iters_per_level=60),
+        # The lowest t_final allowed: every temperature stays normal and cooling ends.
+        SaParams(t_initial=1e-300, t_final=sys.float_info.min, cooling_rate=0.5, iters_per_level=1),
+    ],
+    ids=["production", "short", "smallest-normal"],
 )
 def test_planned_levels_match_the_trace(pair_instance, params):
     result = solve(pair_instance, params)
@@ -360,6 +366,9 @@ def test_trace_csv_shape(pair_instance):
         # About 1.4e9 levels, and 270 levels of 1e12 iterations: above the cap.
         dict(t_initial=1e300, t_final=1e-300, cooling_rate=0.999999, iters_per_level=1),
         dict(iters_per_level=10**12),
+        # Subnormal: 4 ulps * 0.9 rounds back to 4 ulps, so cooling would stall.
+        dict(t_initial=1e-320, t_final=5e-324, cooling_rate=0.9, iters_per_level=1),
+        dict(t_final=sys.float_info.min / 2),
     ],
 )
 def test_param_validation(kwargs):

@@ -140,21 +140,30 @@ def test_solve_rejects_non_finite_temperatures(tmp_path, capsys, instance_path, 
 
 
 @pytest.mark.parametrize(
-    "schedule",
+    ("schedule", "message"),
     [
-        ("--t-initial", "1e300", "--t-final", "1e-300", "--cooling", "0.999999", "--iters", "1"),
-        ("--iters", str(10**12)),
-        ("--runs", str(10**9)),
+        (
+            ("--t-initial", "1e300", "--t-final", "1e-300", "--cooling", "0.999999", "--iters", "1"),
+            "above the cap",
+        ),
+        (("--iters", str(10**12)), "above the cap"),
+        (("--runs", str(10**9)), "above the cap"),
+        # Plans 73 levels, but subnormal temperatures stop shrinking near 2e-323.
+        (
+            ("--t-initial", "1e-320", "--t-final", "5e-324", "--cooling", "0.9", "--iters", "1"),
+            "subnormal temperatures",
+        ),
     ],
+    ids=["levels", "iters", "runs", "subnormal"],
 )
-def test_solve_rejects_schedules_above_the_cap(
-    tmp_path, capsys, instance_path, monkeypatch, schedule
+def test_solve_rejects_schedules_that_would_not_end(
+    tmp_path, capsys, instance_path, monkeypatch, schedule, message
 ):
     monkeypatch.setattr(annealing, "solve", lambda *args: pytest.fail("a run was started"))
     sol = tmp_path / "sol.json"
     code, stdout, stderr = run(capsys, "solve", str(instance_path), *schedule, "-o", str(sol))
     assert code == 2
-    assert "above the cap" in stderr
+    assert message in stderr
     assert stdout == ""
     assert not sol.exists()
 
