@@ -16,6 +16,7 @@ read ``-`` elsewhere.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from trainload import GenSpec, SaParams, evaluate, generate_instance, oracle, solve_many
@@ -66,4 +67,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early (``| head``): end quietly, like a filter.
+        # Point stdout at devnull so the interpreter's final flush succeeds.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 0
+    sys.exit(status)

@@ -309,14 +309,11 @@ class AnnealState:
                 return False
         return self.train_load + train <= self.train_max
 
-    def draw(self, rng: Random, move_counter: dict | None = None):
+    def draw(self, rng: Random):
         """A feasible move, redrawn up to ``MAX_NEIGHBOR_RETRIES`` times;
-        ``None`` when every attempt fails.  ``move_counter``, when given,
-        tallies the drawn kinds."""
+        ``None`` when every attempt fails."""
         for _ in range(MAX_NEIGHBOR_RETRIES):
             kind = MOVE_KINDS[rng.randrange(len(MOVE_KINDS))]
-            if move_counter is not None:
-                move_counter[kind] = move_counter.get(kind, 0) + 1
             move = self.propose(kind, rng)
             if move is not None and self.fits(move):
                 return move
@@ -412,13 +409,7 @@ class AnnealState:
         )
 
 
-def generate_neighbor(
-    instance: Instance,
-    current: Solution,
-    rng: Random,
-    *,
-    move_counter: dict | None = None,
-) -> Solution:
+def generate_neighbor(instance: Instance, current: Solution, rng: Random) -> Solution:
     """Draw a feasible neighbor of ``current``, exactly as :func:`solve` does.
 
     Each attempt draws a move kind uniformly, constructs a candidate (length
@@ -427,11 +418,10 @@ def generate_neighbor(
     the attempt repeats.  Returns ``current`` itself when
     ``MAX_NEIGHBOR_RETRIES`` attempts all fail.  Raises
     :class:`InfeasibleSolutionError` when ``current`` is infeasible, since
-    the move checks assume a feasible start.  ``move_counter``, when given,
-    tallies drawn move kinds (for calibration tests).
+    the move checks assume a feasible start.
     """
     state = AnnealState(instance, current)
-    move = state.draw(rng, move_counter)
+    move = state.draw(rng)
     if move is None:
         return current
     state.apply(move, state.delta(move))

@@ -11,7 +11,8 @@ Six subcommands cover the full workflow::
 
 Exit codes: 0 success; 1 the inputs were understood but the verdict is
 negative (infeasible solution, failed ``qubo --check``); 2 bad usage, file
-format, or validation errors; 3 enumeration budget exceeded (``oracle``
+format, or validation errors (also ``qubo --check`` on a plan that
+``--weight-unit`` is too coarse to encode); 3 enumeration budget exceeded (``oracle``
 beyond ``--limit``, ``qubo --check`` beyond the default oracle budget).
 
 Relative output paths (``-o``, ``--trace``, ``--events``) are resolved

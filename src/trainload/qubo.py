@@ -1,9 +1,16 @@
 """Quadratic binary (QUBO) export of the load-planning problem.
 
 Binary variables are the length-compatible assignment triples and the
-per-wagon config selectors; every hard constraint becomes a squared penalty
-term, inequalities gaining a slack register (binary expansion of the
-residual range, bounded encoding so no slack state exceeds the range).
+per-wagon config selectors.  Every hard constraint is one row of
+:func:`_rows`: a name, a family from :data:`PENALTY_FAMILIES`, integer
+terms over those variables, a constant and a slack range.  The model adds
+``weight * (sum(terms) + constant + slack)**2`` per row, where ``slack`` is
+a register of binary variables (bounded binary expansion of the slack
+range, so no slack state exceeds it); the ``one_config`` equality has no
+register.  :func:`build_qubo` lays out the registers and penalties from the
+rows, and :func:`encode_solution` sets each register to its row's residual
+from the same rows, so the two cannot disagree on a constraint.
+
 The objective keeps exact integer coefficients: values and the rehandle
 unit cost are integers, and the rehandle term is the same shortfall count
 used by the evaluator, written with the plain per-wagon load indicator
@@ -16,13 +23,14 @@ The rounding is conservative — an encoding can become infeasible for a
 plan that is feasible in exact kilograms (an :class:`EncodingError` points
 at the unit), but never the other way around.
 
-Energy contract: for every feasible solution ``s``,
-``energy_of(encode_solution(s)) == objective_shifted(s) + C0`` with the
-single constant ``C0 = total yard value``.  The default penalty weight —
-rehandle cost of clearing every blocking pair, plus total value, plus one —
-exceeds any objective spread available to a feasible state, so constraint
-violations cost more than the worst feasible plan; the weight stays
-exposed (``penalty=``, one value for every constraint family) because
+Energy contract: for every feasible solution ``s`` that
+:func:`encode_solution` accepts (it raises rather than return an inexact
+vector), ``energy_of(encode_solution(s)) == objective_shifted(s) + C0``
+with the single constant ``C0 = total yard value``.  The default penalty
+weight — rehandle cost of clearing every blocking pair, plus total value,
+plus one — exceeds any objective spread available to a feasible state, so
+constraint violations cost more than the worst feasible plan; the weight
+stays exposed (``penalty=``, one value for every constraint family) because
 extreme instances may want a bigger hammer.
 """
 
@@ -32,7 +40,7 @@ import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from .evaluation import (
     Assignment,
@@ -186,6 +194,69 @@ class _Accumulator:
         return {key: v for key, v in sorted(self.coefficients.items()) if v != 0}
 
 
+class _Row(NamedTuple):
+    """One penalty row, ``(sum(c * bits[i] for i, c in terms) + constant + slack)**2``.
+
+    ``slack`` is the largest value of the row's slack register, or ``None``
+    for an equality, which has no register."""
+
+    name: str
+    family: str
+    terms: list[tuple[int, int]]
+    constant: int
+    slack: int | None
+
+
+def _rows(
+    instance: Instance,
+    x_index: dict[tuple[str, str, int], int],
+    t_index: dict[tuple[str, int], int],
+    unit: int,
+) -> list[_Row]:
+    """Every penalty row of the model, family by family in
+    :data:`PENALTY_FAMILIES` order.
+
+    Per-container and per-slot rows exist only where at least one
+    assignment variable does (they are vacuous otherwise); config, wagon and
+    train rows always exist.
+    """
+    w_up = {c.id: (c.weight + unit - 1) // unit for c in instance.containers}
+    by_container: dict[str, list[int]] = {}
+    by_slot: dict[tuple[str, int], list[tuple[int, int]]] = {}
+    for (cid, wid, si), idx in x_index.items():
+        by_container.setdefault(cid, []).append(idx)
+        by_slot.setdefault((wid, si), []).append((idx, w_up[cid]))
+    slots = [
+        (w, si) for w in instance.wagons for si in range(len(w.slots)) if (w.id, si) in by_slot
+    ]
+
+    rows = [
+        _Row(f"assign_once[{c.id}]", "assign_once", [(i, 1) for i in by_container[c.id]], -1, 1)
+        for c in instance.containers
+        if c.id in by_container
+    ]
+    rows += [
+        _Row(f"slot_once[{w.id},{si}]", "slot_once", [(i, 1) for i, _ in by_slot[w.id, si]], -1, 1)
+        for w, si in slots
+    ]
+    for w in instance.wagons:
+        selectors = [(t_index[w.id, b], 1) for b in range(len(w.configs))]
+        rows.append(_Row(f"one_config[{w.id}]", "one_config", selectors, -1, None))
+    for w, si in slots:
+        caps = [cfg.per_slot_max[si] // unit for cfg in w.configs]
+        terms = by_slot[w.id, si] + [(t_index[w.id, b], -cap) for b, cap in enumerate(caps)]
+        rows.append(_Row(f"slot_weight[{w.id},{si}]", "slot_weight", terms, 0, max(caps)))
+    for w in instance.wagons:
+        cap = w.max_weight // unit
+        terms = [term for si in range(len(w.slots)) for term in by_slot.get((w.id, si), ())]
+        rows.append(_Row(f"wagon_weight[{w.id}]", "wagon_weight", terms, -cap, cap))
+    if instance.wagons:
+        cap = instance.train_max_weight // unit
+        terms = [(idx, w_up[cid]) for (cid, _, _), idx in x_index.items()]
+        rows.append(_Row("train_weight", "train_weight", terms, -cap, cap))
+    return rows
+
+
 def build_qubo(
     instance: Instance,
     *,
@@ -194,10 +265,8 @@ def build_qubo(
 ) -> tuple[QuboModel, VariableMap]:
     """Assemble the QUBO for an instance.
 
-    Per-container and per-slot constraints materialise only when at least
-    one compatible assignment variable exists (they are vacuous otherwise);
-    wagon and train weight constraints always materialise, so even a
-    containerless instance keeps its config selectors and capacity slacks.
+    Variables are laid out as assignment triples, then config selectors,
+    then the slack registers of the rows (:func:`_rows`) in row order.
     ``penalty`` weighs every constraint family alike; ``None`` picks
     :func:`default_penalty`.
     """
@@ -209,8 +278,6 @@ def build_qubo(
         PENALTY_FAMILIES, default_penalty(instance) if penalty is None else penalty
     )
     unit = weight_unit
-
-    w_up = {c.id: (c.weight + unit - 1) // unit for c in instance.containers}
     entries: list[QuboVariable] = []
 
     def new_var(**kwargs) -> int:
@@ -232,137 +299,50 @@ def build_qubo(
         for b in range(len(w.configs)):
             t_index[(w.id, b)] = new_var(kind="config", wagon=w.id, config=b)
 
-    compat_by_container: dict[str, list[int]] = {}
-    compat_by_slot: dict[tuple[str, int], list[str]] = {}
-    for (cid, wid, si), idx in x_index.items():
-        compat_by_container.setdefault(cid, []).append(idx)
-        compat_by_slot.setdefault((wid, si), []).append(cid)
-
-    registers: dict[str, tuple[tuple[int, int], ...]] = {}
-
-    def new_register(constraint_id: str, max_residual: int) -> tuple[tuple[int, int], ...]:
-        coefficients = _register_coefficients(max_residual)
+    def new_register(row: _Row) -> list[tuple[int, int]]:
+        if row.slack is None:
+            return []
+        coefficients = _register_coefficients(row.slack)
         if len(coefficients) > 32:
             raise SlackWidthError(
-                f"constraint '{constraint_id}' needs {len(coefficients)} slack bits "
+                f"constraint '{row.name}' needs {len(coefficients)} slack bits "
                 f"(limit 32); increase weight_unit"
             )
-        bits = tuple(
-            (
-                new_var(
-                    kind="slack",
-                    constraint=constraint_id,
-                    bit=position,
-                    coefficient=coefficient,
-                ),
-                coefficient,
-            )
-            for position, coefficient in enumerate(coefficients)
-        )
-        registers[constraint_id] = bits
-        return bits
+        return [
+            (new_var(kind="slack", constraint=row.name, bit=position, coefficient=c), c)
+            for position, c in enumerate(coefficients)
+        ]
 
-    # Registers are created family by family so the index layout is stable.
-    for c in instance.containers:
-        if c.id in compat_by_container:
-            new_register(f"assign_once[{c.id}]", 1)
-    for w in instance.wagons:
-        for si in range(len(w.slots)):
-            if (w.id, si) in compat_by_slot:
-                new_register(f"slot_once[{w.id},{si}]", 1)
-    for w in instance.wagons:
-        for si in range(len(w.slots)):
-            if (w.id, si) in compat_by_slot:
-                cap = max(cfg.per_slot_max[si] // unit for cfg in w.configs)
-                new_register(f"slot_weight[{w.id},{si}]", cap)
-    for w in instance.wagons:
-        new_register(f"wagon_weight[{w.id}]", w.max_weight // unit)
-    if instance.wagons:
-        new_register("train_weight", instance.train_max_weight // unit)
-
+    rows = _rows(instance, x_index, t_index, unit)
+    registers = [new_register(row) for row in rows]
     if not entries:
         raise EmptyModelError("instance yields no binary variables")
 
     acc = _Accumulator()
 
-    # Objective: forfeited value plus rehandle shortfall.
+    # Objective: forfeited value plus rehandle shortfall.  A container loaded
+    # onto wagon ``wi`` pays for each blocker above it, unless that blocker
+    # is loaded onto a wagon at or before ``wi``.
     acc.offset += instance.total_value
-    for (cid, _, _), idx in x_index.items():
+    position = {w.id: wi for wi, w in enumerate(instance.wagons)}
+    placements: dict[str, list[tuple[int, int]]] = {}
+    for (cid, wid, _), idx in x_index.items():
         acc.add(idx, idx, -instance.container_map[cid].value)
+        placements.setdefault(cid, []).append((idx, position[wid]))
 
     alpha = instance.rehandle_unit_cost
     for stack in instance.yard.stacks:
-        height = len(stack)
         for tier, cid in enumerate(stack):
             blockers = stack[tier + 1 :]
-            for wi, w in enumerate(instance.wagons):
-                for si, slot in enumerate(w.slots):
-                    xi = x_index.get((cid, w.id, si))
-                    if xi is None:
-                        continue
-                    acc.add(xi, xi, alpha * (height - 1 - tier))
-                    for above in blockers:
-                        for earlier in instance.wagons[: wi + 1]:
-                            for sj in range(len(earlier.slots)):
-                                xj = x_index.get((above, earlier.id, sj))
-                                if xj is not None:
-                                    acc.add(xi, xj, -alpha)
+            for xi, wi in placements.get(cid, ()):
+                acc.add(xi, xi, alpha * len(blockers))
+                for above in blockers:
+                    for xj, wj in placements.get(above, ()):
+                        if wj <= wi:
+                            acc.add(xi, xj, -alpha)
 
-    # Penalties: weight * (expression + slack - bound)^2 per constraint.
-    for c in instance.containers:
-        cid = f"assign_once[{c.id}]"
-        if cid not in registers:
-            continue
-        terms = [(idx, 1) for idx in compat_by_container[c.id]]
-        terms += list(registers[cid])
-        acc.add_square(terms, -1, weights["assign_once"])
-
-    for w in instance.wagons:
-        for si in range(len(w.slots)):
-            cid = f"slot_once[{w.id},{si}]"
-            if cid not in registers:
-                continue
-            terms = [
-                (x_index[(occupant, w.id, si)], 1)
-                for occupant in compat_by_slot[(w.id, si)]
-            ]
-            terms += list(registers[cid])
-            acc.add_square(terms, -1, weights["slot_once"])
-
-    for w in instance.wagons:
-        terms = [(t_index[(w.id, b)], 1) for b in range(len(w.configs))]
-        acc.add_square(terms, -1, weights["one_config"])
-
-    for w in instance.wagons:
-        for si in range(len(w.slots)):
-            cid = f"slot_weight[{w.id},{si}]"
-            if cid not in registers:
-                continue
-            terms = [
-                (x_index[(occupant, w.id, si)], w_up[occupant])
-                for occupant in compat_by_slot[(w.id, si)]
-            ]
-            terms += [
-                (t_index[(w.id, b)], -(cfg.per_slot_max[si] // unit))
-                for b, cfg in enumerate(w.configs)
-            ]
-            terms += list(registers[cid])
-            acc.add_square(terms, 0, weights["slot_weight"])
-
-    for w in instance.wagons:
-        cid = f"wagon_weight[{w.id}]"
-        terms = [
-            (x_index[(occupant, w.id, si)], w_up[occupant])
-            for si in range(len(w.slots))
-            for occupant in compat_by_slot.get((w.id, si), ())
-        ]
-        terms += list(registers[cid])
-        acc.add_square(terms, -(w.max_weight // unit), weights["wagon_weight"])
-
-    if instance.wagons:
-        terms = [(idx, w_up[cid]) for (cid, _, _), idx in x_index.items()]
-        terms += list(registers["train_weight"])
-        acc.add_square(terms, -(instance.train_max_weight // unit), weights["train_weight"])
+    for row, register in zip(rows, registers):
+        acc.add_square(row.terms + register, row.constant, weights[row.family])
 
     model = QuboModel(
         n=len(entries),
@@ -386,30 +366,29 @@ def energy_of(model: QuboModel, bits: Sequence[int]) -> int:
 
 
 def _encode_register_value(
-    register: tuple[tuple[int, int], ...], value: int, constraint_id: str
-) -> dict[int, int]:
+    register: Sequence[tuple[int, int]], value: int, constraint_id: str
+) -> list[int]:
+    """Indices of the register bits that spell ``value``; an empty register
+    spells only 0."""
     capacity = sum(coefficient for _, coefficient in register)
     if value < 0 or value > capacity:
         raise EncodingError(
             f"residual {value} for '{constraint_id}' not representable "
             f"(range [0, {capacity}]); weight_unit may be too coarse"
         )
-    bits: dict[int, int] = {}
+    # Greedy from the closing bit down: after it, the powers of two spell
+    # any remainder below the closing bit's weight.
+    ones: list[int] = []
     remaining = value
-    if register:
-        closing_index, closing = register[-1]
-        if remaining >= closing:
-            bits[closing_index] = 1
-            remaining -= closing
-        for index, coefficient in reversed(register[:-1]):
-            if remaining >= coefficient:
-                bits[index] = 1
-                remaining -= coefficient
+    for index, coefficient in reversed(register):
+        if remaining >= coefficient:
+            ones.append(index)
+            remaining -= coefficient
     if remaining:
         raise EncodingError(
             f"residual {value} for '{constraint_id}' not representable exactly"
         )
-    return bits
+    return ones
 
 
 def encode_solution(
@@ -417,60 +396,27 @@ def encode_solution(
 ) -> list[int]:
     """Bit vector whose energy equals the solution's objective plus C0.
 
-    Requires a feasible solution; slack registers are set to the exact
-    residual of their constraint in ``weight_unit`` steps.
+    Requires a feasible solution.  Every row's slack register is set to the
+    row's residual ``-(constant + sum(c * bit))`` in ``weight_unit`` steps;
+    a residual the register cannot hold (negative, too large, or nonzero for
+    an empty register) raises :class:`EncodingError`, so a returned vector
+    is always exact.
     """
     violations = check_feasibility(instance, solution)
     if violations:
         raise InfeasibleSolutionError(violations)
 
-    unit = varmap.weight_unit
     bits = [0] * len(varmap.entries)
-    amap = solution.assignment_map
-    cmap = solution.config_map
-
-    for container, (wagon, slot) in amap.items():
+    for container, (wagon, slot) in solution.assignment_map.items():
         bits[varmap.assignment_index[(container, wagon, slot)]] = 1
-    for wagon, config in cmap.items():
+    for wagon, config in solution.config_map.items():
         bits[varmap.config_index[(wagon, config)]] = 1
 
-    w_up = {c.id: (c.weight + unit - 1) // unit for c in instance.containers}
-    occupant: dict[tuple[str, int], str] = {ws: c for c, ws in amap.items()}
-
-    def set_register(constraint_id: str, value: int) -> None:
-        register = varmap.slack_registers.get(constraint_id)
-        if register is None:
-            if value != 0:
-                raise EncodingError(
-                    f"no slack register for '{constraint_id}' but residual {value}"
-                )
-            return
-        for index, bit in _encode_register_value(register, value, constraint_id).items():
-            bits[index] = bit
-
-    for c in instance.containers:
-        if f"assign_once[{c.id}]" in varmap.slack_registers:
-            set_register(f"assign_once[{c.id}]", 0 if c.id in amap else 1)
-
-    train_load = 0
-    for w in instance.wagons:
-        wagon_load = 0
-        limits = w.configs[cmap[w.id]].per_slot_max
-        for si in range(len(w.slots)):
-            cid_here = occupant.get((w.id, si))
-            load = w_up[cid_here] if cid_here is not None else 0
-            wagon_load += load
-            key = f"slot_once[{w.id},{si}]"
-            if key in varmap.slack_registers:
-                set_register(key, 0 if cid_here is not None else 1)
-            key = f"slot_weight[{w.id},{si}]"
-            if key in varmap.slack_registers:
-                set_register(key, limits[si] // unit - load)
-        set_register(f"wagon_weight[{w.id}]", w.max_weight // unit - wagon_load)
-        train_load += wagon_load
-    if instance.wagons:
-        set_register("train_weight", instance.train_max_weight // unit - train_load)
-
+    registers = varmap.slack_registers
+    for row in _rows(instance, varmap.assignment_index, varmap.config_index, varmap.weight_unit):
+        residual = -(row.constant + sum(c for i, c in row.terms if bits[i]))
+        for index in _encode_register_value(registers.get(row.name, ()), residual, row.name):
+            bits[index] = 1
     return bits
 
 
@@ -541,6 +487,8 @@ def parse_qubo_text(content: str) -> QuboModel:
         i, j, value = int(parts[0]), int(parts[1]), int(parts[2])
         if not 0 <= i <= j < n:
             raise ValueError(f"term indices out of range: {line!r}")
+        if (i, j) in coefficients:
+            raise ValueError(f"duplicate QUBO term line: {line!r}")
         coefficients[(i, j)] = value
     return QuboModel(n=n, coefficients=coefficients, offset=offset, penalties={}, weight_unit=1)
 

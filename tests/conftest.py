@@ -97,6 +97,19 @@ def dig_instance() -> Instance:
 
 
 @pytest.fixture
+def sub_unit_instance() -> Instance:
+    """One 50 kg container and one slot that its only config caps at 60 kg:
+    loading it is feasible, but at a 100 kg weight unit the slot's limit
+    rounds down to 0 while the container's weight rounds up to 1."""
+    return make_instance(
+        containers=[("a", TWENTY, 50, 5)],
+        stacks=[("a",)],
+        wagons=[("w0", (TWENTY,), ((60,),), 400)],
+        train_max_weight=400,
+    )
+
+
+@pytest.fixture
 def instance3() -> Instance:
     return load_instance_file(DATA_DIR / "instance3.json")
 

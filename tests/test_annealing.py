@@ -83,13 +83,19 @@ def test_accept_requires_positive_temperature():
         accept(1.0, 0.0, random.Random(0))
 
 
-def test_move_kinds_are_drawn_uniformly(pair_instance):
+def test_move_kinds_are_drawn_uniformly(pair_instance, monkeypatch):
+    counter: dict[str, int] = {}
+    propose = AnnealState.propose
+
+    def tallying_propose(self, kind, rng):
+        counter[kind] = counter.get(kind, 0) + 1
+        return propose(self, kind, rng)
+
+    monkeypatch.setattr(AnnealState, "propose", tallying_propose)
     rng = stream(11, "anneal")
     current = initial_solution(pair_instance)
-    counter: dict[str, int] = {}
-    rounds = 10_000
-    for _ in range(rounds):
-        current = generate_neighbor(pair_instance, current, rng, move_counter=counter)
+    for _ in range(10_000):
+        current = generate_neighbor(pair_instance, current, rng)
     draws = sum(counter.values())
     assert set(counter) == set(MOVE_KINDS)
     for kind in MOVE_KINDS:

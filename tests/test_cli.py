@@ -10,7 +10,7 @@ from trainload import annealing
 from trainload.cli import main
 from trainload.evaluation import load_solution_file, serialize_solution, Solution
 from trainload.evaluation import Assignment, ConfigChoice
-from trainload.instance import load_instance_file
+from trainload.instance import load_instance_file, serialize_instance
 from trainload.qubo import parse_qubo_text
 
 GEN_ARGS = [
@@ -306,6 +306,21 @@ def test_qubo_check_budget_exit_code(tmp_path, capsys):
     assert "exceeds budget" in stderr
     assert "check" not in stdout
     assert not out.exists()
+
+
+def test_qubo_check_refuses_plans_the_weight_unit_cannot_encode(
+    tmp_path, capsys, sub_unit_instance
+):
+    path = tmp_path / "inst.json"
+    path.write_text(serialize_instance(sub_unit_instance), encoding="utf-8")
+    code, stdout, stderr = run(capsys, "qubo", str(path), "--check")
+    assert code == 2
+    assert "slot_weight[w0,0]" in stderr and "weight_unit may be too coarse" in stderr
+    assert "check" not in stdout
+
+    code, stdout, _ = run(capsys, "qubo", str(path), "--check", "--weight-unit", "10")
+    assert code == 0
+    assert stdout.startswith("check ok: 2 feasible solutions, 0 mismatches")
 
 
 def test_oracle_budget_exit_code(capsys):

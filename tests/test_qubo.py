@@ -219,6 +219,43 @@ def test_coarse_unit_makes_tight_plans_unencodable():
         encode_solution(coarse, instance, solution)
 
 
+def test_a_slot_limit_below_one_unit_refuses_any_load(sub_unit_instance):
+    # Every config caps the slot below one 100 kg step, so its slot_weight
+    # register is empty: the rounded load leaves a residual of -1 that no
+    # slack value can absorb.  Encoding must refuse rather than hand back a
+    # vector that scores a whole penalty above the plan's objective.
+    instance = sub_unit_instance
+    solution = Solution.from_maps({"a": ("w0", 0)}, {"w0": 0})
+    assert evaluate(instance, solution).feasible
+
+    _, coarse = build_qubo(instance, weight_unit=100)
+    with pytest.raises(EncodingError, match=r"slot_weight\[w0,0\].*weight_unit"):
+        encode_solution(coarse, instance, solution)
+
+    model, fine = build_qubo(instance, weight_unit=10)
+    bits = encode_solution(fine, instance, solution)
+    assert energy_of(model, bits) == evaluate(instance, solution).objective
+
+
+def test_every_feasible_plan_encodes_exactly_or_is_refused():
+    rng = random.Random(5_100)
+    exact = refused = 0
+    for _ in range(100):
+        instance = random_instance(rng)
+        for unit in (1, 100, 1000):
+            model, varmap = build_qubo(instance, weight_unit=unit)
+            for _ in range(3):
+                solution = random_feasible_solution(instance, rng)
+                try:
+                    bits = encode_solution(varmap, instance, solution)
+                except EncodingError:
+                    refused += 1
+                    continue
+                assert energy_of(model, bits) == evaluate(instance, solution).objective
+                exact += 1
+    assert exact > 600 and refused > 0
+
+
 def test_wide_slack_registers_are_refused():
     instance = make_instance(
         containers=[("a", TWENTY, 100, 5)],
@@ -361,6 +398,7 @@ def test_export_is_deterministic(pair_instance):
         ("# qubo n=2 offset=0\n0 1\n", "term line"),
         ("# qubo n=2 offset=0\n0 5 1\n", "out of range"),
         ("# qubo n=2 offset=0\n1 0 1\n", "out of range"),
+        ("# qubo n=2 offset=0\n0 1 5\n0 1 7\n", r"duplicate QUBO term line: '0 1 7'"),
     ],
 )
 def test_text_parser_rejects_malformed_input(content, fragment):
