@@ -1,4 +1,4 @@
-import itertools
+import dataclasses
 import json
 import random
 
@@ -11,7 +11,7 @@ from conftest import (
     random_instance,
 )
 from trainload.evaluation import InfeasibleSolutionError, Solution, evaluate
-from trainload.instance import GenSpec, derive_blocking_pairs, generate_instance
+from trainload.instance import GenSpec, WeightConfig, derive_blocking_pairs, generate_instance
 from trainload.oracle import enumerate_optima, iter_feasible_solutions
 from trainload.qubo import (
     EmptyModelError,
@@ -295,27 +295,98 @@ def test_penalty_overrides(pair_instance):
         build_qubo(pair_instance, penalty=0)
 
 
+def ground_states(model) -> tuple[int, list[list[int]]]:
+    """Minimum energy and every bit vector that reaches it, by scanning all
+    2^n states in Gray-code order: each step flips one bit and adds that
+    bit's local field, so a state costs its bit's degree, not every term."""
+    n = model.n
+    linear = [0] * n
+    neighbours: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for (i, j), value in model.coefficients.items():
+        if i == j:
+            linear[i] += value
+        else:
+            neighbours[i].append((j, value))
+            neighbours[j].append((i, value))
+    bits = [0] * n
+    state = 0
+    energy = best = model.offset
+    argmin = [0]
+    for step in range(1, 1 << n):
+        k = (step & -step).bit_length() - 1
+        field = linear[k] + sum(value for j, value in neighbours[k] if bits[j])
+        energy += -field if bits[k] else field
+        bits[k] ^= 1
+        state ^= 1 << k
+        if energy < best:
+            best, argmin = energy, [state]
+        elif energy == best:
+            argmin.append(state)
+    return best, [[(s >> i) & 1 for i in range(n)] for s in argmin]
+
+
+def coarse_instance(instance, unit=1000):
+    """``instance`` with every weight and limit rounded down to a multiple
+    of ``unit``, so a QUBO built at that unit encodes it exactly."""
+    down = lambda kg: kg // unit * unit  # noqa: E731
+    return dataclasses.replace(
+        instance,
+        containers=tuple(dataclasses.replace(c, weight=down(c.weight)) for c in instance.containers),
+        wagons=tuple(
+            dataclasses.replace(
+                w,
+                max_weight=down(w.max_weight),
+                configs=tuple(WeightConfig(tuple(map(down, cfg.per_slot_max))) for cfg in w.configs),
+            )
+            for w in instance.wagons
+        ),
+        train_max_weight=down(instance.train_max_weight),
+    )
+
+
+def assert_ground_states_are_the_optima(instance, model, varmap, truth):
+    best, argmin = ground_states(model)
+    assert best == truth.optimum + instance.total_value
+    assert all(energy_of(model, bits) == best for bits in argmin)
+    assert {decode_solution(varmap, bits) for bits in argmin} == set(truth.optimal_solutions)
+
+
 def test_minimum_energy_states_are_exactly_the_optima(scan_instance):
     """Penalty dominance, proven by brute force: scanning all 2^n bit
     vectors, the minimum-energy states decode to the oracle's optimal
-    solution set and nothing else."""
+    solution set and nothing else.
+
+    The sweep covers tiny random instances rounded to 1,000 kg and built
+    at that unit, with at most 16 bits.  Most such draws have nothing to
+    rehandle or nothing worth loading, so after the first 60 plain draws
+    only those with ``alpha > 0``, a multi-tier stack and a negative
+    optimum are kept, until there are 60 of them too."""
     model, varmap = build_qubo(scan_instance, weight_unit=1)
     assert model.n == 13
-
     truth = enumerate_optima(scan_instance)
-    best_energy = None
-    argmin_bits = []
-    for bits in itertools.product((0, 1), repeat=model.n):
-        energy = energy_of(model, bits)
-        if best_energy is None or energy < best_energy:
-            best_energy = energy
-            argmin_bits = [bits]
-        elif energy == best_energy:
-            argmin_bits.append(bits)
+    assert_ground_states_are_the_optima(scan_instance, model, varmap, truth)
 
-    assert best_energy == truth.optimum + scan_instance.total_value
-    decoded = {decode_solution(varmap, bits) for bits in argmin_bits}
-    assert decoded == set(truth.optimal_solutions)
+    rng = random.Random(6_000)
+    plain = rich = rehandled = 0
+    while rich < 60:
+        instance = coarse_instance(random_instance(rng))
+        model, varmap = build_qubo(instance, weight_unit=1000)
+        if model.n > 16:
+            continue
+        truth = enumerate_optima(instance)
+        if not (
+            instance.rehandle_unit_cost
+            and any(len(stack) > 1 for stack in instance.yard.stacks)
+            and truth.optimum < 0
+        ):
+            if plain == 60:
+                continue
+            plain += 1
+        else:
+            rich += 1
+            rehandled += any(evaluate(instance, s).rehandles for s in truth.optimal_solutions)
+        assert_ground_states_are_the_optima(instance, model, varmap, truth)
+    assert plain == 60 and rehandled >= 10
 
 
 # ---------------------------------------------------------------------------
