@@ -168,8 +168,9 @@ class AnnealState:
     """A feasible plan in integer-indexed form, with running loads and
     objective, that draws, checks, costs and applies moves.
 
-    Containers are indexed in ``instance.containers`` order, slots in
-    ``instance.all_slots`` order and wagons in train order.  A *move* is a
+    The layout is the instance's: its integer tables (``slot_wagon``,
+    ``wagon_slots``, ``slot_limits``, ``above``) are read, not rebuilt, and
+    only the plan and its running loads live here.  A *move* is a
     pair ``(changes, config)``: ``changes`` is a tuple of ``(container,
     slot)`` pairs giving each moved container's new slot (``-1`` takes it
     off the train), and ``config`` is ``None`` or a ``(wagon, config)``
@@ -194,24 +195,16 @@ class AnnealState:
         self.rank = [0] * len(containers)
         for r, i in enumerate(self.by_rank):
             self.rank[i] = r
-        self.above: list[tuple[int, ...]] = [()] * len(containers)
-        self.below: list[tuple[int, ...]] = [()] * len(containers)
-        for stack in instance.yard.stacks:
-            ids = [index[cid] for cid in stack]
-            for l, i in enumerate(ids):
-                self.below[i] = tuple(ids[:l])
-                self.above[i] = tuple(ids[l + 1 :])
+        self.above = instance.above
+        self.below: list[list[int]] = [[] for _ in containers]
+        for i, blockers in enumerate(self.above):
+            for a in blockers:
+                self.below[a].append(i)
 
-        wagon_index = instance.wagon_position
-        self.slot_wagon = [wagon_index[wid] for wid, _, _ in instance.all_slots]
+        self.slot_wagon = instance.slot_wagon
         self.slot_length = [int(length) for _, _, length in instance.all_slots]
-        self.slot_limits = [
-            tuple(cfg.per_slot_max[si] for cfg in instance.wagon_map[wid].configs)
-            for wid, si, _ in instance.all_slots
-        ]
-        self.wagon_slots: list[list[int]] = [[] for _ in instance.wagons]
-        for s, w in enumerate(self.slot_wagon):
-            self.wagon_slots[w].append(s)
+        self.slot_limits = instance.slot_limits
+        self.wagon_slots = instance.wagon_slots
         self.wagon_max = [w.max_weight for w in instance.wagons]
         self.config_count = [len(w.configs) for w in instance.wagons]
         self.flexible = [w for w, n in enumerate(self.config_count) if n >= 2]

@@ -22,6 +22,7 @@ import json
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
+from itertools import accumulate
 from typing import Any, NamedTuple
 
 from .rng import stream
@@ -213,6 +214,42 @@ class Instance:
             for w in self.wagons
             for si, slot in enumerate(w.slots)
         )
+
+    # Integer-indexed tables: containers and wagons in tuple order, slots in ``all_slots`` order.
+
+    @cached_property
+    def slot_wagon(self) -> tuple[int, ...]:
+        """Slot -> index of its wagon."""
+        return tuple(wi for wi, w in enumerate(self.wagons) for _ in w.slots)
+
+    @cached_property
+    def wagon_slots(self) -> tuple[range, ...]:
+        """Wagon -> the range of its slots."""
+        ends = (0, *accumulate(len(w.slots) for w in self.wagons))
+        return tuple(map(range, ends, ends[1:]))
+
+    @cached_property
+    def slot_limits(self) -> tuple[tuple[int, ...], ...]:
+        """Slot -> its weight limit under each config of its wagon."""
+        return tuple(
+            limits for w in self.wagons for limits in zip(*(c.per_slot_max for c in w.configs))
+        )
+
+    @cached_property
+    def slot_candidates(self) -> tuple[tuple[int, ...], ...]:
+        """Slot -> the containers of its length."""
+        by_length = {
+            length: tuple(i for i, c in enumerate(self.containers) if c.length == length)
+            for length in ContainerLength
+        }
+        return tuple(by_length[length] for _, _, length in self.all_slots)
+
+    @cached_property
+    def above(self) -> tuple[tuple[int, ...], ...]:
+        """Container -> the containers stacked above it, lowest first."""
+        index = {c.id: i for i, c in enumerate(self.containers)}
+        tiers = [self.stack_position[c.id] for c in self.containers]
+        return tuple(tuple(index[cid] for cid in self.yard.stacks[k][l + 1 :]) for k, l in tiers)
 
     @property
     def total_slots(self) -> int:

@@ -21,7 +21,6 @@ Exact identities, by construction::
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, fields, replace
 
 from .instance import Instance, derive_blocking_pairs
@@ -89,15 +88,10 @@ class ModelComparison:
         }
 
 
-def _compatible_triples(instance: Instance) -> int:
-    by_length = Counter(c.length for c in instance.containers)
-    return sum(by_length[length] for _, _, length in instance.all_slots)
-
-
 def count_model_b(instance: Instance) -> ModelStats:
     """Compact formulation: assignment and config variables only."""
     variables = VariableCounts(
-        assignment=_compatible_triples(instance),
+        assignment=sum(map(len, instance.slot_candidates)),
         config=sum(len(w.configs) for w in instance.wagons),
         rehandle=0,
     )

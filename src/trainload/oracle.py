@@ -12,10 +12,11 @@ the same way in either order.  The shared steps are guarded instead by a
 test-only unpruned brute force and by golden digests of the output.
 
 Both walks enumerate assignments only and carry running slot, wagon and
-train loads.  Weights are non-negative, so loads only grow as a partial
-plan is extended: a placement that already exceeds the slot's limit under
-every config of its wagon, the wagon's ``max_weight`` or the train's
-``train_max_weight`` is skipped with everything below it (weight pruning).
+train loads, laid out by the integer tables of :class:`Instance`.  Weights
+are non-negative, so loads only grow as a partial plan is extended: a
+placement that already exceeds the slot's limit under every config of its
+wagon, the wagon's ``max_weight`` or the train's ``train_max_weight`` is
+skipped with everything below it (weight pruning).
 Configs gate feasibility per wagon and independently, and the objective
 ignores them, so at each complete assignment one shared step lists every
 wagon's configs that admit its slot loads; the feasible solutions of that
@@ -81,13 +82,9 @@ class OracleResult:
 
 def estimate_search_space(instance: Instance) -> int:
     """Config combinations times per-slot (occupant or empty) choices."""
-    size = 1
-    for w in instance.wagons:
-        size *= len(w.configs)
-    for _, _, length in instance.all_slots:
-        compatible = sum(1 for c in instance.containers if c.length == length)
-        size *= compatible + 1
-    return size
+    return prod(len(w.configs) for w in instance.wagons) * prod(
+        len(candidates) + 1 for candidates in instance.slot_candidates
+    )
 
 
 class _Loads:
@@ -95,18 +92,12 @@ class _Loads:
     weight pruning and the per-wagon config lists both walks share."""
 
     def __init__(self, instance: Instance):
-        self.wagon_of: list[int] = []
-        self.slot_cap: list[int] = []
-        self.spans: list[tuple[int, int]] = []
-        for wi, w in enumerate(instance.wagons):
-            first = len(self.wagon_of)
-            for si in range(len(w.slots)):
-                self.wagon_of.append(wi)
-                self.slot_cap.append(max(cfg.per_slot_max[si] for cfg in w.configs))
-            self.spans.append((first, len(self.wagon_of)))
+        self.slot_wagon = instance.slot_wagon
+        self.slot_cap = [max(limits) for limits in instance.slot_limits]
+        self.wagon_slots = instance.wagon_slots
         self.wagon_max = [w.max_weight for w in instance.wagons]
         self.train_max = instance.train_max_weight
-        self.slot = [0] * len(self.wagon_of)
+        self.slot = [0] * len(self.slot_wagon)
         self.wagon = [0] * len(instance.wagons)
         self.train = 0
         self.wagons = instance.wagons
@@ -120,7 +111,7 @@ class _Loads:
     def fits(self, j: int, weight: int) -> bool:
         """Can ``weight`` go into the empty slot ``j`` (in ``all_slots``
         order) under some config of its wagon and every weight limit?"""
-        w = self.wagon_of[j]
+        w = self.slot_wagon[j]
         return (
             weight <= self.slot_cap[j]
             and self.wagon[w] + weight <= self.wagon_max[w]
@@ -129,7 +120,7 @@ class _Loads:
 
     def add(self, j: int, weight: int) -> None:
         self.slot[j] += weight
-        self.wagon[self.wagon_of[j]] += weight
+        self.wagon[self.slot_wagon[j]] += weight
         self.train += weight
 
     def config_choices(self) -> list[tuple[ConfigChoice, ...]] | None:
@@ -137,8 +128,8 @@ class _Loads:
         ``None`` if some wagon has none.  Wagon and train loads need no
         check here: every placement was admitted by :meth:`fits`."""
         choices = []
-        for (lo, hi), cache, wagon in zip(self.spans, self.admitting, self.wagons):
-            loads = tuple(self.slot[lo:hi])
+        for span, cache, wagon in zip(self.wagon_slots, self.admitting, self.wagons):
+            loads = tuple(self.slot[span.start : span.stop])
             admitted = cache.get(loads)
             if admitted is None:
                 admitted = cache[loads] = tuple(
@@ -159,11 +150,10 @@ class _Loads:
 def _assignments_slot_major(
     instance: Instance, loads: _Loads
 ) -> Iterator[Iterable[Assignment]]:
-    slots = [
-        (wid, si, tuple((c.id, c.weight) for c in instance.containers if c.length == length))
-        for wid, si, length in instance.all_slots
-    ]
-    used: set[str] = set()
+    containers = instance.containers
+    slots = instance.all_slots
+    candidates = instance.slot_candidates
+    used = [False] * len(containers)
     acc: list[Assignment] = []
 
     def rec(p: int) -> Iterator[Iterable[Assignment]]:
@@ -171,16 +161,17 @@ def _assignments_slot_major(
             yield acc
             return
         yield from rec(p + 1)
-        wid, si, compatible = slots[p]
-        for cid, weight in compatible:
-            if cid not in used and loads.fits(p, weight):
-                used.add(cid)
-                acc.append(Assignment(cid, wid, si))
-                loads.add(p, weight)
+        wid, si, _ = slots[p]
+        for i in candidates[p]:
+            c = containers[i]
+            if not used[i] and loads.fits(p, c.weight):
+                used[i] = True
+                acc.append(Assignment(c.id, wid, si))
+                loads.add(p, c.weight)
                 yield from rec(p + 1)
-                loads.add(p, -weight)
+                loads.add(p, -c.weight)
                 acc.pop()
-                used.discard(cid)
+                used[i] = False
 
     return rec(0)
 

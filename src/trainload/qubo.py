@@ -227,7 +227,7 @@ def _rows(
         by_container.setdefault(cid, []).append(idx)
         by_slot.setdefault((wid, si), []).append((idx, w_up[cid]))
     slots = [
-        (w, si) for w in instance.wagons for si in range(len(w.slots)) if (w.id, si) in by_slot
+        (s, wid, si) for s, (wid, si, _) in enumerate(instance.all_slots) if (wid, si) in by_slot
     ]
 
     rows = [
@@ -236,16 +236,16 @@ def _rows(
         if c.id in by_container
     ]
     rows += [
-        _Row(f"slot_once[{w.id},{si}]", "slot_once", [(i, 1) for i, _ in by_slot[w.id, si]], -1, 1)
-        for w, si in slots
+        _Row(f"slot_once[{wid},{si}]", "slot_once", [(i, 1) for i, _ in by_slot[wid, si]], -1, 1)
+        for _, wid, si in slots
     ]
     for w in instance.wagons:
         selectors = [(t_index[w.id, b], 1) for b in range(len(w.configs))]
         rows.append(_Row(f"one_config[{w.id}]", "one_config", selectors, -1, None))
-    for w, si in slots:
-        caps = [cfg.per_slot_max[si] // unit for cfg in w.configs]
-        terms = by_slot[w.id, si] + [(t_index[w.id, b], -cap) for b, cap in enumerate(caps)]
-        rows.append(_Row(f"slot_weight[{w.id},{si}]", "slot_weight", terms, 0, max(caps)))
+    for s, wid, si in slots:
+        caps = [limit // unit for limit in instance.slot_limits[s]]
+        terms = by_slot[wid, si] + [(t_index[wid, b], -cap) for b, cap in enumerate(caps)]
+        rows.append(_Row(f"slot_weight[{wid},{si}]", "slot_weight", terms, 0, max(caps)))
     for w in instance.wagons:
         cap = w.max_weight // unit
         terms = [term for si in range(len(w.slots)) for term in by_slot.get((w.id, si), ())]
@@ -285,14 +285,17 @@ def build_qubo(
         entries.append(QuboVariable(index=index, **kwargs))
         return index
 
+    # Per container: its (assignment variable, wagon) pairs.
     x_index: dict[tuple[str, str, int], int] = {}
+    placements: list[list[tuple[int, int]]] = []
     for c in instance.containers:
-        for w in instance.wagons:
-            for si, slot in enumerate(w.slots):
-                if slot.length == c.length:
-                    x_index[(c.id, w.id, si)] = new_var(
-                        kind="assignment", container=c.id, wagon=w.id, slot=si
-                    )
+        placements.append([])
+        for (wid, si, length), wi in zip(instance.all_slots, instance.slot_wagon):
+            if length == c.length:
+                x_index[(c.id, wid, si)] = idx = new_var(
+                    kind="assignment", container=c.id, wagon=wid, slot=si
+                )
+                placements[-1].append((idx, wi))
 
     t_index: dict[tuple[str, int], int] = {}
     for w in instance.wagons:
@@ -324,22 +327,14 @@ def build_qubo(
     # onto wagon ``wi`` pays for each blocker above it, unless that blocker
     # is loaded onto a wagon at or before ``wi``.
     acc.offset += instance.total_value
-    position = {w.id: wi for wi, w in enumerate(instance.wagons)}
-    placements: dict[str, list[tuple[int, int]]] = {}
-    for (cid, wid, _), idx in x_index.items():
-        acc.add(idx, idx, -instance.container_map[cid].value)
-        placements.setdefault(cid, []).append((idx, position[wid]))
-
     alpha = instance.rehandle_unit_cost
-    for stack in instance.yard.stacks:
-        for tier, cid in enumerate(stack):
-            blockers = stack[tier + 1 :]
-            for xi, wi in placements.get(cid, ()):
-                acc.add(xi, xi, alpha * len(blockers))
-                for above in blockers:
-                    for xj, wj in placements.get(above, ()):
-                        if wj <= wi:
-                            acc.add(xi, xj, -alpha)
+    for c, own, blockers in zip(instance.containers, placements, instance.above):
+        for xi, wi in own:
+            acc.add(xi, xi, alpha * len(blockers) - c.value)
+            for b in blockers:
+                for xj, wj in placements[b]:
+                    if wj <= wi:
+                        acc.add(xi, xj, -alpha)
 
     for row, register in zip(rows, registers):
         acc.add_square(row.terms + register, row.constant, weights[row.family])

@@ -6,7 +6,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import DATA_DIR, FORTY, TWENTY, make_instance, random_instance
+from conftest import (
+    DATA_DIR,
+    FORTY,
+    TWENTY,
+    make_instance,
+    random_feasible_solution,
+    random_instance,
+)
+from trainload.evaluation import (
+    Solution,
+    ViolationKind,
+    check_feasibility,
+    count_rehandles_compact,
+)
 from trainload.instance import (
     CONFIGS_PER_WAGON,
     SLOT_LIMIT_RANGE,
@@ -28,6 +41,7 @@ from trainload.instance import (
     load_instance_file,
     serialize_instance,
 )
+from trainload.oracle import estimate_search_space
 
 
 def minimal_doc() -> dict:
@@ -207,6 +221,97 @@ def test_blocking_pair_count_is_sum_of_binomials():
             len(s) * (len(s) - 1) // 2 for s in instance.yard.stacks
         )
         assert len(derive_blocking_pairs(instance)) == expected
+
+
+def overloaded(instance: Instance, solution: Solution, rng: random.Random) -> Solution:
+    """``solution`` plus yard containers put into free slots of their
+    length regardless of weight: each container and slot still used once,
+    so the only violations left are overweights."""
+    assignments = dict(solution.assignment_map)
+    free = [
+        (wid, si, length)
+        for wid, si, length in instance.all_slots
+        if (wid, si) not in assignments.values()
+    ]
+    for c in instance.containers:
+        fitting = [slot for slot in free if slot[2] == c.length]
+        if c.id not in assignments and fitting and rng.random() < 0.7:
+            slot = fitting[rng.randrange(len(fitting))]
+            free.remove(slot)
+            assignments[c.id] = slot[:2]
+    return Solution.from_maps(assignments, solution.config_map)
+
+
+def table_overweights(instance: Instance, solution: Solution) -> list:
+    """Slot, wagon and train overweights summed through ``slot_wagon``,
+    ``wagon_slots`` and ``slot_limits``, in ``check_feasibility`` order."""
+    slot_of = {slot[:2]: s for s, slot in enumerate(instance.all_slots)}
+    slot_load = [0] * instance.total_slots
+    for cid, ws in solution.assignment_map.items():
+        slot_load[slot_of[ws]] += instance.container_map[cid].weight
+    wagon_load = [0] * len(instance.wagons)
+    for s, load in enumerate(slot_load):
+        wagon_load[instance.slot_wagon[s]] += load
+    config = [solution.config_map[w.id] for w in instance.wagons]
+
+    found = []
+    for s, load in enumerate(slot_load):
+        limit = instance.slot_limits[s][config[instance.slot_wagon[s]]]
+        if load > limit:
+            found.append((ViolationKind.SLOT_OVERWEIGHT, instance.all_slots[s][:2], load - limit))
+    assert [sum(slot_load[s] for s in span) for span in instance.wagon_slots] == wagon_load
+    for w, load in zip(instance.wagons, wagon_load):
+        if load > w.max_weight:
+            found.append((ViolationKind.WAGON_OVERWEIGHT, (w.id,), load - w.max_weight))
+    train = sum(wagon_load)
+    if train > instance.train_max_weight:
+        found.append((ViolationKind.TRAIN_OVERWEIGHT, (), train - instance.train_max_weight))
+    return found
+
+
+def table_shortfall(instance: Instance, solution: Solution) -> int:
+    """Rehandles summed over ``above``: each loaded container pays for the
+    containers above it that are not loaded onto the same or an earlier wagon."""
+    unloaded = len(instance.wagons)
+    position = [unloaded] * len(instance.containers)
+    for i, c in enumerate(instance.containers):
+        if c.id in solution.assignment_map:
+            position[i] = instance.wagon_position[solution.assignment_map[c.id][0]]
+    return sum(
+        1
+        for i, blockers in enumerate(instance.above)
+        if position[i] != unloaded
+        for b in blockers
+        if position[b] > position[i]
+    )
+
+
+def test_integer_tables_agree_with_the_reference():
+    rng = random.Random(2_606)
+    overweight = 0
+    for _ in range(300):
+        instance = random_instance(rng)
+        assert sum(map(len, instance.above)) == len(derive_blocking_pairs(instance))
+        spans = instance.wagon_slots
+        assert [s for span in spans for s in span] == list(range(instance.total_slots))
+        assert [w for w, span in enumerate(spans) for _ in span] == list(instance.slot_wagon)
+        size = math.prod(len(w.configs) for w in instance.wagons)
+        for (_, _, length), candidates in zip(instance.all_slots, instance.slot_candidates):
+            assert candidates == tuple(
+                i for i, c in enumerate(instance.containers) if c.length == length
+            )
+            size *= len(candidates) + 1
+        assert estimate_search_space(instance) == size
+
+        for _ in range(3):
+            plan = random_feasible_solution(instance, rng)
+            assert table_overweights(instance, plan) == []
+            assert table_shortfall(instance, plan) == count_rehandles_compact(instance, plan)
+            heavy = overloaded(instance, plan, rng)
+            reference = [(v.kind, v.subject, v.amount) for v in check_feasibility(instance, heavy)]
+            assert table_overweights(instance, heavy) == reference
+            overweight += bool(reference)
+    assert overweight > 200
 
 
 def test_instance3_totals():

@@ -10,6 +10,7 @@ from trainload.model_stats import (
     count_model_a,
     count_model_b,
 )
+from trainload.qubo import build_qubo
 
 
 @pytest.fixture
@@ -89,6 +90,20 @@ def test_size_identities_on_random_instances():
         assert a.variables.config == b.variables.config
         assert b.variables.rehandle == 0
         assert b.constraints.rehandle_link == 0
+
+
+def test_compact_variables_are_the_exported_qubo_variables():
+    """Formulation B's assignment and config variables are exactly the
+    ones :func:`build_qubo` lays out, so the model-size table describes the
+    model that is exported."""
+    rng = random.Random(61)
+    for _ in range(500):
+        instance = random_instance(rng, max_containers=8, max_wagons=3)
+        _, varmap = build_qubo(instance, weight_unit=1000)
+        kinds = [e.kind for e in varmap.entries]
+        b = count_model_b(instance)
+        assert b.variables.assignment == kinds.count("assignment")
+        assert b.variables.config == kinds.count("config")
 
 
 def test_flat_yard_needs_no_linkage_constraints():

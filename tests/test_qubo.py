@@ -331,12 +331,16 @@ def coarse_instance(instance, unit=1000):
     down = lambda kg: kg // unit * unit  # noqa: E731
     return dataclasses.replace(
         instance,
-        containers=tuple(dataclasses.replace(c, weight=down(c.weight)) for c in instance.containers),
+        containers=tuple(
+            dataclasses.replace(c, weight=down(c.weight)) for c in instance.containers
+        ),
         wagons=tuple(
             dataclasses.replace(
                 w,
                 max_weight=down(w.max_weight),
-                configs=tuple(WeightConfig(tuple(map(down, cfg.per_slot_max))) for cfg in w.configs),
+                configs=tuple(
+                    WeightConfig(tuple(map(down, cfg.per_slot_max))) for cfg in w.configs
+                ),
             )
             for w in instance.wagons
         ),
