@@ -1,15 +1,14 @@
 """Quadratic binary (QUBO) export of the load-planning problem.
 
-Binary variables are the length-compatible assignment triples and the
-per-wagon config selectors.  Every hard constraint is one row of
-:func:`_rows`: a name, a family from :data:`PENALTY_FAMILIES`, integer
-terms over those variables, a constant and a slack range.  The model adds
-``weight * (sum(terms) + constant + slack)**2`` per row, where ``slack`` is
-a register of binary variables (bounded binary expansion of the slack
-range, so no slack state exceeds it); the ``one_config`` equality has no
-register.  :func:`build_qubo` lays out the registers and penalties from the
-rows, and :func:`encode_solution` sets each register to its row's residual
-from the same rows, so the two cannot disagree on a constraint.
+Binary variables are the length-compatible assignment triples, the
+per-wagon config selectors and the slack registers.  Every hard constraint
+is one row of :func:`_rows`: a name, integer terms over the assignment and
+config variables, a constant and its own register of slack bits (bounded
+binary expansion of the slack range, so no slack state exceeds it; the
+``one_config`` equality has none).  The model adds ``penalty * (sum(terms)
++ constant + register)**2`` per row.  :func:`build_qubo` lays out the
+variables and penalties from the rows, and :func:`encode_solution` sets
+each register to its row's residual, so the two cannot disagree.
 
 The objective keeps exact integer coefficients: values and the rehandle
 unit cost are integers, and the rehandle term is the same shortfall count
@@ -26,11 +25,11 @@ at the unit), but never the other way around.
 Energy contract: for every feasible solution ``s`` that
 :func:`encode_solution` accepts (it raises rather than return an inexact
 vector), ``energy_of(encode_solution(s)) == objective_shifted(s) + C0``
-with the single constant ``C0 = total yard value``.  The default penalty
-weight — rehandle cost of clearing every blocking pair, plus total value,
-plus one — exceeds any objective spread available to a feasible state, so
-constraint violations cost more than the worst feasible plan; the weight
-stays exposed (``penalty=``, one value for every constraint family) because
+with the single constant ``C0 = total yard value``.  One penalty weight
+multiplies every row.  Its default — rehandle cost of clearing every
+blocking pair, plus total value, plus one — exceeds any objective spread
+available to a feasible state, so constraint violations cost more than the
+worst feasible plan; the weight stays exposed (``penalty=``) because
 extreme instances may want a bigger hammer.
 """
 
@@ -50,16 +49,6 @@ from .evaluation import (
     InfeasibleSolutionError,
 )
 from .instance import DocumentReader, Instance, derive_blocking_pairs
-
-PENALTY_FAMILIES = (
-    "assign_once",
-    "slot_once",
-    "one_config",
-    "slot_weight",
-    "wagon_weight",
-    "train_weight",
-)
-
 
 class SlackWidthError(ValueError):
     """A slack register would need more than 32 bits at this weight_unit."""
@@ -124,15 +113,6 @@ class VariableMap:
             (e.wagon, e.config): e.index for e in self.entries if e.kind == "config"
         }
 
-    @cached_property
-    def slack_registers(self) -> dict[str, tuple[tuple[int, int], ...]]:
-        """Constraint id -> ((variable index, coefficient), ...) in bit order."""
-        regs: dict[str, list[tuple[int, int]]] = {}
-        for e in self.entries:
-            if e.kind == "slack":
-                regs.setdefault(e.constraint, []).append((e.index, e.coefficient))
-        return {cid: tuple(bits) for cid, bits in regs.items()}
-
 
 @dataclass(frozen=True)
 class QuboModel:
@@ -140,13 +120,14 @@ class QuboModel:
 
     ``energy = sum(coefficients[i, j] * bits[i] * bits[j]) + offset`` with
     ``i <= j``; diagonal entries are the linear terms.  All coefficients are
-    integers and zero-valued entries are never stored.
+    integers and zero-valued entries are never stored.  ``penalty`` weighs
+    every row; it is ``None`` when read from the text format.
     """
 
     n: int
     coefficients: dict[tuple[int, int], int]
     offset: int
-    penalties: dict[str, int]
+    penalty: int | None
     weight_unit: int
 
 
@@ -195,16 +176,15 @@ class _Accumulator:
 
 
 class _Row(NamedTuple):
-    """One penalty row, ``(sum(c * bits[i] for i, c in terms) + constant + slack)**2``.
+    """One penalty row, ``(sum(c * bits[i] for i, c in terms + register) + constant)**2``.
 
-    ``slack`` is the largest value of the row's slack register, or ``None``
-    for an equality, which has no register."""
+    ``register`` is the row's slack register as ``(variable index,
+    coefficient)`` pairs in bit order; the ``one_config`` equality has none."""
 
     name: str
-    family: str
     terms: list[tuple[int, int]]
     constant: int
-    slack: int | None
+    register: list[tuple[int, int]]
 
 
 def _rows(
@@ -213,8 +193,8 @@ def _rows(
     t_index: dict[tuple[str, int], int],
     unit: int,
 ) -> list[_Row]:
-    """Every penalty row of the model, family by family in
-    :data:`PENALTY_FAMILIES` order.
+    """Every penalty row of the model, family (the name before any ``[``) by
+    family, with the slack registers numbered on from the last config bit.
 
     Per-container and per-slot rows exist only where at least one
     assignment variable does (they are vacuous otherwise); config, wagon and
@@ -230,30 +210,42 @@ def _rows(
         (s, wid, si) for s, (wid, si, _) in enumerate(instance.all_slots) if (wid, si) in by_slot
     ]
 
-    rows = [
-        _Row(f"assign_once[{c.id}]", "assign_once", [(i, 1) for i in by_container[c.id]], -1, 1)
+    # (name, terms, constant, largest slack value) per row.
+    specs = [
+        (f"assign_once[{c.id}]", [(i, 1) for i in by_container[c.id]], -1, 1)
         for c in instance.containers
         if c.id in by_container
     ]
-    rows += [
-        _Row(f"slot_once[{wid},{si}]", "slot_once", [(i, 1) for i, _ in by_slot[wid, si]], -1, 1)
+    specs += [
+        (f"slot_once[{wid},{si}]", [(i, 1) for i, _ in by_slot[wid, si]], -1, 1)
         for _, wid, si in slots
     ]
     for w in instance.wagons:
         selectors = [(t_index[w.id, b], 1) for b in range(len(w.configs))]
-        rows.append(_Row(f"one_config[{w.id}]", "one_config", selectors, -1, None))
+        specs.append((f"one_config[{w.id}]", selectors, -1, 0))
     for s, wid, si in slots:
         caps = [limit // unit for limit in instance.slot_limits[s]]
         terms = by_slot[wid, si] + [(t_index[wid, b], -cap) for b, cap in enumerate(caps)]
-        rows.append(_Row(f"slot_weight[{wid},{si}]", "slot_weight", terms, 0, max(caps)))
+        specs.append((f"slot_weight[{wid},{si}]", terms, 0, max(caps)))
     for w in instance.wagons:
         cap = w.max_weight // unit
         terms = [term for si in range(len(w.slots)) for term in by_slot.get((w.id, si), ())]
-        rows.append(_Row(f"wagon_weight[{w.id}]", "wagon_weight", terms, -cap, cap))
+        specs.append((f"wagon_weight[{w.id}]", terms, -cap, cap))
     if instance.wagons:
         cap = instance.train_max_weight // unit
         terms = [(idx, w_up[cid]) for (cid, _, _), idx in x_index.items()]
-        rows.append(_Row("train_weight", "train_weight", terms, -cap, cap))
+        specs.append(("train_weight", terms, -cap, cap))
+
+    rows, first = [], len(x_index) + len(t_index)
+    for name, terms, constant, slack in specs:
+        register = list(enumerate(_register_coefficients(slack), first))
+        if len(register) > 32:
+            raise SlackWidthError(
+                f"constraint '{name}' needs {len(register)} slack bits (limit 32); "
+                "increase weight_unit"
+            )
+        rows.append(_Row(name, terms, constant, register))
+        first += len(register)
     return rows
 
 
@@ -267,23 +259,15 @@ def build_qubo(
 
     Variables are laid out as assignment triples, then config selectors,
     then the slack registers of the rows (:func:`_rows`) in row order.
-    ``penalty`` weighs every constraint family alike; ``None`` picks
+    ``penalty`` is the one weight of every row; ``None`` picks
     :func:`default_penalty`.
     """
     if weight_unit < 1:
         raise ValueError("weight_unit must be a positive integer")
     if penalty is not None and penalty < 1:
         raise ValueError("penalty must be positive")
-    weights = dict.fromkeys(
-        PENALTY_FAMILIES, default_penalty(instance) if penalty is None else penalty
-    )
-    unit = weight_unit
-    entries: list[QuboVariable] = []
-
-    def new_var(**kwargs) -> int:
-        index = len(entries)
-        entries.append(QuboVariable(index=index, **kwargs))
-        return index
+    if penalty is None:
+        penalty = default_penalty(instance)
 
     # Per container: its (assignment variable, wagon) pairs.
     x_index: dict[tuple[str, str, int], int] = {}
@@ -292,32 +276,22 @@ def build_qubo(
         placements.append([])
         for (wid, si, length), wi in zip(instance.all_slots, instance.slot_wagon):
             if length == c.length:
-                x_index[(c.id, wid, si)] = idx = new_var(
-                    kind="assignment", container=c.id, wagon=wid, slot=si
-                )
+                x_index[(c.id, wid, si)] = idx = len(x_index)
                 placements[-1].append((idx, wi))
 
     t_index: dict[tuple[str, int], int] = {}
     for w in instance.wagons:
         for b in range(len(w.configs)):
-            t_index[(w.id, b)] = new_var(kind="config", wagon=w.id, config=b)
+            t_index[(w.id, b)] = len(x_index) + len(t_index)
 
-    def new_register(row: _Row) -> list[tuple[int, int]]:
-        if row.slack is None:
-            return []
-        coefficients = _register_coefficients(row.slack)
-        if len(coefficients) > 32:
-            raise SlackWidthError(
-                f"constraint '{row.name}' needs {len(coefficients)} slack bits "
-                f"(limit 32); increase weight_unit"
-            )
-        return [
-            (new_var(kind="slack", constraint=row.name, bit=position, coefficient=c), c)
-            for position, c in enumerate(coefficients)
-        ]
-
-    rows = _rows(instance, x_index, t_index, unit)
-    registers = [new_register(row) for row in rows]
+    rows = _rows(instance, x_index, t_index, weight_unit)
+    entries = [QuboVariable(i, "assignment", cid, wid, si) for (cid, wid, si), i in x_index.items()]
+    entries += [QuboVariable(i, "config", wagon=wid, config=b) for (wid, b), i in t_index.items()]
+    entries += [
+        QuboVariable(i, "slack", constraint=row.name, bit=bit, coefficient=c)
+        for row in rows
+        for bit, (i, c) in enumerate(row.register)
+    ]
     if not entries:
         raise EmptyModelError("instance yields no binary variables")
 
@@ -336,17 +310,17 @@ def build_qubo(
                     if wj <= wi:
                         acc.add(xi, xj, -alpha)
 
-    for row, register in zip(rows, registers):
-        acc.add_square(row.terms + register, row.constant, weights[row.family])
+    for row in rows:
+        acc.add_square(row.terms + row.register, row.constant, penalty)
 
     model = QuboModel(
         n=len(entries),
         coefficients=acc.finish(),
         offset=acc.offset,
-        penalties=weights,
-        weight_unit=unit,
+        penalty=penalty,
+        weight_unit=weight_unit,
     )
-    return model, VariableMap(entries=tuple(entries), weight_unit=unit)
+    return model, VariableMap(entries=tuple(entries), weight_unit=weight_unit)
 
 
 def energy_of(model: QuboModel, bits: Sequence[int]) -> int:
@@ -407,10 +381,9 @@ def encode_solution(
     for wagon, config in solution.config_map.items():
         bits[varmap.config_index[(wagon, config)]] = 1
 
-    registers = varmap.slack_registers
     for row in _rows(instance, varmap.assignment_index, varmap.config_index, varmap.weight_unit):
         residual = -(row.constant + sum(c for i, c in row.terms if bits[i]))
-        for index in _encode_register_value(registers.get(row.name, ()), residual, row.name):
+        for index in _encode_register_value(row.register, residual, row.name):
             bits[index] = 1
     return bits
 
@@ -440,7 +413,7 @@ def export_qubo(model: QuboModel, varmap: VariableMap, fmt: str = "text") -> str
 
     ``text`` is the coordinate format: a ``# qubo n=<n> offset=<offset>``
     header, then one ``i j value`` line per stored coefficient, sorted.
-    ``json`` additionally carries the variable map and penalty weights.
+    ``json`` additionally carries the variable map and the penalty weight.
     Both are byte-deterministic for a fixed instance and options.
     """
     if fmt == "text":
@@ -454,7 +427,7 @@ def export_qubo(model: QuboModel, varmap: VariableMap, fmt: str = "text") -> str
             "offset": model.offset,
             "terms": [[i, j, value] for (i, j), value in sorted(model.coefficients.items())],
             "variables": [e.to_dict() for e in varmap.entries],
-            "penalties": dict(model.penalties),
+            "penalty": model.penalty,
             "weight_unit": model.weight_unit,
         }
         return json.dumps(doc, indent=2) + "\n"
@@ -466,7 +439,7 @@ _HEADER_RE = re.compile(r"^# qubo n=(\d+) offset=(-?\d+)$")
 
 def parse_qubo_text(content: str) -> QuboModel:
     """Parse the coordinate format.  Only coefficients travel in this
-    format, so penalties come back empty and weight_unit defaults to 1."""
+    format, so the penalty comes back ``None`` and weight_unit defaults to 1."""
     lines = [line for line in content.splitlines() if line.strip()]
     if not lines:
         raise ValueError("empty QUBO text")
@@ -485,10 +458,10 @@ def parse_qubo_text(content: str) -> QuboModel:
         if (i, j) in coefficients:
             raise ValueError(f"duplicate QUBO term line: {line!r}")
         coefficients[(i, j)] = value
-    return QuboModel(n=n, coefficients=coefficients, offset=offset, penalties={}, weight_unit=1)
+    return QuboModel(n=n, coefficients=coefficients, offset=offset, penalty=None, weight_unit=1)
 
 
-_QUBO_KEYS = ("n", "offset", "terms", "variables", "penalties", "weight_unit")
+_QUBO_KEYS = ("n", "offset", "terms", "variables", "penalty", "weight_unit")
 _VARIABLE_KEYS = {
     "assignment": ("index", "kind", "container", "wagon", "slot"),
     "config": ("index", "kind", "wagon", "config"),
@@ -509,9 +482,7 @@ def parse_qubo_json(content: bytes | str) -> tuple[QuboModel, VariableMap]:
     weight_unit = _read.integer(doc["weight_unit"], "weight_unit")
     if weight_unit < 1:
         raise QuboFormatError("weight_unit: must be positive")
-    penalties = _read.object(doc["penalties"], "penalties", PENALTY_FAMILIES)
-    for family, weight in penalties.items():
-        _read.integer(weight, f"penalties.{family}")
+    penalty = _read.integer(doc["penalty"], "penalty")
 
     variables = _read.array(doc["variables"], "variables")
     if len(variables) != n:
@@ -546,7 +517,7 @@ def parse_qubo_json(content: bytes | str) -> tuple[QuboModel, VariableMap]:
         n=n,
         coefficients=coefficients,
         offset=_read.integer(doc["offset"], "offset"),
-        penalties=penalties,
+        penalty=penalty,
         weight_unit=weight_unit,
     )
     return model, VariableMap(entries=tuple(entries), weight_unit=weight_unit)

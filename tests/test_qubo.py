@@ -16,7 +16,6 @@ from trainload.oracle import enumerate_optima, iter_feasible_solutions
 from trainload.qubo import (
     EmptyModelError,
     EncodingError,
-    PENALTY_FAMILIES,
     QuboFormatError,
     SlackWidthError,
     _register_coefficients,
@@ -283,13 +282,12 @@ def test_default_penalty_formula(pair_instance):
     )
     assert default_penalty(pair_instance) == expected
     model, _ = build_qubo(pair_instance)
-    assert set(model.penalties) == set(PENALTY_FAMILIES)
-    assert all(w == expected for w in model.penalties.values())
+    assert model.penalty == expected
 
 
 def test_penalty_overrides(pair_instance):
     model, _ = build_qubo(pair_instance, penalty=50)
-    assert model.penalties == dict.fromkeys(PENALTY_FAMILIES, 50)
+    assert model.penalty == 50
 
     with pytest.raises(ValueError, match="positive"):
         build_qubo(pair_instance, penalty=0)
@@ -439,6 +437,7 @@ def test_text_export_round_trip(pair_instance):
     assert parsed.n == model.n
     assert parsed.offset == model.offset
     assert parsed.coefficients == model.coefficients
+    assert parsed.penalty is None
     rng = random.Random(4)
     for _ in range(100):
         bits = random_bits(rng, model.n)
@@ -456,6 +455,7 @@ def test_json_export_round_trip(pair_instance):
     payload = json.loads(content)
     assert payload["n"] == model.n
     assert payload["weight_unit"] == 1
+    assert payload["penalty"] == model.penalty == default_penalty(pair_instance)
 
 
 def test_export_is_deterministic(pair_instance):
@@ -494,8 +494,9 @@ def _qubo_doc(pair_instance) -> dict:
         (lambda d: d.update(n="7"), "n: expected an integer"),
         (lambda d: d.update(offset=1.5), "offset: expected an integer"),
         (lambda d: d.update(weight_unit=0), "weight_unit: must be positive"),
-        (lambda d: d["penalties"].pop("slot_once"), "penalties: missing key 'slot_once'"),
-        (lambda d: d["penalties"].update(assign_once=True), "assign_once: expected an integer"),
+        (lambda d: d.pop("penalty"), "top level: missing key 'penalty'"),
+        (lambda d: d.update(penalty=True), "penalty: expected an integer"),
+        (lambda d: d.update(penalties={}), "top level: unknown key 'penalties'"),
         (lambda d: d.update(n=d["n"] + 1), "entries for n="),
         (lambda d: d["variables"].reverse(), r"variables\[0\].index: expected 0"),
         (lambda d: d["variables"][0].update(kind="spin"), r"variables\[0\].kind: expected one of"),

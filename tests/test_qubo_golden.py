@@ -15,7 +15,10 @@ SHA-256 of:
 The digests in ``data/qubo_golden.json`` were captured from the exporter
 that spelled out every penalty row three times (register layout, penalty
 terms, encoded residuals), before one row list replaced the three copies.
-Never regenerate them to make a change pass.
+The ``json`` digests were replaced once, when the six equal per-family
+weights of the export's ``penalties`` object became one ``penalty``
+integer; each new export equals the old one with that one key swapped in
+place.  Never regenerate them to make a change pass.
 
 ``python tests/test_qubo_golden.py`` prints the digests of the current
 exporter as JSON, for comparison against the committed file.
