@@ -506,22 +506,17 @@ def load_solution(content: bytes | str) -> Solution:
     for i, raw in enumerate(_read.array(doc["assignments"], "assignments")):
         where = f"assignments[{i}]"
         obj = _read.object(raw, where, _ASSIGNMENT_KEYS)
-        container, wagon, slot = obj["container"], obj["wagon"], obj["slot"]
-        if not isinstance(container, str) or not isinstance(wagon, str):
-            raise SolutionFormatError(f"{where}: container and wagon must be strings")
-        if not isinstance(slot, int) or isinstance(slot, bool):
-            raise SolutionFormatError(f"{where}: slot must be an integer")
+        container = _read.string(obj["container"], f"{where}.container")
+        wagon = _read.string(obj["wagon"], f"{where}.wagon")
+        slot = _read.integer(obj["slot"], f"{where}.slot")
         assignments.append(Assignment(container, wagon, slot))
 
     configs = []
     for i, raw in enumerate(_read.array(doc["configs"], "configs")):
         where = f"configs[{i}]"
         obj = _read.object(raw, where, _CONFIG_KEYS)
-        wagon, config = obj["wagon"], obj["config"]
-        if not isinstance(wagon, str):
-            raise SolutionFormatError(f"{where}: wagon must be a string")
-        if not isinstance(config, int) or isinstance(config, bool):
-            raise SolutionFormatError(f"{where}: config must be an integer")
+        wagon = _read.string(obj["wagon"], f"{where}.wagon")
+        config = _read.integer(obj["config"], f"{where}.config")
         configs.append(ConfigChoice(wagon, config))
 
     return Solution(tuple(assignments), tuple(configs))

@@ -5,10 +5,11 @@ per-wagon config selectors and the slack registers.  Every hard constraint
 is one row of :func:`_rows`: a name, integer terms over the assignment and
 config variables, a constant and its own register of slack bits (bounded
 binary expansion of the slack range, so no slack state exceeds it; the
-``one_config`` equality has none).  The model adds ``penalty * (sum(terms)
-+ constant + register)**2`` per row.  :func:`build_qubo` lays out the
-variables and penalties from the rows, and :func:`encode_solution` sets
-each register to its row's residual, so the two cannot disagree.
+``one_config`` equality has none).  The model adds
+``penalty * (sum(terms + register) + constant)**2`` per row.
+:func:`build_qubo` turns the rows into variables and penalty terms, and
+:func:`encode_solution` sets each register to its row's residual, so the
+two cannot disagree on a constraint.
 
 The objective keeps exact integer coefficients: values and the rehandle
 unit cost are integers, and the rehandle term is the same shortfall count
@@ -193,8 +194,8 @@ def _rows(
     t_index: dict[tuple[str, int], int],
     unit: int,
 ) -> list[_Row]:
-    """Every penalty row of the model, family (the name before any ``[``) by
-    family, with the slack registers numbered on from the last config bit.
+    """Every penalty row of the model, grouped by family (a row's name up to
+    any ``[``), with slack registers numbered on from the last config bit.
 
     Per-container and per-slot rows exist only where at least one
     assignment variable does (they are vacuous otherwise); config, wagon and

@@ -9,9 +9,9 @@ from conftest import DATA_DIR
 from trainload import annealing
 from trainload.cli import main
 from trainload.evaluation import load_solution_file, serialize_solution, Solution
-from trainload.evaluation import Assignment, ConfigChoice
-from trainload.instance import load_instance_file, serialize_instance
-from trainload.qubo import parse_qubo_text
+from trainload.evaluation import _SOLUTION_KEYS, Assignment, ConfigChoice
+from trainload.instance import _TOP_KEYS, load_instance_file, serialize_instance
+from trainload.qubo import _QUBO_KEYS, parse_qubo_text
 
 GEN_ARGS = [
     "gen",
@@ -387,3 +387,19 @@ def test_readme_commands_run(tmp_path, capsys, monkeypatch):
     for argv in commands:
         code, _, stderr = run(capsys, *argv)
         assert code == 0, (argv, stderr)
+
+
+def test_format_doc_json_examples_match_the_loaders():
+    """Each JSON example in docs/formats.md has exactly its loader's
+    top-level keys, in the loader's order."""
+    doc = (Path(__file__).parent.parent / "docs" / "formats.md").read_text(encoding="utf-8")
+    examples = {}
+    for section in re.split(r"^## ", doc, flags=re.M)[1:]:
+        heading = section.splitlines()[0]
+        for block in re.findall(r"```json\n(.*?)```", section, flags=re.S):
+            examples[heading] = json.loads(block)
+    assert {heading: list(example) for heading, example in examples.items()} == {
+        "Instance JSON": list(_TOP_KEYS),
+        "Solution JSON": list(_SOLUTION_KEYS),
+        "QUBO JSON format": list(_QUBO_KEYS),
+    }

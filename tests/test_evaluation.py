@@ -434,9 +434,21 @@ def test_solution_file_preserves_duplicates_for_diagnosis(pair_instance):
         ),
         (
             {"assignments": [], "configs": [{"wagon": "w0", "config": "x"}]},
-            "must be an integer",
+            r"configs\[0\].config: expected an integer",
         ),
         ({"assignments": {}, "configs": []}, "expected an array"),
+        (
+            {"assignments": [{"container": 7, "wagon": "w0", "slot": 0}], "configs": []},
+            r"assignments\[0\].container: expected a string",
+        ),
+        (
+            {"assignments": [{"container": "a", "wagon": None, "slot": 0}], "configs": []},
+            r"assignments\[0\].wagon: expected a string",
+        ),
+        (
+            {"assignments": [{"container": "a", "wagon": "w0", "slot": True}], "configs": []},
+            r"assignments\[0\].slot: expected an integer",
+        ),
     ],
 )
 def test_solution_schema_violations_rejected(doc, fragment):

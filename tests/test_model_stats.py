@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -10,7 +11,7 @@ from trainload.model_stats import (
     count_model_a,
     count_model_b,
 )
-from trainload.qubo import build_qubo
+from trainload.qubo import _rows, build_qubo
 
 
 @pytest.fixture
@@ -104,6 +105,46 @@ def test_compact_variables_are_the_exported_qubo_variables():
         b = count_model_b(instance)
         assert b.variables.assignment == kinds.count("assignment")
         assert b.variables.config == kinds.count("config")
+
+
+def _expected_qubo_rows(instance) -> dict[str, int]:
+    """Formulation B's constraint counts per family, less the rows the QUBO
+    leaves out as vacuous: a container with no slot of its length, a slot
+    with no candidate, and the train row of a train without wagons."""
+    expected = count_model_b(instance).constraints.to_dict()
+    del expected["rehandle_link"], expected["total"]
+    lengths = {length for _, _, length in instance.all_slots}
+    empty_slots = sum(not candidates for candidates in instance.slot_candidates)
+    expected["assign_once"] -= sum(c.length not in lengths for c in instance.containers)
+    expected["slot_once"] -= empty_slots
+    expected["slot_weight"] -= empty_slots
+    if not instance.wagons:
+        expected["train_weight"] = 0
+    return expected
+
+
+def test_compact_constraints_are_the_exported_qubo_rows():
+    """Per family, the QUBO's penalty rows are formulation B's constraints
+    minus the vacuous ones, and its slack variables are exactly the rows'
+    registers, in row order."""
+    rng = random.Random(67)
+    vacuous = 0
+    for _ in range(500):
+        instance = random_instance(rng, max_containers=8, max_wagons=3)
+        _, varmap = build_qubo(instance, weight_unit=1000)
+        rows = _rows(instance, varmap.assignment_index, varmap.config_index, 1000)
+        expected = _expected_qubo_rows(instance)
+        counts = Counter(row.name.split("[")[0] for row in rows)
+        assert {family: counts[family] for family in expected} == expected
+        assert sum(counts.values()) == sum(expected.values())
+        slack = [(e.index, e.coefficient) for e in varmap.entries if e.kind == "slack"]
+        assert slack == [bit for row in rows for bit in row.register]
+        vacuous += sum(expected.values()) < count_model_b(instance).constraints.total
+    assert vacuous > 100
+
+    no_wagons = make_instance(containers=[("a", TWENTY, 100, 1)], stacks=[("a",)], wagons=[])
+    assert _rows(no_wagons, {}, {}, 1000) == []
+    assert sum(_expected_qubo_rows(no_wagons).values()) == 0
 
 
 def test_flat_yard_needs_no_linkage_constraints():

@@ -496,7 +496,6 @@ def _qubo_doc(pair_instance) -> dict:
         (lambda d: d.update(weight_unit=0), "weight_unit: must be positive"),
         (lambda d: d.pop("penalty"), "top level: missing key 'penalty'"),
         (lambda d: d.update(penalty=True), "penalty: expected an integer"),
-        (lambda d: d.update(penalties={}), "top level: unknown key 'penalties'"),
         (lambda d: d.update(n=d["n"] + 1), "entries for n="),
         (lambda d: d["variables"].reverse(), r"variables\[0\].index: expected 0"),
         (lambda d: d["variables"][0].update(kind="spin"), r"variables\[0\].kind: expected one of"),
