@@ -197,13 +197,37 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _qubo_size(instance) -> dict | None:
+    """Size and coefficient range of the default QUBO export (``weight_unit``
+    100, default penalty); ``None`` when the instance has no such model."""
+    try:
+        model, _ = qubo.build_qubo(instance)
+    except (qubo.EmptyModelError, qubo.SlackWidthError):
+        return None
+    magnitudes = [abs(value) for value in model.coefficients.values()]
+    return {
+        "variables": model.n,
+        "terms": len(model.coefficients),
+        "max_abs_coefficient": max(magnitudes),
+        "min_abs_coefficient": min(magnitudes),
+    }
+
+
 def _cmd_stats(args: argparse.Namespace) -> int:
     instance = load_instance_file(args.instance)
     cmp = model_stats.compare(instance)
+    size = _qubo_size(instance)
     if args.json:
-        _print_json(cmp.to_dict())
+        _print_json({**cmp.to_dict(), "qubo": size})
     else:
         print(model_stats.comparison_markdown(cmp), end="")
+        if size is None:
+            print("qubo: no model at weight_unit 100")
+        else:
+            print(
+                f"qubo: {size['variables']} variables, {size['terms']} terms, "
+                f"|coefficient| {size['min_abs_coefficient']} to {size['max_abs_coefficient']}"
+            )
     return 0
 
 

@@ -2,14 +2,26 @@
 
 Binary variables are the length-compatible assignment triples, the
 per-wagon config selectors and the slack registers.  Every hard constraint
-is one row of :func:`_rows`: a name, integer terms over the assignment and
-config variables, a constant and its own register of slack bits (bounded
-binary expansion of the slack range, so no slack state exceeds it; the
-``one_config`` equality has none).  The model adds
-``penalty * (sum(terms + register) + constant)**2`` per row.
+is one row of :func:`_rows`: a name, integer terms, a constant and its own
+register of slack bits (bounded binary expansion of the slack range, so no
+slack state exceeds it; the ``one_config`` equality has none).  The model
+adds ``penalty * (sum(terms + register) + constant)**2`` per row.
 :func:`build_qubo` turns the rows into variables and penalty terms, and
 :func:`encode_solution` sets each register to its row's residual, so the
 two cannot disagree on a constraint.
+
+Terms are over assignment and config bits, except that a wagon or train
+weight row may instead be written over the registers of the rows below it
+(slack-variable penalties as in Glover, Kochenberger & Du, "Quantum Bridge
+Analytics I", 4OR 2019).  At zero residual a slot row holds its load as
+``sum_b cap[b,s] * t_b - slack_s`` and a wagon row holds ``cap_w -
+slack_w``, so the train row need not square a sum over every assignment
+bit.  Both forms have the same zero-residual states, and a state that
+breaks a lower row already pays a penalty weight there, so the default
+penalty stays sufficient.  The rewrite cuts the term count several-fold on
+large yards.  It also widens the coefficient range downwards: assignment
+bits in different slots then share no weight row, so a rehandle term
+(``-alpha``) between them stands alone.
 
 The objective keeps exact integer coefficients: values and the rehandle
 unit cost are integers, and the rehandle term is the same shortfall count
@@ -180,7 +192,8 @@ class _Row(NamedTuple):
     """One penalty row, ``(sum(c * bits[i] for i, c in terms + register) + constant)**2``.
 
     ``register`` is the row's slack register as ``(variable index,
-    coefficient)`` pairs in bit order; the ``one_config`` equality has none."""
+    coefficient)`` pairs in bit order; the ``one_config`` equality has none.
+    ``terms`` may name bits of earlier rows' registers, never of later ones."""
 
     name: str
     terms: list[tuple[int, int]]
@@ -200,6 +213,15 @@ def _rows(
     Per-container and per-slot rows exist only where at least one
     assignment variable does (they are vacuous otherwise); config, wagon and
     train rows always exist.
+
+    A wagon row is written either over its assignment bits or over its
+    slot rows' loads: each config selector weighted by its summed slot caps,
+    plus the slot-register bits negated.  The train row is written either
+    over every assignment bit or over the wagon loads: the wagon-register
+    bits negated, with constant ``sum_w cap_w - cap_T``.  Each takes the
+    form with fewer terms, the direct one on a tie, so tiny models keep it.
+    Both forms keep the slack range, and encoding sets registers in row
+    order, so a row's residual is computed after the bits it reads.
     """
     w_up = {c.id: (c.weight + unit - 1) // unit for c in instance.containers}
     by_container: dict[str, list[int]] = {}
@@ -211,34 +233,12 @@ def _rows(
         (s, wid, si) for s, (wid, si, _) in enumerate(instance.all_slots) if (wid, si) in by_slot
     ]
 
-    # (name, terms, constant, largest slack value) per row.
-    specs = [
-        (f"assign_once[{c.id}]", [(i, 1) for i in by_container[c.id]], -1, 1)
-        for c in instance.containers
-        if c.id in by_container
-    ]
-    specs += [
-        (f"slot_once[{wid},{si}]", [(i, 1) for i, _ in by_slot[wid, si]], -1, 1)
-        for _, wid, si in slots
-    ]
-    for w in instance.wagons:
-        selectors = [(t_index[w.id, b], 1) for b in range(len(w.configs))]
-        specs.append((f"one_config[{w.id}]", selectors, -1, 0))
-    for s, wid, si in slots:
-        caps = [limit // unit for limit in instance.slot_limits[s]]
-        terms = by_slot[wid, si] + [(t_index[wid, b], -cap) for b, cap in enumerate(caps)]
-        specs.append((f"slot_weight[{wid},{si}]", terms, 0, max(caps)))
-    for w in instance.wagons:
-        cap = w.max_weight // unit
-        terms = [term for si in range(len(w.slots)) for term in by_slot.get((w.id, si), ())]
-        specs.append((f"wagon_weight[{w.id}]", terms, -cap, cap))
-    if instance.wagons:
-        cap = instance.train_max_weight // unit
-        terms = [(idx, w_up[cid]) for (cid, _, _), idx in x_index.items()]
-        specs.append(("train_weight", terms, -cap, cap))
+    rows: list[_Row] = []
+    first = len(x_index) + len(t_index)
 
-    rows, first = [], len(x_index) + len(t_index)
-    for name, terms, constant, slack in specs:
+    def add(name: str, terms: list[tuple[int, int]], constant: int, slack: int) -> list[tuple[int, int]]:
+        """Append a row whose register covers [0, slack]; return the register."""
+        nonlocal first
         register = list(enumerate(_register_coefficients(slack), first))
         if len(register) > 32:
             raise SlackWidthError(
@@ -247,6 +247,43 @@ def _rows(
             )
         rows.append(_Row(name, terms, constant, register))
         first += len(register)
+        return register
+
+    for c in instance.containers:
+        if c.id in by_container:
+            add(f"assign_once[{c.id}]", [(i, 1) for i in by_container[c.id]], -1, 1)
+    for _, wid, si in slots:
+        add(f"slot_once[{wid},{si}]", [(i, 1) for i, _ in by_slot[wid, si]], -1, 1)
+    for w in instance.wagons:
+        add(f"one_config[{w.id}]", [(t_index[w.id, b], 1) for b in range(len(w.configs))], -1, 0)
+
+    # Per wagon, its load as its slot rows hold it at zero residual: each
+    # config's summed slot caps, less the slot registers' bits.
+    config_caps = {w.id: [0] * len(w.configs) for w in instance.wagons}
+    slot_slack: dict[str, list[tuple[int, int]]] = {w.id: [] for w in instance.wagons}
+    for s, wid, si in slots:
+        caps = [limit // unit for limit in instance.slot_limits[s]]
+        terms = by_slot[wid, si] + [(t_index[wid, b], -cap) for b, cap in enumerate(caps)]
+        register = add(f"slot_weight[{wid},{si}]", terms, 0, max(caps))
+        config_caps[wid] = [total + cap for total, cap in zip(config_caps[wid], caps)]
+        slot_slack[wid] += [(i, -c) for i, c in register]
+
+    # Each wagon and train row takes the form with fewer terms, the direct
+    # one on a tie: over assignment bits, or over the load the rows below
+    # hold, ``cap - slack`` per wagon.
+    wagon_slack: list[tuple[int, int]] = []
+    for w in instance.wagons:
+        cap = w.max_weight // unit
+        direct = [term for si in range(len(w.slots)) for term in by_slot.get((w.id, si), ())]
+        over_slots = [(t_index[w.id, b], c) for b, c in enumerate(config_caps[w.id])]
+        terms = min(direct, over_slots + slot_slack[w.id], key=len)
+        wagon_slack += [(i, -c) for i, c in add(f"wagon_weight[{w.id}]", terms, -cap, cap)]
+    if instance.wagons:
+        cap = instance.train_max_weight // unit
+        direct = [(idx, w_up[cid]) for (cid, _, _), idx in x_index.items()]
+        wagon_caps = sum(w.max_weight // unit for w in instance.wagons)
+        terms, constant = min((direct, -cap), (wagon_slack, wagon_caps - cap), key=lambda f: len(f[0]))
+        add("train_weight", terms, constant, cap)
     return rows
 
 
@@ -431,7 +468,7 @@ def export_qubo(model: QuboModel, varmap: VariableMap, fmt: str = "text") -> str
             "penalty": model.penalty,
             "weight_unit": model.weight_unit,
         }
-        return json.dumps(doc, indent=2) + "\n"
+        return json.dumps(doc, separators=(",", ":")) + "\n"
     raise ValueError(f"unknown export format '{fmt}'")
 
 
@@ -475,15 +512,17 @@ _read = DocumentReader(QuboFormatError)
 def parse_qubo_json(content: bytes | str) -> tuple[QuboModel, VariableMap]:
     """Parse the JSON export.  Raises :class:`QuboFormatError`, naming the
     offending field, unless every key is known and present, every number is
-    an integer (``weight_unit`` positive), ``variables[k].index == k`` for
-    all ``n`` variables, and
-    every term is a distinct ``[i, j, value]`` with ``0 <= i <= j < n``."""
+    an integer (``penalty`` and ``weight_unit`` positive),
+    ``variables[k].index == k`` for all ``n`` variables, and every term is a
+    distinct ``[i, j, value]`` with ``0 <= i <= j < n``."""
     doc = _read.document(content, _QUBO_KEYS)
     n = _read.integer(doc["n"], "n")
     weight_unit = _read.integer(doc["weight_unit"], "weight_unit")
     if weight_unit < 1:
         raise QuboFormatError("weight_unit: must be positive")
     penalty = _read.integer(doc["penalty"], "penalty")
+    if penalty < 1:
+        raise QuboFormatError("penalty: must be positive")
 
     variables = _read.array(doc["variables"], "variables")
     if len(variables) != n:

@@ -5,13 +5,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, make_instance
 from trainload import annealing
 from trainload.cli import main
 from trainload.evaluation import load_solution_file, serialize_solution, Solution
 from trainload.evaluation import _SOLUTION_KEYS, Assignment, ConfigChoice
 from trainload.instance import _TOP_KEYS, load_instance_file, serialize_instance
-from trainload.qubo import _QUBO_KEYS, parse_qubo_text
+from trainload.qubo import _QUBO_KEYS, build_qubo, parse_qubo_text
 
 GEN_ARGS = [
     "gen",
@@ -250,14 +250,34 @@ def test_stats_renders_table(capsys, instance_path):
     assert code == 0
     assert "| model | variables | constraints |" in stdout
     assert "variable reduction:" in stdout
+    assert re.search(r"^qubo: \d+ variables, \d+ terms, \|coefficient\| \d+ to \d+$", stdout, re.M)
 
 
 def test_stats_json(capsys):
-    code, stdout, _ = run(capsys, "stats", str(DATA_DIR / "instance3.json"), "--json")
+    path = DATA_DIR / "instance3.json"
+    code, stdout, _ = run(capsys, "stats", str(path), "--json")
     assert code == 0
     payload = json.loads(stdout)
     assert payload["model_b"]["variables"]["total"] == 100
     assert payload["model_a"]["constraints"]["total"] == 297
+    model, _ = build_qubo(load_instance_file(path))
+    magnitudes = [abs(value) for value in model.coefficients.values()]
+    assert payload["qubo"] == {
+        "variables": model.n,
+        "terms": len(model.coefficients),
+        "max_abs_coefficient": max(magnitudes),
+        "min_abs_coefficient": min(magnitudes),
+    }
+
+
+def test_stats_without_a_qubo_model(tmp_path, capsys):
+    # No wagons, so no binary variables: the formulation counts still print.
+    path = tmp_path / "empty.json"
+    path.write_text(serialize_instance(make_instance([], [], [], train_max_weight=0)))
+    code, stdout, _ = run(capsys, "stats", str(path), "--json")
+    assert code == 0 and json.loads(stdout)["qubo"] is None
+    code, stdout, _ = run(capsys, "stats", str(path))
+    assert code == 0 and "qubo: no model at weight_unit 100" in stdout
 
 
 def test_qubo_stdout_is_parseable(capsys, instance_path):

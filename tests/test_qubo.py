@@ -19,6 +19,7 @@ from trainload.qubo import (
     QuboFormatError,
     SlackWidthError,
     _register_coefficients,
+    _rows,
     build_qubo,
     decode_solution,
     default_penalty,
@@ -58,6 +59,14 @@ def random_bits(rng, n):
     return [rng.randint(0, 1) for _ in range(n)]
 
 
+def reads_registers(instance, varmap) -> bool:
+    """Whether some row of the model names earlier rows' slack bits among
+    its terms (a wagon or train weight row written over the rows below)."""
+    slack = {e.index for e in varmap.entries if e.kind == "slack"}
+    rows = _rows(instance, varmap.assignment_index, varmap.config_index, varmap.weight_unit)
+    return any(i in slack for row in rows for i, _ in row.terms)
+
+
 # ---------------------------------------------------------------------------
 # Structure
 # ---------------------------------------------------------------------------
@@ -89,6 +98,32 @@ def test_variable_layout_is_grouped_by_kind(pair_instance):
         "wagon_weight",
         "train_weight",
     ]
+
+
+def test_weight_rows_read_lower_registers_when_that_is_shorter(scan_instance):
+    """On the benchmark's 60-container export yard every wagon row reads
+    its slot registers and the train row reads the wagon registers, which
+    leaves under a quarter of the 203,494 terms that rows over every
+    assignment bit gave.  A one-slot model keeps the direct form."""
+    instance = generate_instance(GenSpec(60, 12, 4, 40, 90, seed=1))
+    model, varmap = build_qubo(instance)
+    rows = {row.name: row for row in _rows(instance, varmap.assignment_index, varmap.config_index, 100)}
+    wagons = [rows[f"wagon_weight[{w.id}]"] for w in instance.wagons]
+    for w, row in zip(instance.wagons, wagons):
+        slot_bits = [
+            (i, -c)
+            for si in range(len(w.slots))
+            if f"slot_weight[{w.id},{si}]" in rows
+            for i, c in rows[f"slot_weight[{w.id},{si}]"].register
+        ]
+        assert row.terms[len(w.configs):] == slot_bits
+    train = rows["train_weight"]
+    assert train.terms == [(i, -c) for row in wagons for i, c in row.register]
+    assert train.constant == sum(w.max_weight // 100 for w in instance.wagons) - instance.train_max_weight // 100
+    assert 4 * len(model.coefficients) <= 203_494
+
+    _, varmap = build_qubo(scan_instance, weight_unit=1)
+    assert not reads_registers(scan_instance, varmap)
 
 
 def test_coefficients_are_upper_triangular_and_nonzero(pair_instance):
@@ -238,11 +273,12 @@ def test_a_slot_limit_below_one_unit_refuses_any_load(sub_unit_instance):
 
 def test_every_feasible_plan_encodes_exactly_or_is_refused():
     rng = random.Random(5_100)
-    exact = refused = 0
+    exact = refused = sparse = 0
     for _ in range(100):
         instance = random_instance(rng)
         for unit in (1, 100, 1000):
             model, varmap = build_qubo(instance, weight_unit=unit)
+            sparse += reads_registers(instance, varmap)
             for _ in range(3):
                 solution = random_feasible_solution(instance, rng)
                 try:
@@ -252,7 +288,7 @@ def test_every_feasible_plan_encodes_exactly_or_is_refused():
                     continue
                 assert energy_of(model, bits) == evaluate(instance, solution).objective
                 exact += 1
-    assert exact > 600 and refused > 0
+    assert exact > 600 and refused > 0 and sparse >= 30
 
 
 def test_wide_slack_registers_are_refused():
@@ -362,33 +398,38 @@ def test_minimum_energy_states_are_exactly_the_optima(scan_instance):
     at that unit, with at most 16 bits.  Most such draws have nothing to
     rehandle or nothing worth loading, so after the first 60 plain draws
     only those with ``alpha > 0``, a multi-tier stack and a negative
-    optimum are kept, until there are 60 of them too."""
+    optimum are kept, until there are 60 of them too.  Drawing goes on,
+    keeping only models with a weight row written over earlier rows'
+    registers, until at least 10 of those were scanned."""
     model, varmap = build_qubo(scan_instance, weight_unit=1)
     assert model.n == 13
     truth = enumerate_optima(scan_instance)
     assert_ground_states_are_the_optima(scan_instance, model, varmap, truth)
 
     rng = random.Random(6_000)
-    plain = rich = rehandled = 0
-    while rich < 60:
+    plain = rich = rehandled = sparse = 0
+    while rich < 60 or sparse < 10:
         instance = coarse_instance(random_instance(rng))
         model, varmap = build_qubo(instance, weight_unit=1000)
         if model.n > 16:
             continue
         truth = enumerate_optima(instance)
-        if not (
+        reads = reads_registers(instance, varmap)
+        is_rich = bool(
             instance.rehandle_unit_cost
             and any(len(stack) > 1 for stack in instance.yard.stacks)
             and truth.optimum < 0
-        ):
-            if plain == 60:
-                continue
-            plain += 1
-        else:
+        )
+        if is_rich and rich < 60:
             rich += 1
             rehandled += any(evaluate(instance, s).rehandles for s in truth.optimal_solutions)
+        elif not is_rich and plain < 60:
+            plain += 1
+        elif not reads:
+            continue
+        sparse += reads
         assert_ground_states_are_the_optima(instance, model, varmap, truth)
-    assert plain == 60 and rehandled >= 10
+    assert plain == 60 and rehandled >= 10 and sparse >= 10
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +537,8 @@ def _qubo_doc(pair_instance) -> dict:
         (lambda d: d.update(weight_unit=0), "weight_unit: must be positive"),
         (lambda d: d.pop("penalty"), "top level: missing key 'penalty'"),
         (lambda d: d.update(penalty=True), "penalty: expected an integer"),
+        (lambda d: d.update(penalty=0), "penalty: must be positive"),
+        (lambda d: d.update(penalty=-5), "penalty: must be positive"),
         (lambda d: d.update(n=d["n"] + 1), "entries for n="),
         (lambda d: d["variables"].reverse(), r"variables\[0\].index: expected 0"),
         (lambda d: d["variables"][0].update(kind="spin"), r"variables\[0\].kind: expected one of"),
