@@ -37,6 +37,7 @@ from .evaluation import (
 )
 from .instance import (
     GenSpec,
+    Instance,
     generate_instance,
     load_instance_file,
     serialize_instance,
@@ -197,7 +198,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _qubo_size(instance) -> dict | None:
+def _qubo_size(instance: Instance) -> dict | None:
     """Size and coefficient range of the default QUBO export (``weight_unit``
     100, default penalty); ``None`` when the instance has no such model."""
     try:

@@ -11,17 +11,15 @@ adds ``penalty * (sum(terms + register) + constant)**2`` per row.
 two cannot disagree on a constraint.
 
 Terms are over assignment and config bits, except that a wagon or train
-weight row may instead be written over the registers of the rows below it
-(slack-variable penalties as in Glover, Kochenberger & Du, "Quantum Bridge
-Analytics I", 4OR 2019).  At zero residual a slot row holds its load as
-``sum_b cap[b,s] * t_b - slack_s`` and a wagon row holds ``cap_w -
-slack_w``, so the train row need not square a sum over every assignment
-bit.  Both forms have the same zero-residual states, and a state that
-breaks a lower row already pays a penalty weight there, so the default
-penalty stays sufficient.  The rewrite cuts the term count several-fold on
-large yards.  It also widens the coefficient range downwards: assignment
-bits in different slots then share no weight row, so a rehandle term
-(``-alpha``) between them stands alone.
+weight row may instead read the registers of the rows below it, whichever
+form has fewer terms (see :func:`_rows`; slack-variable penalties as in
+Glover, Kochenberger & Du, "Quantum Bridge Analytics I", 4OR 2019).  Both
+forms have the same zero-residual states, and a state that breaks a lower
+row already pays a penalty weight there, so the default penalty stays
+sufficient.  The register form cuts the term count several-fold on large
+yards and widens the coefficient range downwards: assignment bits in
+different slots then share no weight row, so a rehandle term (``-alpha``)
+between them stands alone.
 
 The objective keeps exact integer coefficients: values and the rehandle
 unit cost are integers, and the rehandle term is the same shortfall count
@@ -236,7 +234,9 @@ def _rows(
     rows: list[_Row] = []
     first = len(x_index) + len(t_index)
 
-    def add(name: str, terms: list[tuple[int, int]], constant: int, slack: int) -> list[tuple[int, int]]:
+    def add(
+        name: str, terms: list[tuple[int, int]], constant: int, slack: int
+    ) -> list[tuple[int, int]]:
         """Append a row whose register covers [0, slack]; return the register."""
         nonlocal first
         register = list(enumerate(_register_coefficients(slack), first))
@@ -268,21 +268,20 @@ def _rows(
         config_caps[wid] = [total + cap for total, cap in zip(config_caps[wid], caps)]
         slot_slack[wid] += [(i, -c) for i, c in register]
 
-    # Each wagon and train row takes the form with fewer terms, the direct
-    # one on a tie: over assignment bits, or over the load the rows below
-    # hold, ``cap - slack`` per wagon.
     wagon_slack: list[tuple[int, int]] = []
     for w in instance.wagons:
         cap = w.max_weight // unit
         direct = [term for si in range(len(w.slots)) for term in by_slot.get((w.id, si), ())]
         over_slots = [(t_index[w.id, b], c) for b, c in enumerate(config_caps[w.id])]
         terms = min(direct, over_slots + slot_slack[w.id], key=len)
+        # At zero residual this row holds the wagon's load as cap - slack.
         wagon_slack += [(i, -c) for i, c in add(f"wagon_weight[{w.id}]", terms, -cap, cap)]
     if instance.wagons:
         cap = instance.train_max_weight // unit
         direct = [(idx, w_up[cid]) for (cid, _, _), idx in x_index.items()]
         wagon_caps = sum(w.max_weight // unit for w in instance.wagons)
-        terms, constant = min((direct, -cap), (wagon_slack, wagon_caps - cap), key=lambda f: len(f[0]))
+        forms = ((direct, -cap), (wagon_slack, wagon_caps - cap))
+        terms, constant = min(forms, key=lambda form: len(form[0]))
         add("train_weight", terms, constant, cap)
     return rows
 

@@ -107,7 +107,8 @@ def test_weight_rows_read_lower_registers_when_that_is_shorter(scan_instance):
     assignment bit gave.  A one-slot model keeps the direct form."""
     instance = generate_instance(GenSpec(60, 12, 4, 40, 90, seed=1))
     model, varmap = build_qubo(instance)
-    rows = {row.name: row for row in _rows(instance, varmap.assignment_index, varmap.config_index, 100)}
+    built = _rows(instance, varmap.assignment_index, varmap.config_index, 100)
+    rows = {row.name: row for row in built}
     wagons = [rows[f"wagon_weight[{w.id}]"] for w in instance.wagons]
     for w, row in zip(instance.wagons, wagons):
         slot_bits = [
@@ -119,7 +120,8 @@ def test_weight_rows_read_lower_registers_when_that_is_shorter(scan_instance):
         assert row.terms[len(w.configs):] == slot_bits
     train = rows["train_weight"]
     assert train.terms == [(i, -c) for row in wagons for i, c in row.register]
-    assert train.constant == sum(w.max_weight // 100 for w in instance.wagons) - instance.train_max_weight // 100
+    wagon_caps = sum(w.max_weight // 100 for w in instance.wagons)
+    assert train.constant == wagon_caps - instance.train_max_weight // 100
     assert 4 * len(model.coefficients) <= 203_494
 
     _, varmap = build_qubo(scan_instance, weight_unit=1)
@@ -398,9 +400,10 @@ def test_minimum_energy_states_are_exactly_the_optima(scan_instance):
     at that unit, with at most 16 bits.  Most such draws have nothing to
     rehandle or nothing worth loading, so after the first 60 plain draws
     only those with ``alpha > 0``, a multi-tier stack and a negative
-    optimum are kept, until there are 60 of them too.  Drawing goes on,
-    keeping only models with a weight row written over earlier rows'
-    registers, until at least 10 of those were scanned."""
+    optimum are kept, until there are 60 of them too.  A draw past its
+    quota is still kept when a wagon or train row of its model reads
+    earlier rows' registers, and drawing goes on until at least 10 kept
+    models have such a row (51 of the 153 random ones do)."""
     model, varmap = build_qubo(scan_instance, weight_unit=1)
     assert model.n == 13
     truth = enumerate_optima(scan_instance)
