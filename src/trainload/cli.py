@@ -27,7 +27,6 @@ import os
 import sys
 from pathlib import Path
 
-from . import annealing, model_stats, oracle, qubo
 from .evaluation import (
     evaluate,
     event_log_jsonl,
@@ -115,6 +114,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    from . import annealing
+
     instance = load_instance_file(args.instance)
     params = annealing.SaParams(
         t_initial=args.t_initial,
@@ -201,6 +202,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _qubo_size(instance: Instance) -> dict | None:
     """Size and coefficient range of the default QUBO export (``weight_unit``
     100, default penalty); ``None`` when the instance has no such model."""
+    from . import qubo
+
     try:
         model, _ = qubo.build_qubo(instance)
     except (qubo.EmptyModelError, qubo.SlackWidthError):
@@ -215,6 +218,8 @@ def _qubo_size(instance: Instance) -> dict | None:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    from . import model_stats
+
     instance = load_instance_file(args.instance)
     cmp = model_stats.compare(instance)
     size = _qubo_size(instance)
@@ -238,6 +243,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_qubo(args: argparse.Namespace) -> int:
+    from . import qubo
+
     instance = load_instance_file(args.instance)
     model, varmap = qubo.build_qubo(
         instance, penalty=args.penalty, weight_unit=args.weight_unit
@@ -246,6 +253,8 @@ def _cmd_qubo(args: argparse.Namespace) -> int:
     out = _resolve_out(args.out)
 
     if args.check:
+        from . import oracle
+
         mismatches = 0
         checked = 0
         for solution in oracle.iter_feasible_solutions(instance):
@@ -295,8 +304,11 @@ def _cmd_qubo(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    from . import oracle
+
     instance = load_instance_file(args.instance)
-    result = oracle.enumerate_optima(instance, limit=args.limit)
+    limit = oracle.DEFAULT_BUDGET if args.limit is None else args.limit
+    result = oracle.enumerate_optima(instance, limit=limit)
 
     out = _resolve_out(args.out)
     if out is not None:
@@ -379,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exact optimum by enumeration")
     p.add_argument("instance")
-    p.add_argument("--limit", type=int, default=oracle.DEFAULT_BUDGET)
+    p.add_argument("--limit", type=int, help="search-space budget (default: oracle.DEFAULT_BUDGET)")
     p.add_argument("-o", "--out", help="write one optimal solution JSON here")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_oracle)
@@ -390,13 +402,24 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except oracle.BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader stopped early (``| head``): end quietly, like a filter.
+        # Point stdout at devnull so the interpreter's final flush succeeds.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        from .oracle import BudgetExceededError  # loaded already if it raised this
+
+        if not isinstance(exc, BudgetExceededError):
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -351,6 +354,19 @@ def test_oracle_budget_exit_code(capsys):
     assert "error:" in stderr
 
 
+def test_oracle_default_budget_refuses_the_readme_large_instance(tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    code, _, _ = run(
+        capsys, "gen", "--containers", "20", "--wagons", "8", "--tiers", "4",
+        "--train-teu", "19", "--total-teu", "28", "--seed", "7", "-o", str(path),
+    )
+    assert code == 0
+    code, stdout, stderr = run(capsys, "oracle", str(path))
+    assert code == 3
+    assert "exceeds budget 2000000" in stderr
+    assert stdout == ""
+
+
 def test_oracle_json(capsys, instance_path):
     code, stdout, _ = run(capsys, "oracle", str(instance_path), "--json")
     assert code == 0
@@ -384,6 +400,35 @@ def test_cli_outputs_are_byte_deterministic(tmp_path, capsys):
             p.read_bytes() for p in (inst, sol, trace, model)
         )
     assert files["one"] == files["two"]
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_closed_stdout_ends_quietly(tmp_path, capsys, unbuffered):
+    """A reader that closed the pipe (``| head``) ends the command with exit
+    0 and nothing on stderr.  The pipe is closed before the child starts, so
+    its first write, or the flush of its buffered output, meets it."""
+    path = tmp_path / "y60.json"
+    code, _, _ = run(
+        capsys, "gen", "--containers", "60", "--wagons", "12", "--tiers", "4",
+        "--train-teu", "40", "--total-teu", "90", "--seed", "1", "-o", str(path),
+    )
+    assert code == 0
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path_var = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path_var)
+    env.pop("PYTHONUNBUFFERED", None)
+    flags = ["-u"] if unbuffered else []
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, *flags, "-m", "trainload", "stats", str(path)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.stderr == b""
+    assert done.returncode == 0
 
 
 def test_usage_error_exits_2(capsys):
