@@ -9,7 +9,8 @@ Six subcommands cover the full workflow::
     trainload qubo   instance.json -o model.txt --check
     trainload oracle instance.json -o best.json
 
-Exit codes: 0 success; 1 the inputs were understood but the verdict is
+Exit codes: 0 success (also when the reader closes the output pipe early,
+as ``| head`` does); 1 the inputs were understood but the verdict is
 negative (infeasible solution, failed ``qubo --check``); 2 bad usage, file
 format, or validation errors (also ``qubo --check`` on a plan that
 ``--weight-unit`` is too coarse to encode); 3 enumeration budget exceeded (``oracle``
