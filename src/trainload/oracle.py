@@ -211,6 +211,8 @@ def _feasible_assignments(
     Budget and order are checked on the first draw, before any work."""
     if order not in _ORDERS:
         raise ValueError(f"order must be one of {_ORDERS}")
+    if limit < 0:
+        raise ValueError(f"limit must be non-negative, got {limit}")
     estimate = estimate_search_space(instance)
     if estimate > limit:
         raise BudgetExceededError(estimate, limit)
@@ -241,7 +243,8 @@ def iter_feasible_solutions(
     entries within each solution; overall yield order depends on ``order``).
 
     Raises :class:`BudgetExceededError` on the first draw, before any work,
-    if the raw search space is larger than ``limit``.
+    if the raw search space is larger than ``limit``, and :class:`ValueError`
+    if ``limit`` is negative.
     """
     for assignments, choices in _feasible_assignments(instance, order, limit):
         yield from _solutions(assignments, choices)
@@ -254,7 +257,8 @@ def enumerate_optima(
 
     The empty plan (with any config choice) is always feasible, so the
     result is never empty.  Raises :class:`BudgetExceededError` before any
-    work if the raw search space is larger than ``limit``.  Every optimum
+    work if the raw search space is larger than ``limit``, and
+    :class:`ValueError` if ``limit`` is negative.  Every optimum
     returned is re-checked with :func:`check_feasibility` and
     :func:`shifted_objective`; a :class:`RuntimeError` is raised if either
     disagrees with the enumeration.

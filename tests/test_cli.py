@@ -354,6 +354,17 @@ def test_oracle_budget_exit_code(capsys):
     assert "error:" in stderr
 
 
+def test_oracle_rejects_a_negative_limit(capsys, instance_path):
+    code, stdout, stderr = run(capsys, "oracle", str(instance_path), "--limit", "-1")
+    assert code == 2
+    assert "limit must be non-negative" in stderr
+    assert stdout == ""
+    # A zero budget is a budget every instance exceeds, not a usage error.
+    code, _, stderr = run(capsys, "oracle", str(instance_path), "--limit", "0")
+    assert code == 3
+    assert "exceeds budget 0" in stderr
+
+
 def test_oracle_default_budget_refuses_the_readme_large_instance(tmp_path, capsys):
     path = tmp_path / "instance.json"
     code, _, _ = run(

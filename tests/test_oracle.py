@@ -247,6 +247,15 @@ def test_budget_guard_fires_before_enumerating():
         next(iter_feasible_solutions(instance))
 
 
+def test_negative_limits_are_rejected_before_enumerating(pair_instance):
+    with pytest.raises(ValueError, match="limit must be non-negative"):
+        enumerate_optima(pair_instance, limit=-1)
+    with pytest.raises(ValueError, match="limit must be non-negative"):
+        next(iter_feasible_solutions(pair_instance, limit=-1))
+    with pytest.raises(BudgetExceededError):
+        enumerate_optima(pair_instance, limit=0)
+
+
 def test_search_space_estimate_covers_actual_count():
     rng = random.Random(9)
     for _ in range(20):
