@@ -154,6 +154,19 @@ def initial_solution(instance: Instance) -> Solution:
     return Solution.from_maps({}, configs)
 
 
+def _below(n: int, getrandbits) -> int:
+    """A uniform integer in ``[0, n)`` for ``n > 0``, drawn as
+    ``random.Random.randrange(n)`` draws it (CPython's
+    ``_randbelow_with_getrandbits``): ``k = n.bit_length()`` bits,
+    redrawn until below ``n``.  It reads the same numbers from the stream
+    without ``randrange``'s argument checks and call layers."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def accept(delta: float, temperature: float, rng: Random) -> bool:
     """Acceptance rule: improving or equal deltas always pass; worsening
     deltas pass with probability ``exp(-delta / temperature)``."""
@@ -175,10 +188,13 @@ class AnnealState:
     slot)`` pairs giving each moved container's new slot (``-1`` takes it
     off the train), and ``config`` is ``None`` or a ``(wagon, config)``
     pair.  The order in which draws consume the random stream is part of
-    the solver's seeded output: kinds by ``randrange(3)``, swap partners
-    from ``instance.containers`` order, relocated containers from the
-    assigned ids in sorted order, empty slots in ``all_slots`` order and
-    config alternatives in index order.
+    the solver's seeded output: the kind first, then swap partners from
+    ``instance.containers`` order, relocated containers from the assigned
+    ids in sorted order, empty slots in ``all_slots`` order and config
+    alternatives in index order.  Each index is drawn with ``getrandbits``
+    exactly as ``randrange`` draws it (see :func:`_below`), so for the
+    :class:`random.Random` streams :func:`solve` uses the numbers are those
+    of ``randrange``.
     """
 
     def __init__(self, instance: Instance, solution: Solution):
@@ -237,121 +253,158 @@ class AnnealState:
     def propose(self, kind: str, rng: Random):
         """Construct one candidate move of ``kind``, unchecked; ``None``
         when the kind has nothing to move."""
+        bits = rng.getrandbits
+        slot = self.slot
         if kind == "swap":
-            n = len(self.weight)
+            n = len(slot)
             if not n:
                 return None
-            a = rng.randrange(n)
-            if self.slot[a] < 0:
+            a = _below(n, bits)
+            if slot[a] < 0:
                 # Degenerate swap with an empty slot: insertion.
                 empties = self.empty[self.length[a]]
                 if not empties:
                     return None
-                return ((a, empties[rng.randrange(len(empties))]),), None
+                return ((a, empties[_below(len(empties), bits)]),), None
             if n < 2:
                 return None
             b = a
             while b == a:
-                b = rng.randrange(n)
+                b = _below(n, bits)
             if self.length[a] != self.length[b]:
                 return None
-            if self.slot[b] >= 0:
-                return ((a, self.slot[b]), (b, self.slot[a])), None
-            return ((b, self.slot[a]), (a, -1)), None
+            if slot[b] >= 0:
+                return ((a, slot[b]), (b, slot[a])), None
+            return ((b, slot[a]), (a, -1)), None
         if kind == "relocate":
-            if not self.assigned:
+            assigned = self.assigned
+            if not assigned:
                 return None
-            c = self.by_rank[self.assigned[rng.randrange(len(self.assigned))]]
+            c = self.by_rank[assigned[_below(len(assigned), bits)]]
             empties = self.empty[self.length[c]]
             if empties:
-                return ((c, empties[rng.randrange(len(empties))]),), None
+                return ((c, empties[_below(len(empties), bits)]),), None
             return ((c, -1),), None
-        if not self.flexible:
+        flexible = self.flexible
+        if not flexible:
             return None
-        w = self.flexible[rng.randrange(len(self.flexible))]
-        b = rng.randrange(self.config_count[w] - 1)
+        w = flexible[_below(len(flexible), bits)]
+        b = _below(self.config_count[w] - 1, bits)
         return (), (w, b if b < self.config[w] else b + 1)
 
     def fits(self, move) -> bool:
         """Delta feasibility: whether the plan stays feasible after ``move``."""
         changes, config = move
-        weight, occupant = self.weight, self.occupant
+        weight, occupant, slot_limits = self.weight, self.occupant, self.slot_limits
         if config is not None:
             w, b = config
             return all(
-                occupant[s] < 0 or weight[occupant[s]] <= self.slot_limits[s][b]
+                occupant[s] < 0 or weight[occupant[s]] <= slot_limits[s][b]
                 for s in self.wagon_slots[w]
             )
+        slot, slot_wagon = self.slot, self.slot_wagon
+        if len(changes) == 1:
+            # Weights are non-negative, so a container leaving a wagon or the
+            # train breaks no limit: only its destination is checked.
+            ((i, s),) = changes
+            if s < 0:
+                return True
+            wt = weight[i]
+            w = slot_wagon[s]
+            if wt > slot_limits[s][self.config[w]]:
+                return False
+            old = slot[i]
+            if old < 0:
+                if self.train_load + wt > self.train_max:
+                    return False
+            elif slot_wagon[old] == w:
+                return True
+            return self.wagon_load[w] + wt <= self.wagon_max[w]
         load: dict[int, int] = {}
         train = 0
         for i, s in changes:
             wt = weight[i]
-            old = self.slot[i]
+            old = slot[i]
             if old >= 0:
-                w = self.slot_wagon[old]
+                w = slot_wagon[old]
                 load[w] = load.get(w, 0) - wt
                 train -= wt
             if s >= 0:
-                w = self.slot_wagon[s]
-                if wt > self.slot_limits[s][self.config[w]]:
+                w = slot_wagon[s]
+                if wt > slot_limits[s][self.config[w]]:
                     return False
                 load[w] = load.get(w, 0) + wt
                 train += wt
+        wagon_load, wagon_max = self.wagon_load, self.wagon_max
         for w, d in load.items():
-            if self.wagon_load[w] + d > self.wagon_max[w]:
+            if wagon_load[w] + d > wagon_max[w]:
                 return False
         return self.train_load + train <= self.train_max
 
     def draw(self, rng: Random):
         """A feasible move, redrawn up to ``MAX_NEIGHBOR_RETRIES`` times;
         ``None`` when every attempt fails."""
+        bits = rng.getrandbits
         for _ in range(MAX_NEIGHBOR_RETRIES):
-            kind = MOVE_KINDS[rng.randrange(len(MOVE_KINDS))]
-            move = self.propose(kind, rng)
+            move = self.propose(MOVE_KINDS[_below(len(MOVE_KINDS), bits)], rng)
             if move is not None and self.fits(move):
                 return move
         return None
 
     # -- costing and applying --------------------------------------------------
 
-    def _shortfall(self, i: int) -> int:
-        """Rehandles charged to container ``i``: the containers above it
-        that are not loaded onto the same or an earlier wagon."""
-        position = self.position
-        p = position[i]
-        count = 0
-        if p != self.unloaded:
-            for a in self.above[i]:
-                if position[a] > p:
-                    count += 1
-        return count
-
     def delta(self, move) -> int:
-        """Change of the shifted objective if ``move`` were applied."""
+        """Change of the shifted objective if ``move`` were applied.
+
+        A loaded container's shortfall (the rehandles charged to it) is the
+        number of containers above it that are not loaded onto the same or
+        an earlier wagon; only the moved containers and those below them
+        can change theirs."""
         changes, _ = move
+        slot, position, unloaded = self.slot, self.position, self.unloaded
         value = 0
         moved = []
         for i, s in changes:
-            if (s >= 0) != (self.slot[i] >= 0):
-                value += self.value[i] if s < 0 else -self.value[i]
-            p = self.slot_wagon[s] if s >= 0 else self.unloaded
-            if p != self.position[i]:
+            if s >= 0:
+                p = self.slot_wagon[s]
+                if slot[i] < 0:
+                    value -= self.value[i]
+            else:
+                p = unloaded
+                if slot[i] >= 0:
+                    value += self.value[i]
+            if p != position[i]:
                 moved.append((i, p))
         if not moved or not self.alpha:
             return value
-        touched = set()
-        for i, _ in moved:
-            touched.add(i)
-            touched.update(self.below[i])
-        position = self.position
-        before = sum(map(self._shortfall, touched))
+        above, below = self.above, self.below
+        if len(moved) == 1:
+            i = moved[0][0]
+            touched = below[i] + [i]
+        else:
+            touched = set()
+            for i, _ in moved:
+                touched.add(i)
+                touched.update(below[i])
+        shortfall = 0
+        for i in touched:
+            p = position[i]
+            if p != unloaded:
+                for a in above[i]:
+                    if position[a] > p:
+                        shortfall -= 1
         old = [(i, position[i]) for i, _ in moved]
         for i, p in moved:
             position[i] = p
-        after = sum(map(self._shortfall, touched))
+        for i in touched:
+            p = position[i]
+            if p != unloaded:
+                for a in above[i]:
+                    if position[a] > p:
+                        shortfall += 1
         for i, p in old:
             position[i] = p
-        return self.alpha * (after - before) + value
+        return self.alpha * shortfall + value
 
     def apply(self, move, delta: int) -> None:
         """Make ``move``, whose objective change is ``delta``, current."""
@@ -360,27 +413,32 @@ class AnnealState:
             w, b = config
             self.config[w] = b
         weight, rank, assigned = self.weight, self.rank, self.assigned
+        slot, occupant, position = self.slot, self.occupant, self.position
+        slot_wagon, slot_length, empty = self.slot_wagon, self.slot_length, self.empty
+        wagon_load = self.wagon_load
+        train = self.train_load
         for i, _ in changes:
-            s = self.slot[i]
+            s = slot[i]
             if s >= 0:
-                self.occupant[s] = -1
-                self.wagon_load[self.slot_wagon[s]] -= weight[i]
-                self.train_load -= weight[i]
-                insort(self.empty[self.slot_length[s]], s)
+                occupant[s] = -1
+                wagon_load[slot_wagon[s]] -= weight[i]
+                train -= weight[i]
+                insort(empty[slot_length[s]], s)
                 del assigned[bisect_left(assigned, rank[i])]
         for i, s in changes:
-            self.slot[i] = s
+            slot[i] = s
             if s < 0:
-                self.position[i] = self.unloaded
+                position[i] = self.unloaded
                 continue
-            w = self.slot_wagon[s]
-            self.occupant[s] = i
-            self.position[i] = w
-            self.wagon_load[w] += weight[i]
-            self.train_load += weight[i]
-            empties = self.empty[self.slot_length[s]]
+            w = slot_wagon[s]
+            occupant[s] = i
+            position[i] = w
+            wagon_load[w] += weight[i]
+            train += weight[i]
+            empties = empty[slot_length[s]]
             del empties[bisect_left(empties, s)]
             insort(assigned, rank[i])
+        self.train_load = train
         self.objective += delta
 
     def snapshot(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -438,18 +496,20 @@ def solve(instance: Instance, params: SaParams = SaParams()) -> SaResult:
     best, best_obj = state.snapshot(), state.objective
 
     trace: list[LevelStats] = []
+    draw, delta_of, apply = state.draw, state.delta, state.apply
+    iterations = range(params.iters_per_level)
     temperature = params.t_initial
     level = 0
     while temperature > params.t_final:
         accepted = 0
-        for _ in range(params.iters_per_level):
-            move = state.draw(rng)
+        for _ in iterations:
+            move = draw(rng)
             if move is None:
                 continue
-            delta = state.delta(move)
+            delta = delta_of(move)
             evaluations += 1
             if accept(delta, temperature, rng):
-                state.apply(move, delta)
+                apply(move, delta)
                 accepted += 1
                 if state.objective < best_obj:
                     best, best_obj = state.snapshot(), state.objective

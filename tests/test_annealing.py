@@ -83,6 +83,18 @@ def test_accept_requires_positive_temperature():
         accept(1.0, 0.0, random.Random(0))
 
 
+def test_index_draws_match_randrange():
+    # The solver draws indices with annealing._below; its seeded output holds
+    # only if that reads the stream exactly as random.Random.randrange does.
+    sizes = [*range(1, 1101), *(2**k + d for k in range(11, 65) for d in (-1, 0, 1))]
+    for seed in range(4):
+        reference, twin = stream(seed, "anneal"), stream(seed, "anneal")
+        for _ in range(3):
+            drawn = [annealing._below(n, twin.getrandbits) for n in sizes]
+            assert drawn == [reference.randrange(n) for n in sizes]
+        assert twin.getstate() == reference.getstate()
+
+
 def test_move_kinds_are_drawn_uniformly(pair_instance, monkeypatch):
     counter: dict[str, int] = {}
     propose = AnnealState.propose
@@ -191,6 +203,10 @@ def test_delta_checks_agree_with_the_reference():
     # that of a state rebuilt from scratch.
     rng = random.Random(31)
     admitted = rejected = applied = 0
+    # Admitted moves by (rehandles cost anything, containers that change
+    # wagon or leave or join the train): delta has one path for one mover
+    # and another for two.
+    movers: dict[tuple[bool, int], int] = {}
     for _ in range(80):
         instance = random_instance(rng, max_containers=8, max_wagons=3)
         state = AnnealState(instance, random_feasible_solution(instance, rng))
@@ -207,6 +223,12 @@ def test_delta_checks_agree_with_the_reference():
                 rejected += 1
                 continue
             admitted += 1
+            moved = sum(
+                (instance.slot_wagon[s] if s >= 0 else state.unloaded) != state.position[i]
+                for i, s in move[0]
+            )
+            key = (instance.rehandle_unit_cost > 0, moved)
+            movers[key] = movers.get(key, 0) + 1
             delta = state.delta(move)
             assert state.objective + delta == shifted_objective(instance, candidate)
             if not accept(delta, 2.0, move_rng):
@@ -222,6 +244,8 @@ def test_delta_checks_agree_with_the_reference():
             for name in MUTABLE:
                 assert getattr(state, name) == getattr(rebuilt, name), name
     assert admitted > 2000 and rejected > 1000 and applied > 1000
+    assert movers[True, 1] > 500 and movers[True, 2] > 30
+    assert movers[False, 1] > 100 and movers[False, 2] > 10
 
 
 def test_solve_raises_when_the_reference_disagrees(pair_instance, monkeypatch):
