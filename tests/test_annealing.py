@@ -203,9 +203,9 @@ def test_delta_checks_agree_with_the_reference():
     # that of a state rebuilt from scratch.
     rng = random.Random(31)
     admitted = rejected = applied = 0
-    # Admitted moves by (rehandles cost anything, containers that change
-    # wagon or leave or join the train): delta has one path for one mover
-    # and another for two.
+    # Admitted moves keyed by (rehandles cost something, containers whose
+    # position changes: another wagon, or on or off the train).  delta has
+    # one path for a single mover and another for two.
     movers: dict[tuple[bool, int], int] = {}
     for _ in range(80):
         instance = random_instance(rng, max_containers=8, max_wagons=3)
