@@ -134,15 +134,6 @@ class ViolationKind(Enum):
     LENGTH_MISMATCH = "LengthMismatch"
 
 
-_OVERWEIGHT = frozenset(
-    {
-        ViolationKind.SLOT_OVERWEIGHT,
-        ViolationKind.WAGON_OVERWEIGHT,
-        ViolationKind.TRAIN_OVERWEIGHT,
-    }
-)
-
-
 @dataclass(frozen=True)
 class Violation:
     """One broken feasibility rule.
@@ -169,112 +160,82 @@ class Violation:
         return out
 
 
-def _resolve_references(instance: Instance, solution: Solution) -> None:
-    cmap = instance.container_map
-    wmap = instance.wagon_map
-    for a in solution.assignments:
-        if a.container not in cmap:
-            raise DanglingReferenceError(f"unknown container '{a.container}'")
-        if a.wagon not in wmap:
-            raise DanglingReferenceError(f"unknown wagon '{a.wagon}'")
-        if not 0 <= a.slot < len(wmap[a.wagon].slots):
-            raise DanglingReferenceError(
-                f"wagon '{a.wagon}' has no slot {a.slot}"
-            )
-    for c in solution.configs:
-        if c.wagon not in wmap:
-            raise DanglingReferenceError(f"unknown wagon '{c.wagon}'")
-        if not 0 <= c.config < len(wmap[c.wagon].configs):
-            raise DanglingReferenceError(
-                f"wagon '{c.wagon}' has no config {c.config}"
-            )
-
-
-def _chosen_configs(instance: Instance, solution: Solution) -> dict[str, int]:
-    """Wagon id -> config index, for wagons configured exactly once."""
-    counts: dict[str, list[int]] = {}
-    for c in solution.configs:
-        counts.setdefault(c.wagon, []).append(c.config)
-    return {w: picks[0] for w, picks in counts.items() if len(picks) == 1}
-
-
 def check_feasibility(instance: Instance, solution: Solution) -> list[Violation]:
     """All feasibility violations, in deterministic order; empty iff feasible.
 
     Raises :class:`DanglingReferenceError` when the solution mentions ids or
     indices the instance does not define — that is an input error, not a
-    feasibility verdict.
+    feasibility verdict.  The first bad entry is reported, assignments
+    before configs.
 
     Per-slot weight limits can only be judged against a wagon's chosen
     config, so wagons flagged ``NoConfig`` (zero or several choices) skip
     the slot-weight check; the ``NoConfig`` violation already marks them.
     """
-    _resolve_references(instance, solution)
     cmap = instance.container_map
-    violations: list[Violation] = []
+    wmap = instance.wagon_map
+    uses: dict[str, int] = {}
+    occupants: dict[tuple[str, int], int] = {}
+    slot_load: dict[tuple[str, int], int] = {}
+    wagon_load: dict[str, int] = {}
+    picks: dict[str, list[int]] = {}
+    mismatched: list[Violation] = []
 
-    per_container: dict[str, int] = {}
-    per_slot: dict[tuple[str, int], list[str]] = {}
     for a in solution.assignments:
-        per_container[a.container] = per_container.get(a.container, 0) + 1
-        per_slot.setdefault((a.wagon, a.slot), []).append(a.container)
+        container = cmap.get(a.container)
+        if container is None:
+            raise DanglingReferenceError(f"unknown container '{a.container}'")
+        wagon = wmap.get(a.wagon)
+        if wagon is None:
+            raise DanglingReferenceError(f"unknown wagon '{a.wagon}'")
+        if not 0 <= a.slot < len(wagon.slots):
+            raise DanglingReferenceError(f"wagon '{a.wagon}' has no slot {a.slot}")
+        key = (a.wagon, a.slot)
+        uses[a.container] = uses.get(a.container, 0) + 1
+        occupants[key] = occupants.get(key, 0) + 1
+        slot_load[key] = slot_load.get(key, 0) + container.weight
+        wagon_load[a.wagon] = wagon_load.get(a.wagon, 0) + container.weight
+        if container.length != wagon.slots[a.slot].length:
+            mismatched.append(Violation(ViolationKind.LENGTH_MISMATCH, (a.container, *key)))
 
-    for cid in sorted(c for c, n in per_container.items() if n > 1):
-        violations.append(Violation(ViolationKind.MULTIPLE_ASSIGNMENT, (cid,)))
+    for c in solution.configs:
+        wagon = wmap.get(c.wagon)
+        if wagon is None:
+            raise DanglingReferenceError(f"unknown wagon '{c.wagon}'")
+        if not 0 <= c.config < len(wagon.configs):
+            raise DanglingReferenceError(f"wagon '{c.wagon}' has no config {c.config}")
+        picks.setdefault(c.wagon, []).append(c.config)
 
+    violations = [
+        Violation(ViolationKind.MULTIPLE_ASSIGNMENT, (cid,))
+        for cid in sorted(cid for cid, n in uses.items() if n > 1)
+    ]
     for w in instance.wagons:
         for si in range(len(w.slots)):
-            occupants = per_slot.get((w.id, si), [])
-            if len(occupants) > 1:
-                violations.append(
-                    Violation(ViolationKind.SLOT_OCCUPIED_TWICE, (w.id, si))
-                )
-
-    chosen = _chosen_configs(instance, solution)
+            if occupants.get((w.id, si), 0) > 1:
+                violations.append(Violation(ViolationKind.SLOT_OCCUPIED_TWICE, (w.id, si)))
+    chosen = {w: p[0] for w, p in picks.items() if len(p) == 1}
     for w in instance.wagons:
         if w.id not in chosen:
             violations.append(Violation(ViolationKind.NO_CONFIG, (w.id,)))
-
-    for a in solution.assignments:
-        slot_length = instance.wagon_map[a.wagon].slots[a.slot].length
-        if cmap[a.container].length != slot_length:
-            violations.append(
-                Violation(
-                    ViolationKind.LENGTH_MISMATCH, (a.container, a.wagon, a.slot)
-                )
-            )
+    violations += mismatched
 
     for w in instance.wagons:
         if w.id not in chosen:
             continue
-        limits = w.configs[chosen[w.id]].per_slot_max
-        for si in range(len(w.slots)):
-            load = sum(cmap[c].weight for c in per_slot.get((w.id, si), ()))
-            if load > limits[si]:
+        for si, limit in enumerate(w.configs[chosen[w.id]].per_slot_max):
+            load = slot_load.get((w.id, si), 0)
+            if load > limit:
                 violations.append(
-                    Violation(
-                        ViolationKind.SLOT_OVERWEIGHT,
-                        (w.id, si),
-                        amount=load - limits[si],
-                    )
+                    Violation(ViolationKind.SLOT_OVERWEIGHT, (w.id, si), amount=load - limit)
                 )
-
-    train_load = 0
     for w in instance.wagons:
-        wagon_load = sum(
-            cmap[c].weight
-            for si in range(len(w.slots))
-            for c in per_slot.get((w.id, si), ())
-        )
-        train_load += wagon_load
-        if wagon_load > w.max_weight:
+        load = wagon_load.get(w.id, 0)
+        if load > w.max_weight:
             violations.append(
-                Violation(
-                    ViolationKind.WAGON_OVERWEIGHT,
-                    (w.id,),
-                    amount=wagon_load - w.max_weight,
-                )
+                Violation(ViolationKind.WAGON_OVERWEIGHT, (w.id,), amount=load - w.max_weight)
             )
+    train_load = sum(wagon_load.values())
     if train_load > instance.train_max_weight:
         violations.append(
             Violation(
@@ -353,7 +314,7 @@ def simulate_loading(instance: Instance, solution: Solution) -> SimulationResult
     targets_by_wagon: dict[int, dict[int, list[str]]] = {}
     for a in solution.assignments:
         w = instance.wagon_position[a.wagon]
-        k, l = instance.stack_position[a.container]
+        k = instance.stack_position[a.container][0]
         targets_by_wagon.setdefault(w, {}).setdefault(k, []).append(a.container)
 
     slot_of = {a.container: (a.wagon, a.slot) for a in solution.assignments}
