@@ -92,7 +92,7 @@ class SaParams:
         if self.t_final >= self.t_initial:
             raise ValueError("t_final must be below t_initial")
         # Below the smallest normal float, t * cooling_rate can round back to
-        # t, so the cooling loop would never reach t_final.
+        # t or down to 0, so the levels' temperatures would stop cooling.
         if self.t_final < sys.float_info.min:
             raise ValueError(
                 f"t_final must be at least {sys.float_info.min} (subnormal temperatures "
@@ -111,10 +111,8 @@ class SaParams:
     @property
     def planned_levels(self) -> int:
         """Cooling levels the schedule runs, in closed form: the number of
-        ``k >= 0`` with ``t_initial * cooling_rate**k > t_final``.  When
-        ``t_final`` lies within rounding of such a power, this can differ by
-        one from the levels :func:`solve` runs, whose temperatures come from
-        repeated multiplication."""
+        ``k >= 0`` with ``t_initial * cooling_rate**k > t_final``.
+        :func:`solve` runs exactly this many levels."""
         ratio = math.log(self.t_final) - math.log(self.t_initial)
         return math.ceil(ratio / math.log(self.cooling_rate))
 
@@ -499,8 +497,7 @@ def solve(instance: Instance, params: SaParams = SaParams()) -> SaResult:
     draw, delta_of, apply = state.draw, state.delta, state.apply
     iterations = range(params.iters_per_level)
     temperature = params.t_initial
-    level = 0
-    while temperature > params.t_final:
+    for level in range(params.planned_levels):
         accepted = 0
         for _ in iterations:
             move = draw(rng)
@@ -515,7 +512,6 @@ def solve(instance: Instance, params: SaParams = SaParams()) -> SaResult:
                     best, best_obj = state.snapshot(), state.objective
         trace.append(LevelStats(level, temperature, state.objective, best_obj, accepted))
         temperature *= params.cooling_rate
-        level += 1
 
     best_solution = state.solution(best)
     report = evaluate(instance, best_solution)

@@ -299,6 +299,14 @@ def test_planned_levels_match_the_trace(pair_instance, params):
     assert result.evaluations <= 1 + params.planned_iterations
 
 
+def test_solve_runs_the_planned_levels_where_t_final_is_a_power(pair_instance):
+    # 10 * 0.5 is exactly 5, so cooling by repeated multiplication would stop
+    # after one level; the closed form rounds to two, and solve runs those.
+    params = SaParams(t_initial=10.0, t_final=5.0, cooling_rate=0.5, iters_per_level=1)
+    assert level_count(params) == 1
+    assert params.planned_levels == len(solve(pair_instance, params).trace) == 2
+
+
 def test_solve_is_deterministic(pair_instance):
     params = SaParams(t_initial=10.0, t_final=0.01, cooling_rate=0.8, iters_per_level=30, seed=5)
     a = solve(pair_instance, params)
