@@ -12,7 +12,6 @@ cost), so a gap of 0 means optimal.
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import statistics
 import sys
@@ -24,6 +23,7 @@ from trainload import (
     generate_instance,
     solve_many,
 )
+from trainload.cli import run_main
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -84,12 +84,4 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    try:
-        status = main()
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader stopped early (``| head``): end quietly, like a filter.
-        # Point stdout at devnull so the interpreter's final flush succeeds.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        status = 0
-    sys.exit(status)
+    sys.exit(run_main(main))

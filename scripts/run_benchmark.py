@@ -16,10 +16,10 @@ read ``-`` elsewhere.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from trainload import GenSpec, SaParams, evaluate, generate_instance, oracle, solve_many
+from trainload.cli import run_main
 
 # (name, containers, wagons, tiers, train_teu, total_teu, seed)
 SHAPES = [
@@ -67,12 +67,4 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    try:
-        status = main()
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader stopped early (``| head``): end quietly, like a filter.
-        # Point stdout at devnull so the interpreter's final flush succeeds.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        status = 0
-    sys.exit(status)
+    sys.exit(run_main(main))

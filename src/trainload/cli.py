@@ -27,6 +27,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Callable
 
 from .evaluation import (
     evaluate,
@@ -114,17 +115,16 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+# The ``SaParams`` fields the schedule flags set; an unset flag keeps its default.
+_SCHEDULE_FIELDS = ("t_initial", "t_final", "cooling_rate", "iters_per_level")
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
     from . import annealing
 
     instance = load_instance_file(args.instance)
-    params = annealing.SaParams(
-        t_initial=args.t_initial,
-        t_final=args.t_final,
-        cooling_rate=args.cooling,
-        iters_per_level=args.iters,
-        seed=args.seed,
-    )
+    schedule = {f: getattr(args, f) for f in _SCHEDULE_FIELDS if getattr(args, f) is not None}
+    params = annealing.SaParams(seed=args.seed, **schedule)
     result = annealing.solve_many(instance, params, args.runs)
     report = result.best_report
 
@@ -288,7 +288,7 @@ def _cmd_qubo(args: argparse.Namespace) -> int:
                     "n": model.n,
                     "terms": len(model.coefficients),
                     "offset": model.offset,
-                    "weight_unit": model.weight_unit,
+                    "weight_unit": varmap.weight_unit,
                 }
             )
         else:
@@ -355,10 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--runs", type=int, default=1, help="independent runs; best kept")
-    p.add_argument("--t-initial", type=float, default=1000.0)
-    p.add_argument("--t-final", type=float, default=1e-3)
-    p.add_argument("--cooling", type=float, default=0.95)
-    p.add_argument("--iters", type=int, default=100, help="iterations per level")
+    p.add_argument("--t-initial", type=float)
+    p.add_argument("--t-final", type=float)
+    p.add_argument("--cooling", dest="cooling_rate", type=float)
+    p.add_argument("--iters", dest="iters_per_level", type=int, help="iterations per level")
     p.add_argument("-o", "--out", help="write best solution JSON here")
     p.add_argument("--trace", help="write per-level CSV trace here")
     p.add_argument("--json", action="store_true")
@@ -400,17 +400,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+def run_main(main: Callable[[], int]) -> int:
+    """Run ``main``, flush stdout and return its exit status.  A reader that
+    stopped early (``| head``) ends the run quietly with status 0, like a
+    filter."""
     try:
-        code = args.func(args)
+        status = main()
         sys.stdout.flush()
-        return code
+        return status
     except BrokenPipeError:
-        # The reader stopped early (``| head``): end quietly, like a filter.
         # Point stdout at devnull so the interpreter's final flush succeeds.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    return run_main(lambda: _run_command(args))
+
+
+def _run_command(args: argparse.Namespace) -> int:
+    try:
+        return args.func(args)
+    except BrokenPipeError:
+        raise  # a closed pipe, not an input error: run_main ends quietly
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -139,7 +139,6 @@ class QuboModel:
     coefficients: dict[tuple[int, int], int]
     offset: int
     penalty: int | None
-    weight_unit: int
 
 
 def default_penalty(instance: Instance) -> int:
@@ -350,13 +349,7 @@ def build_qubo(
     for row in rows:
         acc.add_square(row.terms + row.register, row.constant, penalty)
 
-    model = QuboModel(
-        n=len(entries),
-        coefficients=acc.finish(),
-        offset=acc.offset,
-        penalty=penalty,
-        weight_unit=weight_unit,
-    )
+    model = QuboModel(n=len(entries), coefficients=acc.finish(), offset=acc.offset, penalty=penalty)
     return model, VariableMap(entries=tuple(entries), weight_unit=weight_unit)
 
 
@@ -465,7 +458,7 @@ def export_qubo(model: QuboModel, varmap: VariableMap, fmt: str = "text") -> str
             "terms": [[i, j, value] for (i, j), value in sorted(model.coefficients.items())],
             "variables": [e.to_dict() for e in varmap.entries],
             "penalty": model.penalty,
-            "weight_unit": model.weight_unit,
+            "weight_unit": varmap.weight_unit,
         }
         return json.dumps(doc, separators=(",", ":")) + "\n"
     raise ValueError(f"unknown export format '{fmt}'")
@@ -476,7 +469,8 @@ _HEADER_RE = re.compile(r"^# qubo n=(\d+) offset=(-?\d+)$")
 
 def parse_qubo_text(content: str) -> QuboModel:
     """Parse the coordinate format.  Only coefficients travel in this
-    format, so the penalty comes back ``None`` and weight_unit defaults to 1."""
+    format, so the penalty comes back ``None``; the weight unit, which
+    belongs to the variable map, is not carried either."""
     lines = [line for line in content.splitlines() if line.strip()]
     if not lines:
         raise ValueError("empty QUBO text")
@@ -495,7 +489,7 @@ def parse_qubo_text(content: str) -> QuboModel:
         if (i, j) in coefficients:
             raise ValueError(f"duplicate QUBO term line: {line!r}")
         coefficients[(i, j)] = value
-    return QuboModel(n=n, coefficients=coefficients, offset=offset, penalty=None, weight_unit=1)
+    return QuboModel(n=n, coefficients=coefficients, offset=offset, penalty=None)
 
 
 _QUBO_KEYS = ("n", "offset", "terms", "variables", "penalty", "weight_unit")
@@ -557,6 +551,5 @@ def parse_qubo_json(content: bytes | str) -> tuple[QuboModel, VariableMap]:
         coefficients=coefficients,
         offset=_read.integer(doc["offset"], "offset"),
         penalty=penalty,
-        weight_unit=weight_unit,
     )
     return model, VariableMap(entries=tuple(entries), weight_unit=weight_unit)

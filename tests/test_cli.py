@@ -125,6 +125,26 @@ def test_solve_json_report(tmp_path, capsys, instance_path):
 
 
 @pytest.mark.parametrize(
+    "flags, schedule",
+    [((), {}), (("--iters", "7"), {"iters_per_level": 7})],
+    ids=["production", "iters-only"],
+)
+def test_solve_schedule_flags_default_to_sa_params(tmp_path, capsys, instance_path, flags, schedule):
+    """An unset schedule flag keeps the ``SaParams`` default."""
+    sol = tmp_path / "sol.json"
+    trace = tmp_path / "trace.csv"
+    code, _, _ = run(
+        capsys, "solve", str(instance_path), *flags, "-o", str(sol), "--trace", str(trace)
+    )
+    assert code == 0
+    expected = annealing.solve_many(
+        load_instance_file(instance_path), annealing.SaParams(**schedule), 1
+    )
+    assert sol.read_bytes() == serialize_solution(expected.best_solution).encode("utf-8")
+    assert trace.read_bytes() == annealing.trace_csv(expected.trace).encode("utf-8")
+
+
+@pytest.mark.parametrize(
     "schedule",
     [
         ("--t-initial", "inf"),
@@ -301,12 +321,15 @@ def test_qubo_check_passes_on_small_instance(tmp_path, capsys, instance_path):
 def test_qubo_json_summary(tmp_path, capsys, instance_path):
     out = tmp_path / "model.json"
     code, stdout, _ = run(
-        capsys, "qubo", str(instance_path), "-o", str(out), "--format", "json", "--json"
+        capsys, "qubo", str(instance_path), "-o", str(out), "--format", "json", "--json",
+        "--weight-unit", "10",
     )
     assert code == 0
     summary = json.loads(stdout)
     assert summary["path"] == str(out)
-    assert json.loads(out.read_text())["n"] == summary["n"]
+    export = json.loads(out.read_text())
+    assert export["n"] == summary["n"]
+    assert export["weight_unit"] == summary["weight_unit"] == 10
 
 
 def test_oracle_reports_and_writes_best(tmp_path, capsys, instance_path):
