@@ -111,8 +111,9 @@ class SaParams:
     @property
     def planned_levels(self) -> int:
         """Cooling levels the schedule runs, in closed form: the number of
-        ``k >= 0`` with ``t_initial * cooling_rate**k > t_final``.
-        :func:`solve` runs exactly this many levels."""
+        ``k >= 0`` with ``t_initial * cooling_rate**k > t_final``, up to
+        rounding where ``t_final`` lies at such a power.  :func:`solve` runs
+        exactly this many levels."""
         ratio = math.log(self.t_final) - math.log(self.t_initial)
         return math.ceil(ratio / math.log(self.cooling_rate))
 
