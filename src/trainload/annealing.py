@@ -202,7 +202,7 @@ class AnnealState:
             raise InfeasibleSolutionError(violations)
         self.instance = instance
         containers = instance.containers
-        index = {c.id: i for i, c in enumerate(containers)}
+        index = instance.container_index
         self.length = [int(c.length) for c in containers]
         self.weight = [c.weight for c in containers]
         self.value = [c.value for c in containers]

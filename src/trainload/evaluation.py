@@ -253,18 +253,14 @@ def check_feasibility(instance: Instance, solution: Solution) -> list[Violation]
 
 
 def _count_rehandles(instance: Instance, solution: Solution) -> int:
-    """Closed-form count; assumes a feasible solution."""
-    wagon_pos = instance.wagon_position
-    loaded_at = {a.container: wagon_pos[a.wagon] for a in solution.assignments}
-    total = 0
-    for cid, w in loaded_at.items():
-        k, l = instance.stack_position[cid]
-        stack = instance.yard.stacks[k]
-        blockers_cleared = sum(
-            1 for above in stack[l + 1 :] if loaded_at.get(above, len(wagon_pos)) <= w
-        )
-        total += (len(stack) - 1 - l) - blockers_cleared
-    return total
+    """Closed-form count; assumes a feasible solution.  A blocking pair
+    costs one rehandle when its upper container leaves on a later wagon than
+    the lower one, or stays (a yard container sits at position ``len(wagons)``)."""
+    index = instance.container_index
+    position = [len(instance.wagons)] * len(instance.containers)
+    for a in solution.assignments:
+        position[index[a.container]] = instance.wagon_position[a.wagon]
+    return sum(position[b] > p for p, blockers in zip(position, instance.above) for b in blockers)
 
 
 def count_rehandles_compact(instance: Instance, solution: Solution) -> int:
@@ -303,44 +299,39 @@ class SimulationResult:
 def simulate_loading(instance: Instance, solution: Solution) -> SimulationResult:
     """Replay the crane and count rehandles from first principles.
 
-    Lifted blockers are restacked onto their own stack after the target is
-    extracted, preserving order.
+    Targets are served by wagon position, then stack index, then tier from
+    the top down.  Lifted blockers are restacked onto their own stack after
+    the target is extracted, preserving order.
     """
     violations = check_feasibility(instance, solution)
     if violations:
         raise InfeasibleSolutionError(violations)
 
     state = [list(stack) for stack in instance.yard.stacks]
-    targets_by_wagon: dict[int, dict[int, list[str]]] = {}
-    for a in solution.assignments:
-        w = instance.wagon_position[a.wagon]
-        k = instance.stack_position[a.container][0]
-        targets_by_wagon.setdefault(w, {}).setdefault(k, []).append(a.container)
-
-    slot_of = {a.container: (a.wagon, a.slot) for a in solution.assignments}
+    wagon_pos = instance.wagon_position
     tier_of = instance.stack_position
     events: list[CraneMove] = []
     rehandles = 0
 
-    for w in range(len(instance.wagons)):
-        for k in sorted(targets_by_wagon.get(w, ())):
-            targets = sorted(
-                targets_by_wagon[w][k], key=lambda c: tier_of[c][1], reverse=True
-            )
-            for target in targets:
-                wagon_id, slot_idx = slot_of[target]
-                pos = state[k].index(target)
-                lifted: list[str] = []
-                while len(state[k]) - 1 > pos:
-                    blocker = state[k].pop()
-                    events.append(CraneMove("lift", blocker, k, len(state[k])))
-                    lifted.append(blocker)
-                    rehandles += 1
-                state[k].pop()
-                events.append(CraneMove("load", target, k, pos, wagon_id, slot_idx))
-                for blocker in reversed(lifted):
-                    events.append(CraneMove("restack", blocker, k, len(state[k])))
-                    state[k].append(blocker)
+    def order(a: Assignment) -> tuple[int, int, int]:
+        k, l = tier_of[a.container]
+        return wagon_pos[a.wagon], k, -l
+
+    for a in sorted(solution.assignments, key=order):
+        k = tier_of[a.container][0]
+        stack = state[k]
+        pos = stack.index(a.container)
+        lifted: list[str] = []
+        while len(stack) - 1 > pos:
+            blocker = stack.pop()
+            events.append(CraneMove("lift", blocker, k, len(stack)))
+            lifted.append(blocker)
+        rehandles += len(lifted)
+        stack.pop()
+        events.append(CraneMove("load", a.container, k, pos, a.wagon, a.slot))
+        for blocker in reversed(lifted):
+            events.append(CraneMove("restack", blocker, k, len(stack)))
+            stack.append(blocker)
 
     return SimulationResult(rehandles=rehandles, events=tuple(events))
 

@@ -193,6 +193,11 @@ class Instance:
         return {w.id: w for w in self.wagons}
 
     @cached_property
+    def container_index(self) -> dict[str, int]:
+        """Container id -> position in ``containers``."""
+        return {c.id: i for i, c in enumerate(self.containers)}
+
+    @cached_property
     def wagon_position(self) -> dict[str, int]:
         """Wagon id -> position in the loading order."""
         return {w.id: i for i, w in enumerate(self.wagons)}
@@ -247,7 +252,7 @@ class Instance:
     @cached_property
     def above(self) -> tuple[tuple[int, ...], ...]:
         """Container -> the containers stacked above it, lowest first."""
-        index = {c.id: i for i, c in enumerate(self.containers)}
+        index = self.container_index
         tiers = [self.stack_position[c.id] for c in self.containers]
         return tuple(tuple(index[cid] for cid in self.yard.stacks[k][l + 1 :]) for k, l in tiers)
 

@@ -47,7 +47,6 @@ extreme instances may want a bigger hammer.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, NamedTuple, Sequence
@@ -132,13 +131,13 @@ class QuboModel:
     ``energy = sum(coefficients[i, j] * bits[i] * bits[j]) + offset`` with
     ``i <= j``; diagonal entries are the linear terms.  All coefficients are
     integers and zero-valued entries are never stored.  ``penalty`` weighs
-    every row; it is ``None`` when read from the text format.
+    every row.
     """
 
     n: int
     coefficients: dict[tuple[int, int], int]
     offset: int
-    penalty: int | None
+    penalty: int
 
 
 def default_penalty(instance: Instance) -> int:
@@ -421,6 +420,8 @@ def encode_solution(
 def decode_solution(varmap: VariableMap, bits: Sequence[int]) -> Solution:
     """Read assignment and config bits back into a solution (slack bits are
     ignored).  The result may be infeasible; judge it with the evaluator."""
+    if len(bits) != len(varmap.entries):
+        raise ValueError(f"expected {len(varmap.entries)} bits, got {len(bits)}")
     assignments = []
     configs = []
     for e in varmap.entries:
@@ -443,8 +444,9 @@ def export_qubo(model: QuboModel, varmap: VariableMap, fmt: str = "text") -> str
 
     ``text`` is the coordinate format: a ``# qubo n=<n> offset=<offset>``
     header, then one ``i j value`` line per stored coefficient, sorted.
-    ``json`` additionally carries the variable map and the penalty weight.
-    Both are byte-deterministic for a fixed instance and options.
+    ``json`` additionally carries the variable map and the penalty weight;
+    it is the form with a reader, :func:`parse_qubo_json`.  Both are
+    byte-deterministic for a fixed instance and options.
     """
     if fmt == "text":
         lines = [f"# qubo n={model.n} offset={model.offset}"]
@@ -462,34 +464,6 @@ def export_qubo(model: QuboModel, varmap: VariableMap, fmt: str = "text") -> str
         }
         return json.dumps(doc, separators=(",", ":")) + "\n"
     raise ValueError(f"unknown export format '{fmt}'")
-
-
-_HEADER_RE = re.compile(r"^# qubo n=(\d+) offset=(-?\d+)$")
-
-
-def parse_qubo_text(content: str) -> QuboModel:
-    """Parse the coordinate format.  Only coefficients travel in this
-    format, so the penalty comes back ``None``; the weight unit, which
-    belongs to the variable map, is not carried either."""
-    lines = [line for line in content.splitlines() if line.strip()]
-    if not lines:
-        raise ValueError("empty QUBO text")
-    header = _HEADER_RE.match(lines[0])
-    if not header:
-        raise ValueError(f"bad QUBO header: {lines[0]!r}")
-    n, offset = int(header.group(1)), int(header.group(2))
-    coefficients: dict[tuple[int, int], int] = {}
-    for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"bad QUBO term line: {line!r}")
-        i, j, value = int(parts[0]), int(parts[1]), int(parts[2])
-        if not 0 <= i <= j < n:
-            raise ValueError(f"term indices out of range: {line!r}")
-        if (i, j) in coefficients:
-            raise ValueError(f"duplicate QUBO term line: {line!r}")
-        coefficients[(i, j)] = value
-    return QuboModel(n=n, coefficients=coefficients, offset=offset, penalty=None)
 
 
 _QUBO_KEYS = ("n", "offset", "terms", "variables", "penalty", "weight_unit")

@@ -9,12 +9,12 @@ from pathlib import Path
 import pytest
 
 from conftest import DATA_DIR, make_instance
-from trainload import annealing
+from trainload import annealing, qubo
 from trainload.cli import main
 from trainload.evaluation import load_solution_file, serialize_solution, Solution
 from trainload.evaluation import _SOLUTION_KEYS, Assignment, ConfigChoice
 from trainload.instance import _TOP_KEYS, load_instance_file, serialize_instance
-from trainload.qubo import _QUBO_KEYS, build_qubo, parse_qubo_text
+from trainload.qubo import _QUBO_KEYS, build_qubo, export_qubo
 
 GEN_ARGS = [
     "gen",
@@ -122,6 +122,19 @@ def test_solve_json_report(tmp_path, capsys, instance_path):
     assert payload["feasible"] is True
     assert payload["runs"] == 1
     assert "time_s" in payload
+
+
+def test_solve_json_names_the_solution_path(tmp_path, capsys, instance_path):
+    sol = tmp_path / "sol.json"
+    code, stdout, _ = run(
+        capsys,
+        "solve", str(instance_path),
+        "--t-initial", "50", "--t-final", "0.5", "--cooling", "0.7",
+        "--iters", "30", "--json", "-o", str(sol),
+    )
+    assert code == 0
+    assert json.loads(stdout)["solution_path"] == str(sol)
+    assert load_solution_file(sol).configs
 
 
 @pytest.mark.parametrize(
@@ -236,6 +249,19 @@ def test_eval_writes_event_log(tmp_path, capsys, instance_path):
         assert json.loads(line)["op"] in {"lift", "load", "restack"}
 
 
+def test_eval_rejects_an_instance_that_breaks_an_invariant(tmp_path, capsys, instance_path):
+    doc = json.loads(instance_path.read_text())
+    doc["alpha"] = -1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    sol = tmp_path / "sol.json"
+    sol.write_text(serialize_solution(Solution((), ())))
+    code, stdout, stderr = run(capsys, "eval", str(bad), str(sol))
+    assert code == 2
+    assert stdout == ""
+    assert stderr == "error: negative rehandle_unit_cost\n"
+
+
 def test_eval_rejects_malformed_solution(tmp_path, capsys, instance_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"assignments": []}')
@@ -306,8 +332,9 @@ def test_stats_without_a_qubo_model(tmp_path, capsys):
 def test_qubo_stdout_is_parseable(capsys, instance_path):
     code, stdout, _ = run(capsys, "qubo", str(instance_path))
     assert code == 0
-    model = parse_qubo_text(stdout)
+    model, varmap = build_qubo(load_instance_file(instance_path))
     assert model.n > 0
+    assert stdout == export_qubo(model, varmap, "text")
 
 
 def test_qubo_check_passes_on_small_instance(tmp_path, capsys, instance_path):
@@ -316,6 +343,17 @@ def test_qubo_check_passes_on_small_instance(tmp_path, capsys, instance_path):
     assert code == 0
     assert "check ok" in stdout
     assert out.exists()
+
+
+def test_qubo_check_reports_mismatches(capsys, instance_path, monkeypatch):
+    energy_of = qubo.energy_of
+    monkeypatch.setattr(qubo, "energy_of", lambda model, bits: energy_of(model, bits) + 1)
+    code, stdout, stderr = run(capsys, "qubo", str(instance_path), "--check")
+    assert code == 1
+    checked = int(re.fullmatch(r"check FAILED: (\d+) feasible solutions, \1 mismatches\n", stdout)[1])
+    lines = stderr.splitlines()
+    assert checked > 5 and len(lines) == 5
+    assert all(line.startswith("mismatch: energy ") for line in lines)
 
 
 def test_qubo_json_summary(tmp_path, capsys, instance_path):

@@ -251,6 +251,21 @@ def test_simulation_rejects_infeasible_plans(pair_instance):
         count_rehandles_compact(pair_instance, solution)
 
 
+def test_infeasible_error_summarises_the_first_four_violations():
+    instance = make_instance(
+        containers=[],
+        stacks=[],
+        wagons=[(f"w{i}", (), ((),), 0) for i in range(6)],
+    )
+    with pytest.raises(InfeasibleSolutionError) as excinfo:
+        simulate_loading(instance, Solution((), ()))
+    assert len(excinfo.value.violations) == 6
+    assert str(excinfo.value) == (
+        "infeasible solution: NoConfig[w0]; NoConfig[w1]; NoConfig[w2]; NoConfig[w3]; "
+        "... (6 total)"
+    )
+
+
 def test_event_log_jsonl_round_trips(dig_instance):
     result = simulate_loading(dig_instance, plan({"t": ("w0", 0)}, {"w0": 0}))
     lines = event_log_jsonl(result.events).splitlines()
@@ -421,6 +436,17 @@ def test_solution_file_preserves_duplicates_for_diagnosis(pair_instance):
     assert len(solution.assignments) == 2
     kinds = [v.kind for v in check_feasibility(pair_instance, solution)]
     assert kinds == [ViolationKind.MULTIPLE_ASSIGNMENT]
+
+
+def test_mapping_views_refuse_repeated_entries():
+    solution = Solution(
+        (Assignment("a", "w0", 0), Assignment("a", "w0", 1)),
+        (ConfigChoice("w0", 0), ConfigChoice("w0", 1)),
+    )
+    with pytest.raises(ValueError, match="container 'a' assigned more than once"):
+        solution.assignment_map
+    with pytest.raises(ValueError, match="wagon 'w0' configured more than once"):
+        solution.config_map
 
 
 @pytest.mark.parametrize(

@@ -131,6 +131,26 @@ def test_load_instance_file(tmp_path):
     assert load_instance_file(path).containers[0].id == "c0"
 
 
+@pytest.mark.parametrize(
+    "mutate, fragment",
+    [
+        (lambda d: d.update(max_tiers=0), "max_tiers must be at least 1"),
+        (lambda d: d["wagons"][0].update(configs=[[-1]]), "per-slot weight limit must be non-negative"),
+        (lambda d: d["wagons"][0].update(id=""), "wagon id must be non-empty"),
+        (lambda d: d["wagons"][0].update(max_weight=-1), "wagon 'w0': negative max_weight"),
+        (lambda d: d["wagons"].append(dict(d["wagons"][0])), "duplicate wagon id 'w0'"),
+        (lambda d: d.update(train_max_weight=-1), "negative train_max_weight"),
+        (lambda d: d.update(alpha=-1), "negative rehandle_unit_cost"),
+    ],
+    ids=["max-tiers", "slot-limit", "wagon-id", "max-weight", "duplicate-wagon", "train-max", "alpha"],
+)
+def test_loader_reports_broken_invariants(mutate, fragment):
+    doc = minimal_doc()
+    mutate(doc)
+    with pytest.raises(InstanceInvariantError, match=fragment):
+        load_instance(json.dumps(doc))
+
+
 # ---------------------------------------------------------------------------
 # Invariants
 # ---------------------------------------------------------------------------
