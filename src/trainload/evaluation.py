@@ -253,9 +253,10 @@ def check_feasibility(instance: Instance, solution: Solution) -> list[Violation]
 
 
 def _count_rehandles(instance: Instance, solution: Solution) -> int:
-    """Closed-form count; assumes a feasible solution.  A blocking pair
-    costs one rehandle when its upper container leaves on a later wagon than
-    the lower one, or stays (a yard container sits at position ``len(wagons)``)."""
+    """Closed-form count; assumes a feasible solution.  A blocking pair of
+    ``instance.above`` costs one rehandle when its upper container leaves on
+    a later wagon than its lower one; staying in the yard counts as leaving
+    after the last wagon."""
     index = instance.container_index
     position = [len(instance.wagons)] * len(instance.containers)
     for a in solution.assignments:
