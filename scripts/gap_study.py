@@ -31,20 +31,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--instances", type=int, default=30)
     parser.add_argument("--runs", type=int, default=1, help="restarts per instance")
     parser.add_argument("--seed", type=int, default=0, help="base annealing seed")
-    parser.add_argument(
-        "--full-schedule",
-        action="store_true",
-        help="use the production cooling schedule instead of the short one",
-    )
     args = parser.parse_args(argv)
 
-    if args.full_schedule:
-        params = SaParams(seed=args.seed)
-    else:
-        params = SaParams(
-            t_initial=100.0, t_final=0.1, cooling_rate=0.8,
-            iters_per_level=60, seed=args.seed,
-        )
+    params = SaParams(
+        t_initial=100.0, t_final=0.1, cooling_rate=0.8, iters_per_level=60, seed=args.seed
+    )
 
     rng = random.Random(20_26)
     gaps = []

@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from trainload import GenSpec, SaParams, evaluate, generate_instance, oracle, solve_many
+from trainload import GenSpec, SaParams, generate_instance, oracle, solve_many
 from trainload.cli import run_main
 
 # (name, containers, wagons, tiers, train_teu, total_teu, seed)
@@ -51,10 +51,12 @@ def main(argv: list[str] | None = None) -> int:
         )
         params = SaParams(seed=args.seed)
         result = solve_many(instance, params, runs=args.runs)
-        report = evaluate(instance, result.best_solution)
-        optimum = gap = "-"
-        if oracle.estimate_search_space(instance) <= oracle.DEFAULT_BUDGET:
+        report = result.best_report
+        try:
             optimum = oracle.enumerate_optima(instance).optimum
+        except oracle.BudgetExceededError:
+            optimum = gap = "-"
+        else:
             gap = report.objective_shifted - optimum
         print(
             f"{name:<10} {containers:>4} {wagons:>4} "

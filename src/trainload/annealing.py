@@ -110,12 +110,20 @@ class SaParams:
 
     @property
     def planned_levels(self) -> int:
-        """Cooling levels the schedule runs, in closed form: the number of
-        ``k >= 0`` with ``t_initial * cooling_rate**k > t_final``, up to
-        rounding where ``t_final`` lies at such a power.  :func:`solve` runs
-        exactly this many levels."""
+        """Cooling levels :func:`solve` runs: the temperatures, ``t_initial``
+        times ``cooling_rate`` once per level, that lie above ``t_final``.
+        The closed form can count one too many where ``t_final`` is such a
+        power, so it only stands in on schedules above
+        :data:`MAX_PLANNED_ITERATIONS` even one level shorter."""
         ratio = math.log(self.t_final) - math.log(self.t_initial)
-        return math.ceil(ratio / math.log(self.cooling_rate))
+        estimate = math.ceil(ratio / math.log(self.cooling_rate))
+        if (estimate - 1) * self.iters_per_level > MAX_PLANNED_ITERATIONS:
+            return estimate
+        levels, temperature = 0, self.t_initial
+        while temperature > self.t_final:
+            temperature *= self.cooling_rate
+            levels += 1
+        return levels
 
     @property
     def planned_iterations(self) -> int:

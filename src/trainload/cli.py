@@ -15,9 +15,6 @@ negative (infeasible solution, failed ``qubo --check``); 2 bad usage, file
 format, or validation errors (also ``qubo --check`` on a plan that
 ``--weight-unit`` is too coarse to encode); 3 enumeration budget exceeded (``oracle``
 beyond ``--limit``, ``qubo --check`` beyond the default oracle budget).
-
-Relative output paths (``-o``, ``--trace``, ``--events``) are resolved
-against ``$TRAINLOAD_OUT_DIR`` when that variable is set; inputs are not.
 """
 
 from __future__ import annotations
@@ -45,16 +42,6 @@ from .instance import (
 )
 
 
-def _resolve_out(path: str | None) -> Path | None:
-    if path is None:
-        return None
-    out = Path(path)
-    base = os.environ.get("TRAINLOAD_OUT_DIR")
-    if base and not out.is_absolute():
-        out = Path(base) / out
-    return out
-
-
 def _write_text(path: Path, content: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(content, encoding="utf-8")
@@ -80,15 +67,14 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     )
     instance = generate_instance(spec)
     content = serialize_instance(instance)
-    out = _resolve_out(args.out)
 
-    if out is None:
+    if args.out is None:
         sys.stdout.write(content)
         return 0
 
-    _write_text(out, content)
+    _write_text(args.out, content)
     summary = {
-        "path": str(out),
+        "path": str(args.out),
         "containers": len(instance.containers),
         "container_teu": instance.total_container_teu,
         "stacks": len(instance.yard.stacks),
@@ -102,7 +88,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         _print_json(summary)
     else:
         print(
-            f"wrote {out}: {summary['containers']} containers "
+            f"wrote {args.out}: {summary['containers']} containers "
             f"({summary['container_teu']} TEU) in {summary['stacks']} stacks, "
             f"{summary['wagons']} wagons / {summary['slots']} slots "
             f"({summary['slot_teu']} TEU), train cap {summary['train_max_weight']} kg"
@@ -128,12 +114,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     result = annealing.solve_many(instance, params, args.runs)
     report = result.best_report
 
-    out = _resolve_out(args.out)
-    if out is not None:
-        _write_text(out, serialize_solution(result.best_solution))
-    trace_out = _resolve_out(args.trace)
-    if trace_out is not None:
-        _write_text(trace_out, annealing.trace_csv(result.trace))
+    if args.out is not None:
+        _write_text(args.out, serialize_solution(result.best_solution))
+    if args.trace is not None:
+        _write_text(args.trace, annealing.trace_csv(result.trace))
 
     if args.json:
         payload = report.to_dict()
@@ -145,8 +129,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 "time_s": round(result.wall_time, 3),
             }
         )
-        if out is not None:
-            payload["solution_path"] = str(out)
+        if args.out is not None:
+            payload["solution_path"] = str(args.out)
         _print_json(payload)
     else:
         header = f"{'objective':>10} {'rehandles':>10} {'slot%':>7} {'teu%':>7} {'value%':>7} {'time_s':>8}"
@@ -157,8 +141,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         )
         print(header)
         print(row)
-        if out is not None:
-            print(f"wrote {out}")
+        if args.out is not None:
+            print(f"wrote {args.out}")
     return 0
 
 
@@ -172,10 +156,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     solution = load_solution_file(args.solution)
     report = evaluate(instance, solution)
 
-    events_out = _resolve_out(args.events)
-    if events_out is not None and report.feasible:
+    if args.events is not None and report.feasible:
         sim = simulate_loading(instance, solution)
-        _write_text(events_out, event_log_jsonl(sim.events))
+        _write_text(args.events, event_log_jsonl(sim.events))
 
     if args.json:
         _print_json(report.to_dict())
@@ -190,8 +173,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             print(f"value loaded: {report.value_loaded} ({report.value_pct:.1f}%)")
             print(f"slot utilization: {report.slot_utilization_pct:.1f}%")
             print(f"teu utilization: {report.teu_utilization_pct:.1f}%")
-            if events_out is not None:
-                print(f"wrote {events_out}")
+            if args.events is not None:
+                print(f"wrote {args.events}")
     return 0 if report.feasible else 1
 
 
@@ -201,8 +184,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _qubo_size(instance: Instance) -> dict | None:
-    """Size and coefficient range of the default QUBO export (``weight_unit``
-    100, default penalty); ``None`` when the instance has no such model."""
+    """Size and coefficient range of the default QUBO export
+    (:data:`~trainload.qubo.DEFAULT_WEIGHT_UNIT`, default penalty); ``None``
+    when the instance has no such model."""
     from . import qubo
 
     try:
@@ -219,7 +203,7 @@ def _qubo_size(instance: Instance) -> dict | None:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    from . import model_stats
+    from . import model_stats, qubo
 
     instance = load_instance_file(args.instance)
     cmp = model_stats.compare(instance)
@@ -229,7 +213,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     else:
         print(model_stats.comparison_markdown(cmp), end="")
         if size is None:
-            print("qubo: no model at weight_unit 100")
+            print(f"qubo: no model at weight_unit {qubo.DEFAULT_WEIGHT_UNIT}")
         else:
             print(
                 f"qubo: {size['variables']} variables, {size['terms']} terms, "
@@ -247,11 +231,9 @@ def _cmd_qubo(args: argparse.Namespace) -> int:
     from . import qubo
 
     instance = load_instance_file(args.instance)
-    model, varmap = qubo.build_qubo(
-        instance, penalty=args.penalty, weight_unit=args.weight_unit
-    )
+    weight_unit = qubo.DEFAULT_WEIGHT_UNIT if args.weight_unit is None else args.weight_unit
+    model, varmap = qubo.build_qubo(instance, penalty=args.penalty, weight_unit=weight_unit)
     content = qubo.export_qubo(model, varmap, fmt=args.format)
-    out = _resolve_out(args.out)
 
     if args.check:
         from . import oracle
@@ -276,15 +258,15 @@ def _cmd_qubo(args: argparse.Namespace) -> int:
         if mismatches:
             return 1
 
-    if out is None:
+    if args.out is None:
         if not args.check:
             sys.stdout.write(content)
     else:
-        _write_text(out, content)
+        _write_text(args.out, content)
         if args.json:
             _print_json(
                 {
-                    "path": str(out),
+                    "path": str(args.out),
                     "n": model.n,
                     "terms": len(model.coefficients),
                     "offset": model.offset,
@@ -293,7 +275,7 @@ def _cmd_qubo(args: argparse.Namespace) -> int:
             )
         else:
             print(
-                f"wrote {out}: {model.n} variables, {len(model.coefficients)} terms, "
+                f"wrote {args.out}: {model.n} variables, {len(model.coefficients)} terms, "
                 f"offset {model.offset}"
             )
     return 0
@@ -311,9 +293,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     limit = oracle.DEFAULT_BUDGET if args.limit is None else args.limit
     result = oracle.enumerate_optima(instance, limit=limit)
 
-    out = _resolve_out(args.out)
-    if out is not None:
-        _write_text(out, serialize_solution(result.optimal_solutions[0]))
+    if args.out is not None:
+        _write_text(args.out, serialize_solution(result.optimal_solutions[0]))
 
     if args.json:
         payload = oracle.oracle_report_dict(result)
@@ -323,8 +304,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         print(f"optimum (shifted): {result.optimum}")
         print(f"feasible solutions: {result.enumerated}")
         print(f"optimal solutions: {len(result.optimal_solutions)}")
-        if out is not None:
-            print(f"wrote {out}")
+        if args.out is not None:
+            print(f"wrote {args.out}")
     return 0
 
 
@@ -347,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-teu", type=int, required=True, help="total train slot TEU")
     p.add_argument("--total-teu", type=int, required=True, help="total container TEU")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--out", help="write instance JSON here (default: stdout)")
+    p.add_argument("-o", "--out", type=Path, help="write instance JSON here (default: stdout)")
     p.add_argument("--json", action="store_true", help="machine-readable summary")
     p.set_defaults(func=_cmd_gen)
 
@@ -359,15 +340,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-final", type=float)
     p.add_argument("--cooling", dest="cooling_rate", type=float)
     p.add_argument("--iters", dest="iters_per_level", type=int, help="iterations per level")
-    p.add_argument("-o", "--out", help="write best solution JSON here")
-    p.add_argument("--trace", help="write per-level CSV trace here")
+    p.add_argument("-o", "--out", type=Path, help="write best solution JSON here")
+    p.add_argument("--trace", type=Path, help="write per-level CSV trace here")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("eval", help="score a solution file")
     p.add_argument("instance")
     p.add_argument("solution")
-    p.add_argument("--events", help="write crane event log (JSONL) here")
+    p.add_argument("--events", type=Path, help="write crane event log (JSONL) here")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_eval)
 
@@ -378,9 +359,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("qubo", help="export the quadratic binary model")
     p.add_argument("instance")
-    p.add_argument("-o", "--out", help="write the export here (default: stdout)")
+    p.add_argument("-o", "--out", type=Path, help="write the export here (default: stdout)")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--weight-unit", type=int, default=100, help="mass step in kg")
+    p.add_argument(
+        "--weight-unit", type=int, help="mass step in kg (default: qubo.DEFAULT_WEIGHT_UNIT)"
+    )
     p.add_argument("--penalty", type=int, default=None, help="uniform penalty weight")
     p.add_argument(
         "--check",
@@ -393,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exact optimum by enumeration")
     p.add_argument("instance")
     p.add_argument("--limit", type=int, help="search-space budget (default: oracle.DEFAULT_BUDGET)")
-    p.add_argument("-o", "--out", help="write one optimal solution JSON here")
+    p.add_argument("-o", "--out", type=Path, help="write one optimal solution JSON here")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_oracle)
 

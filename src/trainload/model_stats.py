@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 
-from .instance import Instance, derive_blocking_pairs
+from .instance import Instance
 
 
 class _Counts:
@@ -117,7 +117,7 @@ def count_model_a(instance: Instance) -> ModelStats:
         model="A",
         variables=replace(b.variables, rehandle=len(instance.containers) * wagons),
         constraints=replace(
-            b.constraints, rehandle_link=len(derive_blocking_pairs(instance)) * wagons
+            b.constraints, rehandle_link=sum(map(len, instance.above)) * wagons
         ),
     )
 

@@ -58,7 +58,11 @@ from .evaluation import (
     check_feasibility,
     InfeasibleSolutionError,
 )
-from .instance import DocumentReader, Instance, derive_blocking_pairs
+from .instance import DocumentReader, Instance
+
+# Mass step in kg of a model built without an explicit ``weight_unit``.
+DEFAULT_WEIGHT_UNIT = 100
+
 
 class SlackWidthError(ValueError):
     """A slack register would need more than 32 bits at this weight_unit."""
@@ -143,7 +147,7 @@ class QuboModel:
 def default_penalty(instance: Instance) -> int:
     """One more than the largest objective spread a feasible state can see."""
     return (
-        instance.rehandle_unit_cost * len(derive_blocking_pairs(instance))
+        instance.rehandle_unit_cost * sum(map(len, instance.above))
         + instance.total_value
         + 1
     )
@@ -288,7 +292,7 @@ def build_qubo(
     instance: Instance,
     *,
     penalty: int | None = None,
-    weight_unit: int = 100,
+    weight_unit: int = DEFAULT_WEIGHT_UNIT,
 ) -> tuple[QuboModel, VariableMap]:
     """Assemble the QUBO for an instance.
 

@@ -300,11 +300,25 @@ def test_planned_levels_match_the_trace(pair_instance, params):
 
 
 def test_solve_runs_the_planned_levels_where_t_final_is_a_power(pair_instance):
-    # 10 * 0.5 is exactly 5, so cooling by repeated multiplication would stop
-    # after one level; the closed form rounds to two, and solve runs those.
+    # 10 * 0.5 is exactly 5, so the second level would run at t_final itself;
+    # the closed form rounds to two levels here.
     params = SaParams(t_initial=10.0, t_final=5.0, cooling_rate=0.5, iters_per_level=1)
     assert level_count(params) == 1
-    assert params.planned_levels == len(solve(pair_instance, params).trace) == 2
+    assert params.planned_levels == len(solve(pair_instance, params).trace) == 1
+
+
+@pytest.mark.parametrize("t_initial", [1.0, 10.0, 1000.0, 0.37, 2.5e6])
+def test_planned_levels_count_the_temperatures_above_t_final(t_initial):
+    """Schedules whose t_final is an exact power of the cooling rate, where
+    the closed form and repeated multiplication can disagree."""
+    for rate in [r / 100 for r in range(30, 96)]:
+        for k in range(1, 60):
+            t_final = t_initial * rate**k
+            params = SaParams(t_initial=t_initial, t_final=t_final, cooling_rate=rate)
+            temperatures = [t_initial]
+            for _ in range(params.planned_levels):
+                temperatures.append(temperatures[-1] * rate)
+            assert min(temperatures[:-1]) > t_final >= temperatures[-1], (rate, k)
 
 
 def test_solve_is_deterministic(pair_instance):

@@ -80,12 +80,30 @@ def test_gen_rejects_impossible_shapes(capsys):
     assert "error:" in stderr
 
 
-def test_out_dir_resolves_relative_paths(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("TRAINLOAD_OUT_DIR", str(tmp_path))
-    code, stdout, _ = run(capsys, *GEN_ARGS, "-o", "nested/inst.json")
-    assert code == 0
-    assert (tmp_path / "nested" / "inst.json").exists()
-    assert str(tmp_path) in stdout
+SHORT_SCHEDULE = ("--t-initial", "10", "--t-final", "1", "--cooling", "0.5", "--iters", "5")
+
+
+@pytest.mark.parametrize(
+    "argv, flag, summary",
+    [
+        (GEN_ARGS, "-o", True),
+        (["solve", "inst.json", *SHORT_SCHEDULE], "-o", True),
+        (["solve", "inst.json", *SHORT_SCHEDULE], "--trace", False),
+        (["eval", "inst.json", "sol.json"], "--events", True),
+        (["qubo", "inst.json"], "-o", True),
+        (["oracle", "inst.json"], "-o", True),
+    ],
+    ids=["gen-o", "solve-o", "solve-trace", "eval-events", "qubo-o", "oracle-o"],
+)
+def test_output_paths_are_taken_as_given(
+    tmp_path, capsys, monkeypatch, instance_path, argv, flag, summary
+):
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "solve", "inst.json", *SHORT_SCHEDULE, "-o", "sol.json")[0] == 0
+    code, stdout, stderr = run(capsys, *argv, flag, "out/nested/result")
+    assert code == 0, stderr
+    assert (tmp_path / "out" / "nested" / "result").read_text(encoding="utf-8")
+    assert ("wrote out/nested/result" in stdout) == summary
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +538,6 @@ def test_readme_commands_run(tmp_path, capsys, monkeypatch):
     commands = readme_commands()
     assert {argv[0] for argv in commands} == {"gen", "solve", "eval", "stats", "qubo", "oracle"}
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("TRAINLOAD_OUT_DIR", raising=False)
     for argv in commands:
         code, _, stderr = run(capsys, *argv)
         assert code == 0, (argv, stderr)
