@@ -193,12 +193,12 @@ def _qubo_size(instance: Instance) -> dict | None:
         model, _ = qubo.build_qubo(instance)
     except (qubo.EmptyModelError, qubo.SlackWidthError):
         return None
-    magnitudes = [abs(value) for value in model.coefficients.values()]
+    values = model.coefficients.values()
     return {
         "variables": model.n,
-        "terms": len(model.coefficients),
-        "max_abs_coefficient": max(magnitudes),
-        "min_abs_coefficient": min(magnitudes),
+        "terms": len(values),
+        "max_abs_coefficient": max(map(abs, values)),
+        "min_abs_coefficient": min(map(abs, values)),
     }
 
 
@@ -233,7 +233,6 @@ def _cmd_qubo(args: argparse.Namespace) -> int:
     instance = load_instance_file(args.instance)
     weight_unit = qubo.DEFAULT_WEIGHT_UNIT if args.weight_unit is None else args.weight_unit
     model, varmap = qubo.build_qubo(instance, penalty=args.penalty, weight_unit=weight_unit)
-    content = qubo.export_qubo(model, varmap, fmt=args.format)
 
     if args.check:
         from . import oracle
@@ -260,9 +259,9 @@ def _cmd_qubo(args: argparse.Namespace) -> int:
 
     if args.out is None:
         if not args.check:
-            sys.stdout.write(content)
+            sys.stdout.write(qubo.export_qubo(model, varmap, fmt=args.format))
     else:
-        _write_text(args.out, content)
+        _write_text(args.out, qubo.export_qubo(model, varmap, fmt=args.format))
         if args.json:
             _print_json(
                 {

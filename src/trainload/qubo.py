@@ -47,6 +47,7 @@ extreme instances may want a bigger hammer.
 from __future__ import annotations
 
 import json
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, NamedTuple, Sequence
@@ -163,29 +164,20 @@ def _register_coefficients(max_residual: int) -> list[int]:
     return coefficients
 
 
-class _Accumulator:
-    def __init__(self) -> None:
-        self.coefficients: dict[tuple[int, int], int] = {}
-        self.offset = 0
-
-    def add(self, i: int, j: int, value: int) -> None:
-        if value == 0:
-            return
-        key = (i, j) if i <= j else (j, i)
-        self.coefficients[key] = self.coefficients.get(key, 0) + value
-
-    def add_square(
-        self, terms: Sequence[tuple[int, int]], constant: int, weight: int
-    ) -> None:
-        """Accumulate ``weight * (sum(c_k * z_k) + constant)**2``."""
-        self.offset += weight * constant * constant
-        for k, (ik, ck) in enumerate(terms):
-            self.add(ik, ik, weight * (ck * ck + 2 * constant * ck))
-            for il, cl in terms[k + 1 :]:
-                self.add(ik, il, weight * 2 * ck * cl)
-
-    def finish(self) -> dict[tuple[int, int], int]:
-        return {key: v for key, v in sorted(self.coefficients.items()) if v != 0}
+def _add_square(
+    table: list[dict[int, int]], terms: Sequence[tuple[int, int]], constant: int, weight: int
+) -> int:
+    """Add ``weight * (sum(c_k * z_k) + constant)**2`` to the upper-triangular
+    ``table`` (``table[i][j]``, ``i <= j``); return its constant part."""
+    terms = sorted(terms)  # so every pair below is already (low, high)
+    for k, (ik, ck) in enumerate(terms):
+        row = table[ik]
+        get = row.get
+        row[ik] = get(ik, 0) + weight * (ck * ck + 2 * constant * ck)
+        twice = 2 * weight * ck
+        for il, cl in terms[k + 1 :]:
+            row[il] = get(il, 0) + twice * cl
+    return weight * constant * constant
 
 
 class _Row(NamedTuple):
@@ -334,25 +326,28 @@ def build_qubo(
     if not entries:
         raise EmptyModelError("instance yields no binary variables")
 
-    acc = _Accumulator()
+    table: list[dict[int, int]] = [{} for _ in entries]  # table[i][j], i <= j
 
     # Objective: forfeited value plus rehandle shortfall.  A container loaded
     # onto wagon ``wi`` pays for each blocker above it, unless that blocker
     # is loaded onto a wagon at or before ``wi``.
-    acc.offset += instance.total_value
+    offset = instance.total_value
     alpha = instance.rehandle_unit_cost
     for c, own, blockers in zip(instance.containers, placements, instance.above):
         for xi, wi in own:
-            acc.add(xi, xi, alpha * len(blockers) - c.value)
+            xrow = table[xi]
+            xrow[xi] = xrow.get(xi, 0) + alpha * len(blockers) - c.value
             for b in blockers:
                 for xj, wj in placements[b]:
                     if wj <= wi:
-                        acc.add(xi, xj, -alpha)
+                        i, j = (xi, xj) if xi <= xj else (xj, xi)
+                        table[i][j] = table[i].get(j, 0) - alpha
 
     for row in rows:
-        acc.add_square(row.terms + row.register, row.constant, penalty)
+        offset += _add_square(table, row.terms + row.register, row.constant, penalty)
 
-    model = QuboModel(n=len(entries), coefficients=acc.finish(), offset=acc.offset, penalty=penalty)
+    coefficients = {(i, j): v for i, cells in enumerate(table) for j, v in sorted(cells.items()) if v}
+    model = QuboModel(n=len(entries), coefficients=coefficients, offset=offset, penalty=penalty)
     return model, VariableMap(entries=tuple(entries), weight_unit=weight_unit)
 
 
@@ -452,22 +447,22 @@ def export_qubo(model: QuboModel, varmap: VariableMap, fmt: str = "text") -> str
     it is the form with a reader, :func:`parse_qubo_json`.  Both are
     byte-deterministic for a fixed instance and options.
     """
+    if fmt not in ("text", "json"):
+        raise ValueError(f"unknown export format '{fmt}'")
+    keys = sorted(model.coefficients)
+    items = zip(keys, map(model.coefficients.__getitem__, keys))
     if fmt == "text":
-        lines = [f"# qubo n={model.n} offset={model.offset}"]
-        for (i, j), value in sorted(model.coefficients.items()):
-            lines.append(f"{i} {j} {value}")
-        return "\n".join(lines) + "\n"
-    if fmt == "json":
-        doc = {
-            "n": model.n,
-            "offset": model.offset,
-            "terms": [[i, j, value] for (i, j), value in sorted(model.coefficients.items())],
-            "variables": [e.to_dict() for e in varmap.entries],
-            "penalty": model.penalty,
-            "weight_unit": varmap.weight_unit,
-        }
-        return json.dumps(doc, separators=(",", ":")) + "\n"
-    raise ValueError(f"unknown export format '{fmt}'")
+        lines = "".join([f"{i} {j} {value}\n" for (i, j), value in items])
+        return f"# qubo n={model.n} offset={model.offset}\n{lines}"
+    # json.dumps(doc, separators=(",", ":")) of the document with these keys
+    # in this order, the terms written directly.
+    terms = ",".join([f"[{i},{j},{value}]" for (i, j), value in items])
+    variables = json.dumps([e.to_dict() for e in varmap.entries], separators=(",", ":"))
+    return (
+        f'{{"n":{model.n},"offset":{model.offset},"terms":[{terms}],'
+        f'"variables":{variables},"penalty":{model.penalty},'
+        f'"weight_unit":{varmap.weight_unit}}}\n'
+    )
 
 
 _QUBO_KEYS = ("n", "offset", "terms", "variables", "penalty", "weight_unit")
@@ -478,6 +473,24 @@ _VARIABLE_KEYS = {
 }
 _STRING_FIELDS = ("container", "wagon", "constraint")
 _read = DocumentReader(QuboFormatError)
+
+
+def _bad_term(terms: list, n: int) -> QuboFormatError:
+    """The error for the first term that is malformed, out of range for
+    ``n`` variables, or a repeat of an earlier ``(i, j)``."""
+    seen: set[tuple[int, int]] = set()
+    for k, term in enumerate(terms):
+        if type(term) is not list or len(term) != 3:
+            return QuboFormatError(f"terms[{k}]: expected [i, j, value]")
+        i, j, value = term
+        if type(i) is not int or type(j) is not int or type(value) is not int:
+            return QuboFormatError(f"terms[{k}]: expected integers")
+        if not 0 <= i <= j < n:
+            return QuboFormatError(f"terms[{k}]: indices out of range for n={n}")
+        if (i, j) in seen:
+            return QuboFormatError(f"terms[{k}]: duplicate term ({i}, {j})")
+        seen.add((i, j))
+    raise AssertionError("no offending term")
 
 
 def parse_qubo_json(content: bytes | str) -> tuple[QuboModel, VariableMap]:
@@ -511,18 +524,15 @@ def parse_qubo_json(content: bytes | str) -> tuple[QuboModel, VariableMap]:
             (_read.string if key in _STRING_FIELDS else _read.integer)(raw[key], f"{where}.{key}")
         entries.append(QuboVariable(**raw))
 
+    terms = _read.array(doc["terms"], "terms")
     coefficients: dict[tuple[int, int], int] = {}
-    for k, term in enumerate(_read.array(doc["terms"], "terms")):
-        if type(term) is not list or len(term) != 3:
-            raise QuboFormatError(f"terms[{k}]: expected [i, j, value]")
-        i, j, value = term
-        if type(i) is not int or type(j) is not int or type(value) is not int:
-            raise QuboFormatError(f"terms[{k}]: expected integers")
-        if not 0 <= i <= j < n:
-            raise QuboFormatError(f"terms[{k}]: indices out of range for n={n}")
-        coefficients[i, j] = value
-        if len(coefficients) <= k:
-            raise QuboFormatError(f"terms[{k}]: duplicate term ({i}, {j})")
+    with suppress(TypeError, ValueError):  # a term that does not unpack as three
+        for i, j, value in terms:
+            if not (type(i) is type(j) is type(value) is int and 0 <= i <= j < n):
+                break
+            coefficients[i, j] = value
+    if len(coefficients) != len(terms):  # stopped early, or a repeated (i, j)
+        raise _bad_term(terms, n)
 
     model = QuboModel(
         n=n,

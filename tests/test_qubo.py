@@ -17,7 +17,10 @@ from trainload.qubo import (
     EmptyModelError,
     EncodingError,
     QuboFormatError,
+    QuboModel,
+    QuboVariable,
     SlackWidthError,
+    VariableMap,
     _register_coefficients,
     _rows,
     build_qubo,
@@ -52,6 +55,77 @@ def dense_energy(model, bits) -> int:
             if bits[j]:
                 total += model.coefficients.get((i, j), 0)
     return total
+
+
+def naive_expansion(instance, model, varmap) -> tuple[dict, int]:
+    """Independent expansion of the objective and of every row of
+    :func:`_rows`: a plain double loop that normalises each key, the
+    result sorted by key with zeros dropped, plus the offset."""
+    total: dict[tuple[int, int], int] = {}
+
+    def add(i, j, value):
+        key = (min(i, j), max(i, j))
+        total[key] = total.get(key, 0) + value
+
+    alpha = instance.rehandle_unit_cost
+    loads: dict[str, list] = {}
+    for e in varmap.entries:
+        if e.kind == "assignment":
+            loads.setdefault(e.container, []).append(e)
+    position = instance.wagon_position
+    offset = 0
+    for c in instance.containers:
+        offset += c.value
+        for x in loads.get(c.id, []):
+            add(x.index, x.index, -c.value)
+    for pair in derive_blocking_pairs(instance):
+        for x in loads.get(pair.below, []):
+            add(x.index, x.index, alpha)
+            for y in loads.get(pair.above, []):
+                if position[y.wagon] <= position[x.wagon]:
+                    add(x.index, y.index, -alpha)
+
+    penalty = model.penalty
+    for row in _rows(instance, varmap.assignment_index, varmap.config_index, varmap.weight_unit):
+        terms = row.terms + row.register
+        offset += penalty * row.constant * row.constant
+        for i, ci in terms:
+            add(i, i, 2 * penalty * row.constant * ci)
+            for j, cj in terms:
+                add(i, j, penalty * ci * cj)
+    return {key: total[key] for key in sorted(total) if total[key]}, offset
+
+
+def documented_json(model, varmap) -> str:
+    """The JSON export as docs/formats.md documents it, encoded by json.dumps."""
+    doc = {
+        "n": model.n,
+        "offset": model.offset,
+        "terms": [[i, j, value] for (i, j), value in sorted(model.coefficients.items())],
+        "variables": [e.to_dict() for e in varmap.entries],
+        "penalty": model.penalty,
+        "weight_unit": varmap.weight_unit,
+    }
+    return json.dumps(doc, separators=(",", ":")) + "\n"
+
+
+# Instances for the independent pairs below: the two fixtures, the
+# benchmark's 60-container export yard and a few small generated yards.
+PAIR_SHAPES = [
+    "pair_instance",
+    "scan_instance",
+    GenSpec(60, 12, 4, 40, 90, seed=1),
+    GenSpec(6, 1, 3, 2, 9, seed=42),
+    GenSpec(12, 2, 4, 7, 18, seed=1),
+    GenSpec(14, 3, 4, 8, 21, seed=1),
+    GenSpec(4, 2, 2, 3, 6, seed=3),
+]
+
+
+def pair_shape(request, shape):
+    if isinstance(shape, str):
+        return request.getfixturevalue(shape)
+    return generate_instance(shape)
 
 
 def random_bits(rng, n):
@@ -125,6 +199,16 @@ def test_weight_rows_read_lower_registers_when_that_is_shorter(scan_instance):
 
     _, varmap = build_qubo(scan_instance, weight_unit=1)
     assert not reads_registers(scan_instance, varmap)
+
+
+@pytest.mark.parametrize("weight_unit", [1, 100])
+@pytest.mark.parametrize("shape", PAIR_SHAPES, ids=str)
+def test_build_matches_a_naive_expansion_of_the_rows(request, shape, weight_unit):
+    instance = pair_shape(request, shape)
+    model, varmap = build_qubo(instance, weight_unit=weight_unit)
+    coefficients, offset = naive_expansion(instance, model, varmap)
+    assert list(model.coefficients.items()) == list(coefficients.items())
+    assert model.offset == offset
 
 
 def test_coefficients_are_upper_triangular_and_nonzero(pair_instance):
@@ -516,9 +600,48 @@ def test_export_is_deterministic(pair_instance):
     assert export_qubo(a_model, a_map, fmt="json") == export_qubo(b_model, b_map, fmt="json")
 
 
+@pytest.mark.parametrize("weight_unit", [1, 100])
+@pytest.mark.parametrize("shape", PAIR_SHAPES, ids=str)
+def test_json_export_is_the_documented_dict_encoded(request, shape, weight_unit):
+    model, varmap = build_qubo(pair_shape(request, shape), weight_unit=weight_unit)
+    assert export_qubo(model, varmap, fmt="json") == documented_json(model, varmap)
+
+
+@pytest.mark.parametrize(
+    "coefficients",
+    [{}, {(1, 2): -3, (0, 0): 5, (0, 2): 7, (2, 2): -1, (0, 1): 2}],
+    ids=["empty", "out-of-order"],
+)
+def test_exports_of_hand_built_models(coefficients):
+    model = QuboModel(n=3, coefficients=coefficients, offset=-4, penalty=9)
+    varmap = VariableMap(
+        entries=(
+            QuboVariable(0, "assignment", "c0", "w0", 0),
+            QuboVariable(1, "config", wagon="w0", config=0),
+            QuboVariable(2, "slack", constraint="train_weight", bit=0, coefficient=1),
+        ),
+        weight_unit=10,
+    )
+    assert export_qubo(model, varmap, fmt="json") == documented_json(model, varmap)
+    lines = [f"{i} {j} {value}" for (i, j), value in sorted(coefficients.items())]
+    text = "\n".join(["# qubo n=3 offset=-4", *lines]) + "\n"
+    assert export_qubo(model, varmap, fmt="text") == text
+    parsed, parsed_map = parse_qubo_json(export_qubo(model, varmap, fmt="json"))
+    assert parsed == model and parsed_map == varmap
+
+
 def _qubo_doc(pair_instance) -> dict:
     model, varmap = build_qubo(pair_instance, weight_unit=1)
     return json.loads(export_qubo(model, varmap, fmt="json"))
+
+
+def insert_terms(make):
+    """A mutation that inserts ``make(doc)`` after the document's first term."""
+
+    def mutate(doc):
+        doc["terms"][1:1] = make(doc)
+
+    return mutate
 
 
 @pytest.mark.parametrize(
@@ -547,6 +670,30 @@ def _qubo_doc(pair_instance) -> dict:
         (lambda d: d["terms"].append([0, d["n"], 5]), "out of range"),
         (lambda d: d["terms"].append([-1, 0, 5]), "out of range"),
         (lambda d: d["terms"].append(list(d["terms"][0])), r"\]: duplicate term \(0, 0\)"),
+        (lambda d: d.update(terms=[[0, 0, True], *d["terms"][1:]]), r"terms\[0\]: expected integers"),
+        (lambda d: d.update(terms=[[0, 0, 2.0], *d["terms"][1:]]), r"terms\[0\]: expected integers"),
+        (lambda d: d.update(terms=[[0.0, 0.0, 1], *d["terms"][1:]]), r"terms\[0\]: expected integers"),
+        (insert_terms(lambda d: [[True, 1, 5]]), r"terms\[1\]: expected integers"),
+        (insert_terms(lambda d: ["abc"]), r"terms\[1\]: expected \[i, j, value\]"),
+        (insert_terms(lambda d: [7]), r"terms\[1\]: expected \[i, j, value\]"),
+        (insert_terms(lambda d: [{"i": 0, "j": 0, "k": 1}]), r"terms\[1\]: expected \[i, j,"),
+        # With two bad terms, the message names the first.
+        (
+            insert_terms(lambda d: [list(d["terms"][0]), [0, 1]]),
+            r"terms\[1\]: duplicate term \(0, 0\)",
+        ),
+        (
+            insert_terms(lambda d: [[0, 1], list(d["terms"][0])]),
+            r"terms\[1\]: expected \[i, j, value\]",
+        ),
+        (
+            insert_terms(lambda d: [list(d["terms"][0]), [1, 0, 5]]),
+            r"terms\[1\]: duplicate term \(0, 0\)",
+        ),
+        (
+            insert_terms(lambda d: [[1, 0, 5], list(d["terms"][0])]),
+            r"terms\[1\]: indices out of range",
+        ),
     ],
 )
 def test_json_parser_rejects_malformed_input(pair_instance, mutate, fragment):
