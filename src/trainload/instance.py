@@ -293,8 +293,9 @@ class DocumentReader:
     """Strict reading of one JSON file format.
 
     Every problem — bytes that are not UTF-8, text that is not JSON (nesting
-    too deep included), a wrong type, an unknown or missing key — raises the
-    format's ``error`` class with the path of the offending field.
+    too deep included), a key repeated within one object, a wrong type, an
+    unknown or missing key — raises the format's ``error`` class with the
+    path of the offending field.
     """
 
     def __init__(self, error: type[ValueError]):
@@ -308,14 +309,24 @@ class DocumentReader:
             except UnicodeDecodeError as exc:
                 raise self.error(f"not valid UTF-8: {exc}") from exc
         try:
-            doc = json.loads(content)
+            doc = json.loads(content, object_pairs_hook=self._unique_keys)
         except json.JSONDecodeError as exc:
             raise self.error(
                 f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
             ) from exc
-        except (RecursionError, ValueError) as exc:  # too deep; integer too long
+        except (RecursionError, ValueError) as exc:  # too deep; integer too long; repeated key
             raise self.error(f"invalid JSON: {exc}") from exc
         return self.object(doc, "top level", keys)
+
+    def _unique_keys(self, pairs: list[tuple[str, Any]]) -> dict:
+        doc = dict(pairs)
+        if len(doc) < len(pairs):
+            seen: set[str] = set()
+            for key, _ in pairs:
+                if key in seen:
+                    raise self.error(f"repeated key '{key}'")
+                seen.add(key)
+        return doc
 
     def object(self, value: Any, where: str, keys: tuple[str, ...]) -> dict:
         if not isinstance(value, dict):

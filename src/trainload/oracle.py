@@ -2,16 +2,19 @@
 
 Enumerates every feasible (assignment, config) combination and reports the
 exact optimum of the shifted objective together with *all* optimal
-solutions.  Two structurally different enumeration orders are provided —
-slot-major (walk the train, pick an occupant or nothing per slot) and
-container-major (walk the yard, pick a free slot or nothing per container).
-They must visit the same solution set; the test suite cross-checks them.
-That cross-check covers the two walk structures only: both share the
-weight pruning and the config factoring below, so a bug there shows up
-the same way in either order.  The shared steps are guarded instead by a
-test-only unpruned brute force and by golden digests of the output.
+solutions.  Two enumeration orders are provided as two level layouts over
+one depth-first walk: slot-major (one level per slot, which takes one of
+its candidate containers or nothing) and container-major (one level per
+container, which takes one free slot of its length or nothing).  Both
+layouts are read off ``Instance.slot_candidates``; a slot or container
+with no option is no level at all.  The two orders must visit the same
+solution set, and the test suite cross-checks them.  That cross-check
+covers the level layouts only: the walk, the weight pruning and the config
+factoring below are shared steps, so a bug there shows up the same way in
+either order.  The shared steps are guarded instead by a test-only
+unpruned brute force and by golden digests of the output.
 
-Both walks enumerate assignments only and carry running slot, wagon and
+The walk enumerates assignments only and carries running slot, wagon and
 train loads, laid out by the integer tables of :class:`Instance`.  Weights
 are non-negative, so loads only grow as a partial plan is extended: a
 placement that already exceeds the slot's limit under every config of its
@@ -27,7 +30,7 @@ configs only for assignments that tie or beat the best so far.
 
 ``check_feasibility`` and ``shifted_objective`` stay the reference:
 ``enumerate_optima`` re-checks every optimum it returns with them and
-raises if either disagrees, and the test suite compares both walks with an
+raises if either disagrees, and the test suite compares both orders with an
 unpruned brute force over every injective container-to-slot map and every
 config combination, filtered by ``check_feasibility``.
 
@@ -42,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import prod
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .evaluation import (
     Assignment,
@@ -71,8 +74,9 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Exact optimum, every optimal solution (canonical order), the number
-    of feasible solutions visited, and the raw search-space size."""
+    """Exact optimum, every optimal solution (sorted by ``(assignments,
+    configs)``; within each, assignments sorted and configs in train order),
+    the number of feasible solutions visited, and the raw search-space size."""
 
     optimum: int
     optimal_solutions: tuple[Solution, ...]
@@ -89,7 +93,7 @@ def estimate_search_space(instance: Instance) -> int:
 
 class _Loads:
     """Running slot, wagon and train loads of a partial plan, with the
-    weight pruning and the per-wagon config lists both walks share."""
+    weight pruning and the per-wagon config lists both orders share."""
 
     def __init__(self, instance: Instance):
         self.slot_wagon = instance.slot_wagon
@@ -143,62 +147,58 @@ class _Loads:
         return choices
 
 
-# Each walk yields its live partial plan at every leaf, with ``loads``
-# describing that plan until the walk is resumed.
+# A level's options: (container, slot, Assignment) triples.
+_Level = list[tuple[int, int, Assignment]]
 
 
-def _assignments_slot_major(
-    instance: Instance, loads: _Loads
-) -> Iterator[Iterable[Assignment]]:
+def _levels(instance: Instance, order: str) -> list[_Level]:
+    """The walk's levels in ``order``: one per slot in train order, listing
+    its candidates in container order, or one per container, listing its
+    slots in train order.  A level with no option could only stay empty,
+    so it is left out."""
     containers = instance.containers
-    slots = instance.all_slots
-    candidates = instance.slot_candidates
-    used = [False] * len(containers)
+    by_slot = [
+        [(i, j, Assignment(containers[i].id, wid, si)) for i in candidates]
+        for j, ((wid, si, _), candidates) in enumerate(
+            zip(instance.all_slots, instance.slot_candidates)
+        )
+    ]
+    if order == "slot-major":
+        levels = by_slot
+    else:
+        levels = [[] for _ in containers]
+        for options in by_slot:
+            for option in options:
+                levels[option[0]].append(option)
+    return [options for options in levels if options]
+
+
+def _walk(
+    instance: Instance, loads: _Loads, levels: list[_Level]
+) -> Iterator[list[Assignment]]:
+    """Depth first over ``levels``: each is first left empty, then takes
+    each option whose container and slot are free and that ``loads``
+    admits.  Yields the live partial plan at every leaf, with ``loads``
+    describing it until the walk is resumed."""
+    weights = [c.weight for c in instance.containers]
+    used = [False] * len(weights)
+    taken = [False] * instance.total_slots
     acc: list[Assignment] = []
 
-    def rec(p: int) -> Iterator[Iterable[Assignment]]:
-        if p == len(slots):
+    def rec(p: int) -> Iterator[list[Assignment]]:
+        if p == len(levels):
             yield acc
             return
         yield from rec(p + 1)
-        wid, si, _ = slots[p]
-        for i in candidates[p]:
-            c = containers[i]
-            if not used[i] and loads.fits(p, c.weight):
-                used[i] = True
-                acc.append(Assignment(c.id, wid, si))
-                loads.add(p, c.weight)
+        for i, j, assignment in levels[p]:
+            if not used[i] and not taken[j] and loads.fits(j, weights[i]):
+                used[i] = taken[j] = True
+                acc.append(assignment)
+                loads.add(j, weights[i])
                 yield from rec(p + 1)
-                loads.add(p, -c.weight)
+                loads.add(j, -weights[i])
                 acc.pop()
-                used[i] = False
-
-    return rec(0)
-
-
-def _assignments_container_major(
-    instance: Instance, loads: _Loads
-) -> Iterator[Iterable[Assignment]]:
-    containers = instance.containers
-    slots = list(instance.all_slots)
-    free = [True] * len(slots)
-    acc: dict[str, Assignment] = {}
-
-    def rec(i: int) -> Iterator[Iterable[Assignment]]:
-        if i == len(containers):
-            yield acc.values()
-            return
-        c = containers[i]
-        yield from rec(i + 1)
-        for j, (wid, si, length) in enumerate(slots):
-            if free[j] and length == c.length and loads.fits(j, c.weight):
-                free[j] = False
-                acc[c.id] = Assignment(c.id, wid, si)
-                loads.add(j, c.weight)
-                yield from rec(i + 1)
-                loads.add(j, -c.weight)
-                del acc[c.id]
-                free[j] = True
+                used[i] = taken[j] = False
 
     return rec(0)
 
@@ -217,12 +217,7 @@ def _feasible_assignments(
     if estimate > limit:
         raise BudgetExceededError(estimate, limit)
     loads = _Loads(instance)
-    walk = (
-        _assignments_slot_major(instance, loads)
-        if order == "slot-major"
-        else _assignments_container_major(instance, loads)
-    )
-    for assignments in walk:
+    for assignments in _walk(instance, loads, _levels(instance, order)):
         choices = loads.config_choices()
         if choices is not None:
             yield tuple(sorted(assignments)), choices
@@ -239,8 +234,9 @@ def _solutions(
 def iter_feasible_solutions(
     instance: Instance, order: str = "slot-major", limit: int = DEFAULT_BUDGET
 ) -> Iterator[Solution]:
-    """Yield every feasible solution exactly once (canonically sorted
-    entries within each solution; overall yield order depends on ``order``).
+    """Yield every feasible solution exactly once (within each solution,
+    assignments sorted and configs in train order; overall yield order
+    depends on ``order``).
 
     Raises :class:`BudgetExceededError` on the first draw, before any work,
     if the raw search space is larger than ``limit``, and :class:`ValueError`

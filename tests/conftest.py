@@ -4,6 +4,7 @@ instance/solution samplers used by the equivalence and identity suites."""
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -63,6 +64,31 @@ def make_instance(
         ),
         train_max_weight=train_max_weight,
         rehandle_unit_cost=alpha,
+    )
+
+
+def coarsened(instance: Instance, unit: int = 1000) -> Instance:
+    """``instance`` with every weight and limit rounded down to a multiple
+    of ``unit``: loads often meet their limits exactly, and a QUBO built at
+    that unit encodes it exactly."""
+
+    def down(kg: int) -> int:
+        return kg // unit * unit
+
+    return replace(
+        instance,
+        containers=tuple(replace(c, weight=down(c.weight)) for c in instance.containers),
+        wagons=tuple(
+            replace(
+                w,
+                max_weight=down(w.max_weight),
+                configs=tuple(
+                    WeightConfig(tuple(map(down, cfg.per_slot_max))) for cfg in w.configs
+                ),
+            )
+            for w in instance.wagons
+        ),
+        train_max_weight=down(instance.train_max_weight),
     )
 
 

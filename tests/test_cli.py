@@ -465,6 +465,24 @@ def test_oracle_json(capsys, instance_path):
     assert payload["search_space"] >= payload["count_feasible"]
 
 
+
+def test_a_long_train_of_empty_slots_does_not_overflow_the_stack(tmp_path, capsys):
+    # 1,500 forty-foot slots and no container: raw search space 2.
+    path = tmp_path / "long.json"
+    code, _, _ = run(
+        capsys, "gen", "--containers", "0", "--wagons", "1", "--tiers", "1",
+        "--train-teu", "3000", "--total-teu", "0", "-o", str(path),
+    )
+    assert code == 0
+    code, stdout, stderr = run(capsys, "oracle", str(path), "--json")
+    assert (code, stderr) == (0, "")
+    payload = json.loads(stdout)
+    assert payload["optimum"] == 0 and payload["count_feasible"] == 2
+    code, stdout, stderr = run(capsys, "qubo", str(path), "--check")
+    assert (code, stderr) == (0, "")
+    assert stdout == "check ok: 2 feasible solutions, 0 mismatches\n"
+
+
 # ---------------------------------------------------------------------------
 # determinism and usage
 # ---------------------------------------------------------------------------

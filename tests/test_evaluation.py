@@ -482,6 +482,15 @@ def test_solution_schema_violations_rejected(doc, fragment):
         load_solution(json.dumps(doc))
 
 
+def test_solution_with_a_repeated_key_is_rejected():
+    text = (
+        '{"assignments": [{"container": "a", "wagon": "w0", "slot": 0}],'
+        ' "assignments": [], "configs": []}'
+    )
+    with pytest.raises(SolutionFormatError, match="repeated key 'assignments'"):
+        load_solution(text)
+
+
 @given(data=st.data())
 @settings(max_examples=60)
 def test_solution_round_trip_property(data):

@@ -118,6 +118,14 @@ def test_invalid_json_reports_position():
         load_instance("{nope")
 
 
+def test_repeated_keys_are_rejected():
+    text = json.dumps(minimal_doc())
+    with pytest.raises(InstanceFormatError, match="repeated key 'alpha'"):
+        load_instance(text[:-1] + ', "alpha": 5}')
+    with pytest.raises(InstanceFormatError, match="repeated key 'weight'"):
+        load_instance(text.replace('"weight": ', '"weight": 1, "weight": ', 1))
+
+
 def test_config_arity_must_match_slot_count():
     doc = minimal_doc()
     doc["wagons"][0]["configs"] = [[3000, 1000]]

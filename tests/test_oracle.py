@@ -1,11 +1,10 @@
 import itertools
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
-from conftest import TWENTY, make_instance, random_instance
+from conftest import TWENTY, coarsened, make_instance, random_instance
 from trainload import oracle
 from trainload.evaluation import (
     Assignment,
@@ -15,7 +14,7 @@ from trainload.evaluation import (
     evaluate,
     shifted_objective,
 )
-from trainload.instance import GenSpec, WeightConfig, generate_instance
+from trainload.instance import GenSpec, generate_instance
 from trainload.oracle import (
     BudgetExceededError,
     enumerate_optima,
@@ -153,30 +152,6 @@ def reference_feasible_solutions(instance) -> Counter:
     return found
 
 
-def coarsened(instance, step=1000):
-    """The instance with every weight and limit rounded down to a multiple of
-    ``step``, so that loads often meet their limits exactly."""
-
-    def down(x):
-        return x - x % step
-
-    return replace(
-        instance,
-        containers=tuple(replace(c, weight=down(c.weight)) for c in instance.containers),
-        wagons=tuple(
-            replace(
-                w,
-                max_weight=down(w.max_weight),
-                configs=tuple(
-                    WeightConfig(tuple(down(x) for x in cfg.per_slot_max)) for cfg in w.configs
-                ),
-            )
-            for w in instance.wagons
-        ),
-        train_max_weight=down(instance.train_max_weight),
-    )
-
-
 def test_pruned_factored_enumeration_matches_the_reference():
     rng = random.Random(5150)
     draws = [random_instance(rng, max_containers=5, max_wagons=2) for _ in range(200)]
@@ -280,6 +255,17 @@ def test_report_dict_shape(pair_instance):
     )
     payload = oracle_report_dict(enumerate_optima(reversed_ids))
     assert [c["wagon"] for c in payload["optima"][0]["configs"]] == ["wb", "wa"]
+
+
+def test_slots_no_container_can_take_add_no_recursion_depth():
+    # The instance of `trainload gen --containers 0 --wagons 1 --tiers 1
+    # --train-teu 3000 --total-teu 0`: 1,500 empty forty-foot slots.
+    instance = generate_instance(GenSpec(0, 1, 1, 3000, 0))
+    assert instance.total_slots == 1500 and estimate_search_space(instance) == 2
+    assert list(iter_feasible_solutions(instance, order="slot-major")) == [
+        Solution((), (ConfigChoice("w0", 0),)),
+        Solution((), (ConfigChoice("w0", 1),)),
+    ]
 
 
 def test_rejects_unknown_order(pair_instance):

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 
@@ -6,12 +5,13 @@ import pytest
 
 from conftest import (
     TWENTY,
+    coarsened,
     make_instance,
     random_feasible_solution,
     random_instance,
 )
 from trainload.evaluation import InfeasibleSolutionError, Solution, evaluate
-from trainload.instance import GenSpec, WeightConfig, derive_blocking_pairs, generate_instance
+from trainload.instance import GenSpec, derive_blocking_pairs, generate_instance
 from trainload.oracle import enumerate_optima, iter_feasible_solutions
 from trainload.qubo import (
     EmptyModelError,
@@ -457,29 +457,6 @@ def ground_states(model) -> tuple[int, list[list[int]]]:
     return best, [[(s >> i) & 1 for i in range(n)] for s in argmin]
 
 
-def coarse_instance(instance, unit=1000):
-    """``instance`` with every weight and limit rounded down to a multiple
-    of ``unit``, so a QUBO built at that unit encodes it exactly."""
-    down = lambda kg: kg // unit * unit  # noqa: E731
-    return dataclasses.replace(
-        instance,
-        containers=tuple(
-            dataclasses.replace(c, weight=down(c.weight)) for c in instance.containers
-        ),
-        wagons=tuple(
-            dataclasses.replace(
-                w,
-                max_weight=down(w.max_weight),
-                configs=tuple(
-                    WeightConfig(tuple(map(down, cfg.per_slot_max))) for cfg in w.configs
-                ),
-            )
-            for w in instance.wagons
-        ),
-        train_max_weight=down(instance.train_max_weight),
-    )
-
-
 def assert_ground_states_are_the_optima(instance, model, varmap, truth):
     best, argmin = ground_states(model)
     assert best == truth.optimum + instance.total_value
@@ -508,7 +485,7 @@ def test_minimum_energy_states_are_exactly_the_optima(scan_instance):
     rng = random.Random(6_000)
     plain = rich = rehandled = sparse = 0
     while rich < 60 or sparse < 10:
-        instance = coarse_instance(random_instance(rng))
+        instance = coarsened(random_instance(rng))
         model, varmap = build_qubo(instance, weight_unit=1000)
         if model.n > 16:
             continue
@@ -707,6 +684,13 @@ def test_json_parser_rejects_malformed_input(pair_instance, mutate, fragment):
 def test_json_parser_rejects_non_documents(content):
     with pytest.raises(QuboFormatError):
         parse_qubo_json(content)
+
+
+def test_json_parser_rejects_repeated_keys(pair_instance):
+    model, varmap = build_qubo(pair_instance)
+    text = export_qubo(model, varmap, fmt="json")
+    with pytest.raises(QuboFormatError, match="repeated key 'offset'"):
+        parse_qubo_json(text.rstrip()[:-1] + ', "offset": 0}')
 
 
 def test_unknown_export_format(pair_instance):
