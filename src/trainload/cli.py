@@ -191,9 +191,9 @@ def _qubo_size(instance: Instance) -> dict | None:
 
     try:
         model, _ = qubo.build_qubo(instance)
-    except (qubo.EmptyModelError, qubo.SlackWidthError):
+    except (qubo.EmptyModelError, qubo.SlackWidthError, qubo.CoefficientRangeError):
         return None
-    values = model.coefficients.values()
+    values = model.values
     return {
         "variables": model.n,
         "terms": len(values),
@@ -267,14 +267,14 @@ def _cmd_qubo(args: argparse.Namespace) -> int:
                 {
                     "path": str(args.out),
                     "n": model.n,
-                    "terms": len(model.coefficients),
+                    "terms": len(model.values),
                     "offset": model.offset,
                     "weight_unit": varmap.weight_unit,
                 }
             )
         else:
             print(
-                f"wrote {args.out}: {model.n} variables, {len(model.coefficients)} terms, "
+                f"wrote {args.out}: {model.n} variables, {len(model.values)} terms, "
                 f"offset {model.offset}"
             )
     return 0

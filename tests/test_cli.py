@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import DATA_DIR, make_instance
+from conftest import DATA_DIR, TWENTY, make_instance
 from trainload import annealing, qubo
 from trainload.cli import main
 from trainload.evaluation import load_solution_file, serialize_solution, Solution
@@ -345,6 +345,28 @@ def test_stats_without_a_qubo_model(tmp_path, capsys):
     assert code == 0 and json.loads(stdout)["qubo"] is None
     code, stdout, _ = run(capsys, "stats", str(path))
     assert code == 0 and "qubo: no model at weight_unit 100" in stdout
+
+
+def test_stats_without_a_qubo_model_that_fits_in_64_bits(tmp_path, capsys):
+    # A value of 1e18 makes the default penalty about 1e18, and the weight
+    # rows multiply it past signed 64 bits.
+    path = tmp_path / "rich.json"
+    instance = make_instance(
+        [("a", TWENTY, 1000, 10**18)], [("a",)], [("w0", (TWENTY,), ((2000,),), 2000)],
+        train_max_weight=2000,
+    )
+    path.write_text(serialize_instance(instance))
+    code, stdout, _ = run(capsys, "stats", str(path), "--json")
+    assert code == 0 and json.loads(stdout)["qubo"] is None
+    code, stdout, _ = run(capsys, "stats", str(path))
+    assert code == 0 and "qubo: no model at weight_unit 100" in stdout
+
+
+def test_qubo_penalty_beyond_64_bits_is_a_usage_error(capsys, instance_path):
+    code, stdout, stderr = run(capsys, "qubo", str(instance_path), "--penalty", "100000000000000000000")
+    assert code == 2 and stdout == ""
+    assert len(stderr.splitlines()) == 1
+    assert stderr.startswith("error: term (") and "smaller penalty" in stderr
 
 
 def test_qubo_stdout_is_parseable(capsys, instance_path):

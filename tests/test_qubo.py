@@ -14,6 +14,7 @@ from trainload.evaluation import InfeasibleSolutionError, Solution, evaluate
 from trainload.instance import GenSpec, derive_blocking_pairs, generate_instance
 from trainload.oracle import enumerate_optima, iter_feasible_solutions
 from trainload.qubo import (
+    CoefficientRangeError,
     EmptyModelError,
     EncodingError,
     QuboFormatError,
@@ -270,6 +271,48 @@ def test_bit_flip_matches_local_field(pair_instance):
         assert delta == (field if flipped[i] else -field)
 
 
+@pytest.mark.parametrize("density", [0.1, 0.5, 1.0])
+@pytest.mark.parametrize(
+    "spec",
+    [GenSpec(60, 12, 4, 40, 90, seed=1), GenSpec(12, 2, 4, 7, 18, seed=1), GenSpec(4, 2, 2, 3, 6, seed=3)],
+    ids=str,
+)
+def test_row_walk_energy_matches_a_sum_over_every_term(spec, density):
+    """energy_of walks only the rows whose bit is set; a plain sum over
+    every stored term must agree on seeded random vectors."""
+    model, _ = build_qubo(generate_instance(spec))
+    rng = random.Random(f"{spec}-{density}")
+    for _ in range(5):
+        bits = [int(rng.random() < density) for _ in range(model.n)]
+        naive = model.offset + sum(
+            value for (i, j), value in model.coefficients.items() if bits[i] and bits[j]
+        )
+        assert energy_of(model, bits) == naive
+
+
+def test_coefficient_view_reads_the_rows():
+    instance = generate_instance(GenSpec(12, 2, 4, 7, 18, seed=1))
+    model, varmap = build_qubo(instance)
+    view = model.coefficients
+    terms = json.loads(export_qubo(model, varmap, fmt="json"))["terms"]
+    assert len(view) == len(terms) == len(model.values) == model.starts[-1]
+    keys = list(view)
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert view == {(i, j): value for i, j, value in terms}
+    assert list(view.values()) == [value for _, _, value in terms]
+    assert list(view.items()) == [((i, j), value) for i, j, value in terms]
+    for i, j in keys:
+        assert view[i, j] == view.get((i, j))
+        if i < j:
+            assert (j, i) not in view
+    n = model.n
+    for key in [(-1, 0), (0, -1), (n, n), (0, n), (n - 1, n), "ab", (0,), None]:
+        assert key not in view
+        assert view.get(key, "absent") == "absent"
+    with pytest.raises(KeyError):
+        view[n, n]
+
+
 # ---------------------------------------------------------------------------
 # Encoding
 # ---------------------------------------------------------------------------
@@ -401,6 +444,13 @@ def test_wide_slack_registers_are_refused():
     # A coarser unit shrinks the register below the cap.
     model, _ = build_qubo(instance, weight_unit=10**6)
     assert model.n > 0
+
+
+def test_coefficients_beyond_signed_64_bits_are_refused(pair_instance):
+    with pytest.raises(CoefficientRangeError, match=r"term \(\d+, \d+\).*smaller penalty"):
+        build_qubo(pair_instance, penalty=10**20)
+    with pytest.raises(ValueError, match="does not fit in signed 64 bits"):
+        build_qubo(pair_instance, penalty=2**62, weight_unit=1)
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +640,7 @@ def test_json_export_is_the_documented_dict_encoded(request, shape, weight_unit)
     ids=["empty", "out-of-order"],
 )
 def test_exports_of_hand_built_models(coefficients):
-    model = QuboModel(n=3, coefficients=coefficients, offset=-4, penalty=9)
+    model = QuboModel.from_terms(3, [(i, j, v) for (i, j), v in coefficients.items()], -4, 9)
     varmap = VariableMap(
         entries=(
             QuboVariable(0, "assignment", "c0", "w0", 0),
@@ -650,6 +700,15 @@ def insert_terms(make):
         (lambda d: d.update(terms=[[0, 0, True], *d["terms"][1:]]), r"terms\[0\]: expected integers"),
         (lambda d: d.update(terms=[[0, 0, 2.0], *d["terms"][1:]]), r"terms\[0\]: expected integers"),
         (lambda d: d.update(terms=[[0.0, 0.0, 1], *d["terms"][1:]]), r"terms\[0\]: expected integers"),
+        (
+            lambda d: d.update(terms=[[0, 0, 2**63], *d["terms"][1:]]),
+            r"terms\[0\]: value 9223372036854775808 does not fit in signed 64 bits",
+        ),
+        (insert_terms(lambda d: [[0, 1, -(2**63) - 1]]), r"terms\[1\]: value -9223372036854775809 does"),
+        (
+            insert_terms(lambda d: [[0, 1, 2**64], list(d["terms"][0])]),
+            r"terms\[1\]: value 18446744073709551616 does not fit",
+        ),
         (insert_terms(lambda d: [[True, 1, 5]]), r"terms\[1\]: expected integers"),
         (insert_terms(lambda d: ["abc"]), r"terms\[1\]: expected \[i, j, value\]"),
         (insert_terms(lambda d: [7]), r"terms\[1\]: expected \[i, j, value\]"),
@@ -678,6 +737,25 @@ def test_json_parser_rejects_malformed_input(pair_instance, mutate, fragment):
     mutate(doc)
     with pytest.raises(QuboFormatError, match=fragment):
         parse_qubo_json(json.dumps(doc))
+
+
+def test_json_terms_parse_in_any_order(pair_instance):
+    """Terms may come in any order; zero values are dropped on reading, and
+    values at either end of signed 64 bits are kept."""
+    model, varmap = build_qubo(pair_instance, weight_unit=1)
+    doc = json.loads(export_qubo(model, varmap, fmt="json"))
+    random.Random(3).shuffle(doc["terms"])
+    assert parse_qubo_json(json.dumps(doc))[0] == model
+
+    n = model.n
+    absent = next((i, j) for i in range(n) for j in range(i, n) if (i, j) not in model.coefficients)
+    doc["terms"] += [[*absent, 0]]
+    doc["terms"].reverse()
+    assert parse_qubo_json(json.dumps(doc))[0] == model
+
+    doc["terms"] = [[0, 0, 2**63 - 1], [0, 1, 0], [1, 1, -(2**63)]]
+    parsed, _ = parse_qubo_json(json.dumps(doc))
+    assert list(parsed.terms()) == [(0, 0, 2**63 - 1), (1, 1, -(2**63))]
 
 
 @pytest.mark.parametrize("content", ["{nope", b"\xff", "[" * 200_000, "[]"])
