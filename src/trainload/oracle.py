@@ -6,27 +6,32 @@ solutions.  Two enumeration orders are provided as two level layouts over
 one depth-first walk: slot-major (one level per slot, which takes one of
 its candidate containers or nothing) and container-major (one level per
 container, which takes one free slot of its length or nothing).  Both
-layouts are read off ``Instance.slot_candidates``; a slot or container
-with no option is no level at all.  The two orders must visit the same
-solution set, and the test suite cross-checks them.  That cross-check
-covers the level layouts only: the walk, the weight pruning and the config
-factoring below are shared steps, so a bug there shows up the same way in
-either order.  The shared steps are guarded instead by a test-only
-unpruned brute force and by golden digests of the output.
+layouts are read off ``Instance.slot_candidates``.  The two orders must
+visit the same solution set, and the test suite cross-checks them.  That
+cross-check covers the level layouts only: the walk, the weight pruning
+and the config factoring below are shared steps, so a bug there shows up
+the same way in either order.  The shared steps are guarded instead by a
+test-only unpruned brute force and by golden digests of the output.
 
-The walk enumerates assignments only and carries running slot, wagon and
-train loads, laid out by the integer tables of :class:`Instance`.  Weights
-are non-negative, so loads only grow as a partial plan is extended: a
+The walk is one loop, so its depth is bounded by memory, not by the
+interpreter's recursion limit.  Each level is first left empty, then holds
+each admitted option in turn; at a leaf the loop yields, then backs up to
+the deepest level with another admitted option, undoing each level it
+leaves, and moves that level on with every deeper level empty again.  It
+enumerates assignments only and carries running slot, wagon and train
+loads, laid out by the integer tables of :class:`Instance`.  Weights are
+non-negative, so loads only grow as a partial plan is extended: a
 placement that already exceeds the slot's limit under every config of its
 wagon, the wagon's ``max_weight`` or the train's ``train_max_weight`` is
-skipped with everything below it (weight pruning).
-Configs gate feasibility per wagon and independently, and the objective
-ignores them, so at each complete assignment one shared step lists every
-wagon's configs that admit its slot loads; the feasible solutions of that
-assignment are exactly their product (config factoring).  The yield order
-is the one of the plain walk over every (assignment, config combination)
-pair.  :func:`enumerate_optima` scores each assignment once and expands
-configs only for assignments that tie or beat the best so far.
+skipped with everything below it (weight pruning).  Configs gate
+feasibility per wagon and independently, and the objective ignores them,
+so at each complete assignment one shared step lists every wagon's
+configs that admit its slot loads; the feasible solutions of that
+assignment are exactly their product (config factoring).  The yield
+order is the one of the plain walk over every (assignment, config
+combination) pair.  :func:`enumerate_optima` scores each assignment once
+and expands configs only for assignments that tie or beat the best so
+far.
 
 ``check_feasibility`` and ``shifted_objective`` stay the reference:
 ``enumerate_optima`` re-checks every optimum it returns with them and
@@ -154,8 +159,8 @@ _Level = list[tuple[int, int, Assignment]]
 def _levels(instance: Instance, order: str) -> list[_Level]:
     """The walk's levels in ``order``: one per slot in train order, listing
     its candidates in container order, or one per container, listing its
-    slots in train order.  A level with no option could only stay empty,
-    so it is left out."""
+    slots in train order.  A level with no option could only stay empty;
+    it is left out, which spares the walk a step per leaf."""
     containers = instance.containers
     by_slot = [
         [(i, j, Assignment(containers[i].id, wid, si)) for i in candidates]
@@ -173,36 +178,6 @@ def _levels(instance: Instance, order: str) -> list[_Level]:
     return [options for options in levels if options]
 
 
-def _walk(
-    instance: Instance, loads: _Loads, levels: list[_Level]
-) -> Iterator[list[Assignment]]:
-    """Depth first over ``levels``: each is first left empty, then takes
-    each option whose container and slot are free and that ``loads``
-    admits.  Yields the live partial plan at every leaf, with ``loads``
-    describing it until the walk is resumed."""
-    weights = [c.weight for c in instance.containers]
-    used = [False] * len(weights)
-    taken = [False] * instance.total_slots
-    acc: list[Assignment] = []
-
-    def rec(p: int) -> Iterator[list[Assignment]]:
-        if p == len(levels):
-            yield acc
-            return
-        yield from rec(p + 1)
-        for i, j, assignment in levels[p]:
-            if not used[i] and not taken[j] and loads.fits(j, weights[i]):
-                used[i] = taken[j] = True
-                acc.append(assignment)
-                loads.add(j, weights[i])
-                yield from rec(p + 1)
-                loads.add(j, -weights[i])
-                acc.pop()
-                used[i] = taken[j] = False
-
-    return rec(0)
-
-
 def _feasible_assignments(
     instance: Instance, order: str, limit: int
 ) -> Iterator[tuple[tuple[Assignment, ...], list[tuple[ConfigChoice, ...]]]]:
@@ -217,10 +192,44 @@ def _feasible_assignments(
     if estimate > limit:
         raise BudgetExceededError(estimate, limit)
     loads = _Loads(instance)
-    for assignments in _walk(instance, loads, _levels(instance, order)):
+    levels = _levels(instance, order)
+    weights = [c.weight for c in instance.containers]
+    used = [False] * len(weights)
+    taken = [False] * instance.total_slots
+    acc: list[Assignment] = []
+    # The option each level holds, or -1 while it is empty.
+    held = [-1] * len(levels)
+    while True:
+        # A leaf: ``acc`` and ``loads`` describe the plan the levels hold.
         choices = loads.config_choices()
         if choices is not None:
-            yield tuple(sorted(assignments)), choices
+            yield tuple(sorted(acc)), choices
+        # Back up to the deepest level that has another admitted option,
+        # emptying each level left on the way, and take that option.
+        p = len(levels) - 1
+        while p >= 0:
+            options = levels[p]
+            k = held[p]
+            if k >= 0:
+                i, j, _ = options[k]
+                loads.add(j, -weights[i])
+                acc.pop()
+                used[i] = taken[j] = False
+            for k in range(k + 1, len(options)):
+                i, j, assignment = options[k]
+                if not used[i] and not taken[j] and loads.fits(j, weights[i]):
+                    break
+            else:
+                held[p] = -1
+                p -= 1
+                continue
+            held[p] = k
+            used[i] = taken[j] = True
+            acc.append(assignment)
+            loads.add(j, weights[i])
+            break
+        else:
+            return
 
 
 def _solutions(

@@ -49,7 +49,7 @@ from __future__ import annotations
 import json
 from array import array
 from bisect import bisect_left
-from collections.abc import ItemsView, Iterator, Mapping, Sequence, ValuesView
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, repeat
@@ -158,11 +158,9 @@ class QuboModel:
     store one that does not.  ``penalty`` weighs every row.
 
     On the 400-container yard of ``scripts/run_benchmark.py`` (17,311
-    variables, 2,833,544 terms) the arrays take 45 MB.  A dict keyed by
-    ``(i, j)`` tuples held the same terms before: building the model took
-    3.0-3.3 s with a 624 MB peak RSS, and with the arrays it takes 1.9-2.0 s
-    with a 251 MB peak, most of it the per-row dicts that accumulate the
-    terms before packing (2-CPU Linux VM, Python 3.11).
+    variables, 2,833,544 terms) the arrays take 45 MB; building the model
+    takes 1.9-2.0 s with a 251 MB peak RSS, most of it the per-row dicts
+    that accumulate the terms before packing (2-CPU Linux VM, Python 3.11).
     """
 
     n: int
@@ -268,22 +266,6 @@ class _Coefficients(Mapping):
         except (TypeError, ValueError):  # not a pair of numbers
             pass
         raise KeyError(key)
-
-    def items(self) -> ItemsView:
-        return _Items(self)
-
-    def values(self) -> ValuesView:
-        return _Values(self)
-
-
-class _Items(ItemsView):
-    def __iter__(self) -> Iterator[tuple[tuple[int, int], int]]:
-        return (((i, j), value) for i, j, value in self._mapping._model.terms())
-
-
-class _Values(ValuesView):
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._mapping._model.values)
 
 
 def default_penalty(instance: Instance) -> int:

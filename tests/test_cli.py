@@ -503,6 +503,18 @@ def test_a_long_train_of_empty_slots_does_not_overflow_the_stack(tmp_path, capsy
     code, stdout, stderr = run(capsys, "qubo", str(path), "--check")
     assert (code, stderr) == (0, "")
     assert stdout == "check ok: 2 feasible solutions, 0 mismatches\n"
+    # One forty-footer and 1,100 forty-foot slots: 1,100 levels deep.
+    path = tmp_path / "deep.json"
+    code, _, _ = run(
+        capsys, "gen", "--containers", "1", "--wagons", "1", "--tiers", "1",
+        "--train-teu", "2200", "--total-teu", "2", "-o", str(path),
+    )
+    assert code == 0
+    code, stdout, stderr = run(
+        capsys, "oracle", str(path), "--json", "--limit", str(10**400)
+    )
+    assert (code, stderr) == (0, "")
+    assert json.loads(stdout)["count_feasible"] == 724
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from trainload.evaluation import (
 )
 from trainload.instance import GenSpec, generate_instance
 from trainload.oracle import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     enumerate_optima,
     estimate_search_space,
@@ -46,13 +47,24 @@ def test_single_container_optimum_is_minus_value():
 
 def test_enumeration_orders_agree():
     rng = random.Random(6021)
-    for _ in range(25):
-        instance = random_instance(rng)
-        a = enumerate_optima(instance, order="slot-major")
-        b = enumerate_optima(instance, order="container-major")
+    cases = [(random_instance(rng), DEFAULT_BUDGET) for _ in range(25)]
+    # Walks deeper than the interpreter's recursion limit, one per order:
+    # 1,500 twenty-footers and one twenty-foot slot make 1,500
+    # container-major levels; one forty-footer and 1,100 forty-foot slots
+    # make 1,100 slot-major levels.
+    cases += [
+        (generate_instance(GenSpec(1500, 1, 1, 1, 1500)), DEFAULT_BUDGET),
+        (generate_instance(GenSpec(1, 1, 1, 2200, 2)), 10**400),
+    ]
+    found = []
+    for instance, limit in cases:
+        a = enumerate_optima(instance, limit=limit, order="slot-major")
+        b = enumerate_optima(instance, limit=limit, order="container-major")
         assert a.optimum == b.optimum
         assert a.enumerated == b.enumerated
         assert a.optimal_solutions == b.optimal_solutions
+        found.append((a.optimum, a.enumerated, len(a.optimal_solutions)))
+    assert found[-2:] == [(-20, 1886, 86), (-10, 724, 722)]
 
 
 def test_solutions_are_unique_and_include_all_config_combos():
