@@ -193,12 +193,12 @@ def _qubo_size(instance: Instance) -> dict | None:
         model, _ = qubo.build_qubo(instance)
     except (qubo.EmptyModelError, qubo.SlackWidthError, qubo.CoefficientRangeError):
         return None
-    values = model.values
+    coefficients = model.coefficients
     return {
         "variables": model.n,
-        "terms": len(values),
-        "max_abs_coefficient": max(map(abs, values)),
-        "min_abs_coefficient": min(map(abs, values)),
+        "terms": len(coefficients),
+        "max_abs_coefficient": max(map(abs, coefficients)),
+        "min_abs_coefficient": min(map(abs, coefficients)),
     }
 
 
@@ -267,14 +267,14 @@ def _cmd_qubo(args: argparse.Namespace) -> int:
                 {
                     "path": str(args.out),
                     "n": model.n,
-                    "terms": len(model.values),
+                    "terms": len(model.coefficients),
                     "offset": model.offset,
                     "weight_unit": varmap.weight_unit,
                 }
             )
         else:
             print(
-                f"wrote {args.out}: {model.n} variables, {len(model.values)} terms, "
+                f"wrote {args.out}: {model.n} variables, {len(model.coefficients)} terms, "
                 f"offset {model.offset}"
             )
     return 0

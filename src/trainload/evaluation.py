@@ -397,10 +397,12 @@ def _pct(numerator: int, denominator: int) -> float:
 def shifted_objective(instance: Instance, solution: Solution) -> int:
     """``rehandle_cost - value_loaded``; assumes the solution is feasible.
 
-    This is the solver's hot path: no feasibility re-check is performed.
+    This is the solver's hot path: no feasibility re-check is performed, and
+    each assignment counts its container once, as no container repeats in a
+    feasible plan.
     """
-    loaded = dict.fromkeys(a.container for a in solution.assignments)
-    value = sum(instance.container_map[c].value for c in loaded)
+    containers = instance.container_map
+    value = sum(containers[a.container].value for a in solution.assignments)
     return instance.rehandle_unit_cost * _count_rehandles(instance, solution) - value
 
 

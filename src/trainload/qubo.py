@@ -49,7 +49,7 @@ from __future__ import annotations
 import json
 from array import array
 from bisect import bisect_left
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, repeat
@@ -149,13 +149,15 @@ class QuboModel:
 
     Row ``i`` holds the terms ``(i, j)`` with ``i <= j``: their columns are
     ``columns[starts[i]:starts[i + 1]]``, ascending, and their values the
-    same slice of ``values``; ``starts`` has ``n + 1`` entries, from 0 to
-    the number of terms.  Diagonal entries are the linear terms and no zero
-    is stored, so ``energy = offset + sum(values[k] * bits[i] *
-    bits[columns[k]])`` over every row ``i`` and its terms ``k``.  The three
-    arrays are ``array('q')``: every coefficient fits in signed 64 bits, and
+    same slice of ``coefficients``; ``starts`` has ``n + 1`` entries, from 0
+    to the number of terms, so ``len(coefficients)`` counts the terms.
+    Diagonal entries are the linear terms and no zero is stored, so
+    ``energy = offset + sum(coefficients[k] * bits[i] * bits[columns[k]])``
+    over every row ``i`` and its terms ``k``.  The three arrays are
+    ``array('q')``: every coefficient fits in signed 64 bits, and
     :func:`build_qubo` raises :class:`CoefficientRangeError` rather than
-    store one that does not.  ``penalty`` weighs every row.
+    store one that does not.  ``penalty`` weighs every row.  :meth:`row`
+    reads one row and :meth:`terms` every ``(i, j, value)`` in order.
 
     On the 400-container yard of ``scripts/run_benchmark.py`` (17,311
     variables, 2,833,544 terms) the arrays take 45 MB; building the model
@@ -166,7 +168,7 @@ class QuboModel:
     n: int
     starts: array
     columns: array
-    values: array
+    coefficients: array
     offset: int
     penalty: int
 
@@ -174,8 +176,8 @@ class QuboModel:
     def from_terms(
         cls, n: int, terms: Sequence[Sequence[int]], offset: int, penalty: int
     ) -> QuboModel:
-        """Pack ``(i, j, value)`` triples, in any order, into rows; zero
-        values are dropped.
+        """Pack ``(i, j, value)`` triples, in any order, into the rows of a
+        model; zero values are dropped.  The inverse of :meth:`terms`.
 
         Raises :class:`ValueError` (:class:`CoefficientRangeError` for a
         value outside signed 64 bits) unless every term is three ``int``
@@ -189,7 +191,7 @@ class QuboModel:
             terms = [term for term in terms if term[2]]
         rows = array("q", [term[0] for term in terms])
         try:
-            values = array("q", [term[2] for term in terms])
+            coefficients = array("q", [term[2] for term in terms])
         except OverflowError:
             i, j, value = next(term for term in terms if term[2] not in _INT64)
             raise CoefficientRangeError(
@@ -199,27 +201,22 @@ class QuboModel:
             n=n,
             starts=array("q", map(bisect_left, repeat(rows), range(n + 1))),
             columns=array("q", [term[1] for term in terms]),
-            values=values,
+            coefficients=coefficients,
             offset=offset,
             penalty=penalty,
         )
 
     def row(self, i: int) -> tuple[array, array]:
-        """The columns and the values of row ``i``, as copied slices."""
+        """The columns and the coefficients of row ``i``, as copied slices."""
         start, stop = self.starts[i], self.starts[i + 1]
-        return self.columns[start:stop], self.values[start:stop]
+        return self.columns[start:stop], self.coefficients[start:stop]
 
     def terms(self) -> Iterator[tuple[int, int, int]]:
         """Every stored ``(i, j, value)``, sorted by ``(i, j)``."""
         starts = self.starts
         # Each row index, repeated once per term of its row.
         rows = chain.from_iterable(map(repeat, range(self.n), map(sub, starts[1:], starts)))
-        return zip(rows, self.columns, self.values)
-
-    @property
-    def coefficients(self) -> Mapping[tuple[int, int], int]:
-        """Read-only ``(i, j) -> value`` view of the rows."""
-        return _Coefficients(self)
+        return zip(rows, self.columns, self.coefficients)
 
 
 def _ascending(terms: Sequence[Sequence[int]], n: int) -> bool:
@@ -236,36 +233,6 @@ def _ascending(terms: Sequence[Sequence[int]], n: int) -> bool:
             ascending = False
         last = key
     return ascending
-
-
-class _Coefficients(Mapping):
-    """The terms of a :class:`QuboModel` as a mapping, read off its arrays:
-    sorted iteration, a length without a count, and a lookup that bisects
-    within the key's row."""
-
-    __slots__ = ("_model",)
-
-    def __init__(self, model: QuboModel) -> None:
-        self._model = model
-
-    def __len__(self) -> int:
-        return len(self._model.values)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return ((i, j) for i, j, _ in self._model.terms())
-
-    def __getitem__(self, key: tuple[int, int]) -> int:
-        model = self._model
-        try:
-            i, j = key
-            if 0 <= i < model.n:
-                stop = model.starts[i + 1]
-                k = bisect_left(model.columns, j, model.starts[i], stop)
-                if k < stop and model.columns[k] == j:
-                    return model.values[k]
-        except (TypeError, ValueError):  # not a pair of numbers
-            pass
-        raise KeyError(key)
 
 
 def default_penalty(instance: Instance) -> int:
@@ -470,13 +437,13 @@ def build_qubo(
         offset += _add_square(table, row.terms + row.register, row.constant, penalty)
 
     # Pack row by row, dropping each row's dict once it is in the arrays.
-    starts, columns, values = array("q", [0]), array("q"), array("q")
+    starts, columns, coefficients = array("q", [0]), array("q"), array("q")
     for i, cells in enumerate(table):
         table[i] = None
         kept = sorted([j for j, value in cells.items() if value])
         columns.extend(kept)
         try:
-            values.extend(map(cells.__getitem__, kept))
+            coefficients.extend(map(cells.__getitem__, kept))
         except OverflowError:
             j = next(j for j in kept if cells[j] not in _INT64)
             raise CoefficientRangeError(
@@ -484,7 +451,7 @@ def build_qubo(
                 f"use a smaller penalty than {penalty} or a coarser weight_unit"
             ) from None
         starts.append(len(columns))
-    model = QuboModel(len(entries), starts, columns, values, offset, penalty)
+    model = QuboModel(len(entries), starts, columns, coefficients, offset, penalty)
     return model, VariableMap(entries=tuple(entries), weight_unit=weight_unit)
 
 
@@ -495,8 +462,8 @@ def energy_of(model: QuboModel, bits: Sequence[int]) -> int:
     bit = bits.__getitem__
     total = model.offset
     for i in compress(range(model.n), bits):  # only rows whose bit is set
-        columns, values = model.row(i)
-        total += sum(compress(values, map(bit, columns)))
+        columns, coefficients = model.row(i)
+        total += sum(compress(coefficients, map(bit, columns)))
     return total
 
 

@@ -328,7 +328,7 @@ def test_stats_json(capsys):
     assert payload["model_b"]["variables"]["total"] == 100
     assert payload["model_a"]["constraints"]["total"] == 297
     model, _ = build_qubo(load_instance_file(path))
-    magnitudes = [abs(value) for value in model.coefficients.values()]
+    magnitudes = [abs(value) for _, _, value in model.terms()]
     assert payload["qubo"] == {
         "variables": model.n,
         "terms": len(model.coefficients),

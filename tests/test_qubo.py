@@ -48,13 +48,14 @@ def scan_instance():
 
 def dense_energy(model, bits) -> int:
     """Independent evaluator: symmetric matrix walk, no dict tricks."""
+    lookup = {(i, j): value for i, j, value in model.terms()}
     total = model.offset
     for i in range(model.n):
         if not bits[i]:
             continue
         for j in range(i, model.n):
             if bits[j]:
-                total += model.coefficients.get((i, j), 0)
+                total += lookup.get((i, j), 0)
     return total
 
 
@@ -102,7 +103,7 @@ def documented_json(model, varmap) -> str:
     doc = {
         "n": model.n,
         "offset": model.offset,
-        "terms": [[i, j, value] for (i, j), value in sorted(model.coefficients.items())],
+        "terms": sorted([i, j, value] for i, j, value in model.terms()),
         "variables": [e.to_dict() for e in varmap.entries],
         "penalty": model.penalty,
         "weight_unit": varmap.weight_unit,
@@ -207,14 +208,14 @@ def test_weight_rows_read_lower_registers_when_that_is_shorter(scan_instance):
 def test_build_matches_a_naive_expansion_of_the_rows(request, shape, weight_unit):
     instance = pair_shape(request, shape)
     model, varmap = build_qubo(instance, weight_unit=weight_unit)
-    coefficients, offset = naive_expansion(instance, model, varmap)
-    assert list(model.coefficients.items()) == list(coefficients.items())
+    expected, offset = naive_expansion(instance, model, varmap)
+    assert list(model.terms()) == [(i, j, value) for (i, j), value in expected.items()]
     assert model.offset == offset
 
 
 def test_coefficients_are_upper_triangular_and_nonzero(pair_instance):
     model, _ = build_qubo(pair_instance, weight_unit=1)
-    for (i, j), value in model.coefficients.items():
+    for i, j, value in model.terms():
         assert 0 <= i <= j < model.n
         assert value != 0
 
@@ -255,16 +256,17 @@ def test_energy_matches_dense_evaluator(pair_instance):
 
 def test_bit_flip_matches_local_field(pair_instance):
     model, _ = build_qubo(pair_instance, weight_unit=1)
+    lookup = {(i, j): value for i, j, value in model.terms()}
     rng = random.Random(8)
     for _ in range(100):
         bits = random_bits(rng, model.n)
         i = rng.randrange(model.n)
         base = energy_of(model, bits)
-        field = model.coefficients.get((i, i), 0)
+        field = lookup.get((i, i), 0)
         for j in range(model.n):
             if j == i or not bits[j]:
                 continue
-            field += model.coefficients.get((min(i, j), max(i, j)), 0)
+            field += lookup.get((min(i, j), max(i, j)), 0)
         flipped = list(bits)
         flipped[i] ^= 1
         delta = energy_of(model, flipped) - base
@@ -285,32 +287,24 @@ def test_row_walk_energy_matches_a_sum_over_every_term(spec, density):
     for _ in range(5):
         bits = [int(rng.random() < density) for _ in range(model.n)]
         naive = model.offset + sum(
-            value for (i, j), value in model.coefficients.items() if bits[i] and bits[j]
+            value for i, j, value in model.terms() if bits[i] and bits[j]
         )
         assert energy_of(model, bits) == naive
 
 
-def test_coefficient_view_reads_the_rows():
+def test_rows_hold_the_exported_terms():
     instance = generate_instance(GenSpec(12, 2, 4, 7, 18, seed=1))
     model, varmap = build_qubo(instance)
-    view = model.coefficients
     terms = json.loads(export_qubo(model, varmap, fmt="json"))["terms"]
-    assert len(view) == len(terms) == len(model.values) == model.starts[-1]
-    keys = list(view)
-    assert all(a < b for a, b in zip(keys, keys[1:]))
-    assert view == {(i, j): value for i, j, value in terms}
-    assert list(view.values()) == [value for _, _, value in terms]
-    assert list(view.items()) == [((i, j), value) for i, j, value in terms]
-    for i, j in keys:
-        assert view[i, j] == view.get((i, j))
-        if i < j:
-            assert (j, i) not in view
     n = model.n
-    for key in [(-1, 0), (0, -1), (n, n), (0, n), (n - 1, n), "ab", (0,), None]:
-        assert key not in view
-        assert view.get(key, "absent") == "absent"
-    with pytest.raises(KeyError):
-        view[n, n]
+    assert len(model.coefficients) == len(model.columns) == model.starts[-1] == len(terms)
+    assert list(model.terms()) == [tuple(term) for term in terms]
+    assert len(model.starts) == n + 1 and model.starts[0] == 0
+    for i in range(n):
+        columns, coefficients = model.row(i)
+        assert list(columns) == sorted(set(columns))
+        assert all(i <= j < n for j in columns)
+        assert all(coefficients)
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +478,7 @@ def ground_states(model) -> tuple[int, list[list[int]]]:
     n = model.n
     linear = [0] * n
     neighbours: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for (i, j), value in model.coefficients.items():
+    for i, j, value in model.terms():
         if i == j:
             linear[i] += value
         else:
@@ -602,7 +596,7 @@ def test_text_export_round_trip(pair_instance):
     header, *lines = export_qubo(model, varmap, fmt="text").splitlines()
     assert header == f"# qubo n={model.n} offset={model.offset}"
     terms = [[int(part) for part in line.split()] for line in lines]
-    assert {(i, j): value for i, j, value in terms} == model.coefficients
+    assert [tuple(term) for term in terms] == list(model.terms())
     assert terms == json.loads(export_qubo(model, varmap, fmt="json"))["terms"]
 
 
@@ -635,12 +629,12 @@ def test_json_export_is_the_documented_dict_encoded(request, shape, weight_unit)
 
 
 @pytest.mark.parametrize(
-    "coefficients",
+    "cells",
     [{}, {(1, 2): -3, (0, 0): 5, (0, 2): 7, (2, 2): -1, (0, 1): 2}],
     ids=["empty", "out-of-order"],
 )
-def test_exports_of_hand_built_models(coefficients):
-    model = QuboModel.from_terms(3, [(i, j, v) for (i, j), v in coefficients.items()], -4, 9)
+def test_exports_of_hand_built_models(cells):
+    model = QuboModel.from_terms(3, [(i, j, v) for (i, j), v in cells.items()], -4, 9)
     varmap = VariableMap(
         entries=(
             QuboVariable(0, "assignment", "c0", "w0", 0),
@@ -650,7 +644,7 @@ def test_exports_of_hand_built_models(coefficients):
         weight_unit=10,
     )
     assert export_qubo(model, varmap, fmt="json") == documented_json(model, varmap)
-    lines = [f"{i} {j} {value}" for (i, j), value in sorted(coefficients.items())]
+    lines = [f"{i} {j} {value}" for (i, j), value in sorted(cells.items())]
     text = "\n".join(["# qubo n=3 offset=-4", *lines]) + "\n"
     assert export_qubo(model, varmap, fmt="text") == text
     parsed, parsed_map = parse_qubo_json(export_qubo(model, varmap, fmt="json"))
@@ -748,7 +742,8 @@ def test_json_terms_parse_in_any_order(pair_instance):
     assert parse_qubo_json(json.dumps(doc))[0] == model
 
     n = model.n
-    absent = next((i, j) for i in range(n) for j in range(i, n) if (i, j) not in model.coefficients)
+    stored = {(i, j) for i, j, _ in model.terms()}
+    absent = next((i, j) for i in range(n) for j in range(i, n) if (i, j) not in stored)
     doc["terms"] += [[*absent, 0]]
     doc["terms"].reverse()
     assert parse_qubo_json(json.dumps(doc))[0] == model
