@@ -9,13 +9,14 @@ improving or equal moves always pass, worsening moves pass with probability
 
 Three neighborhood moves, drawn uniformly per attempt:
 
-``swap``      Exchange the positions of two containers.  Both assigned:
-              their slots trade occupants (equal lengths only).  One
-              assigned: the unassigned container replaces the assigned one,
-              which leaves the train.  Neither assigned: the drawn
-              container is placed into a uniformly chosen empty compatible
-              slot — the degenerate "swap with a hole" that lets plans grow
-              from the empty initial solution.
+``swap``      Draw one container.  If it is unassigned, insert it into a
+              uniformly chosen empty slot of its length without drawing a
+              partner (no move when there is none) — the degenerate "swap
+              with a hole" that lets plans grow from the empty initial
+              solution.  If it is assigned, draw a partner among the other
+              containers; a partner of another length gives no move.  An
+              assigned partner trades slots with it; an unassigned partner
+              replaces it, and it leaves the train.
 ``relocate``  Move one assigned container to a uniformly chosen empty
               compatible slot; when no such slot exists the container is
               unassigned instead, so dense plans can shrink.

@@ -9,7 +9,7 @@ container, which takes one free slot of its length or nothing).  Both
 layouts are read off ``Instance.slot_candidates``.  The two orders must
 visit the same solution set, and the test suite cross-checks them.  That
 cross-check covers the level layouts only: the walk, the weight pruning
-and the config factoring below are shared steps, so a bug there shows up
+and the config masks below are shared steps, so a bug there shows up
 the same way in either order.  The shared steps are guarded instead by a
 test-only unpruned brute force and by golden digests of the output.
 
@@ -18,20 +18,20 @@ interpreter's recursion limit.  Each level is first left empty, then holds
 each admitted option in turn; at a leaf the loop yields, then backs up to
 the deepest level with another admitted option, undoing each level it
 leaves, and moves that level on with every deeper level empty again.  It
-enumerates assignments only and carries running slot, wagon and train
-loads, laid out by the integer tables of :class:`Instance`.  Weights are
-non-negative, so loads only grow as a partial plan is extended: a
-placement that already exceeds the slot's limit under every config of its
-wagon, the wagon's ``max_weight`` or the train's ``train_max_weight`` is
-skipped with everything below it (weight pruning).  Configs gate
-feasibility per wagon and independently, and the objective ignores them,
-so at each complete assignment one shared step lists every wagon's
-configs that admit its slot loads; the feasible solutions of that
-assignment are exactly their product (config factoring).  The yield
-order is the one of the plain walk over every (assignment, config
-combination) pair.  :func:`enumerate_optima` scores each assignment once
-and expands configs only for assignments that tie or beat the best so
-far.
+enumerates assignments only.  Per wagon it carries a load and a config
+mask: the configs whose limits admit every slot load placed on it so far.
+An option carries the mask of the configs that admit its container at its
+slot, and is dropped if that is empty; it is taken only if the two masks
+meet and the wagon's ``max_weight`` and ``train_max_weight`` still hold.
+Weights are non-negative, so loads only grow and masks only shrink as a
+plan is extended: a skipped placement leads to no feasible plan (weight
+pruning), and every leaf is feasible.  Configs gate feasibility per wagon
+and independently, and the objective ignores them, so the feasible
+solutions of a leaf's assignment are exactly the product of each wagon's
+masked configs (config factoring).  The yield order is the one of the
+plain walk over every (assignment, config combination) pair.
+:func:`enumerate_optima` scores each assignment once and expands configs
+only for assignments that tie or beat the best so far.
 
 ``check_feasibility`` and ``shifted_objective`` stay the reference:
 ``enumerate_optima`` re-checks every optimum it returns with them and
@@ -96,78 +96,40 @@ def estimate_search_space(instance: Instance) -> int:
     )
 
 
-class _Loads:
-    """Running slot, wagon and train loads of a partial plan, with the
-    weight pruning and the per-wagon config lists both orders share."""
+class _Choices(dict):
+    """Config mask -> the ConfigChoices of its set bits in index order, each
+    built on first use: no table over every subset of configs is made."""
 
-    def __init__(self, instance: Instance):
-        self.slot_wagon = instance.slot_wagon
-        self.slot_cap = [max(limits) for limits in instance.slot_limits]
-        self.wagon_slots = instance.wagon_slots
-        self.wagon_max = [w.max_weight for w in instance.wagons]
-        self.train_max = instance.train_max_weight
-        self.slot = [0] * len(self.slot_wagon)
-        self.wagon = [0] * len(instance.wagons)
-        self.train = 0
-        self.wagons = instance.wagons
-        # Per wagon: its slot loads -> the ConfigChoices that admit them.
-        # Many complete assignments repeat a wagon's loads, so this saves
-        # most of the per-leaf config checks.
-        self.admitting: list[dict[tuple[int, ...], tuple[ConfigChoice, ...]]] = [
-            {} for _ in instance.wagons
-        ]
+    def __init__(self, wagon_id: str):
+        self.wagon_id = wagon_id
 
-    def fits(self, j: int, weight: int) -> bool:
-        """Can ``weight`` go into the empty slot ``j`` (in ``all_slots``
-        order) under some config of its wagon and every weight limit?"""
-        w = self.slot_wagon[j]
-        return (
-            weight <= self.slot_cap[j]
-            and self.wagon[w] + weight <= self.wagon_max[w]
-            and self.train + weight <= self.train_max
-        )
-
-    def add(self, j: int, weight: int) -> None:
-        self.slot[j] += weight
-        self.wagon[self.slot_wagon[j]] += weight
-        self.train += weight
-
-    def config_choices(self) -> list[tuple[ConfigChoice, ...]] | None:
-        """Each wagon's configs that admit its slot loads, in index order;
-        ``None`` if some wagon has none.  Wagon and train loads need no
-        check here: every placement was admitted by :meth:`fits`."""
-        choices = []
-        for span, cache, wagon in zip(self.wagon_slots, self.admitting, self.wagons):
-            loads = tuple(self.slot[span.start : span.stop])
-            admitted = cache.get(loads)
-            if admitted is None:
-                admitted = cache[loads] = tuple(
-                    ConfigChoice(wagon.id, b)
-                    for b, cfg in enumerate(wagon.configs)
-                    if all(load <= cap for load, cap in zip(loads, cfg.per_slot_max))
-                )
-            if not admitted:
-                return None
-            choices.append(admitted)
+    def __missing__(self, mask: int) -> tuple[ConfigChoice, ...]:
+        bits = range(mask.bit_length())
+        self[mask] = choices = tuple(ConfigChoice(self.wagon_id, b) for b in bits if mask >> b & 1)
         return choices
 
 
-# A level's options: (container, slot, Assignment) triples.
-_Level = list[tuple[int, int, Assignment]]
+# A level's options: (container, slot, wagon, config mask, Assignment), the
+# mask holding the wagon's configs whose limit at the slot admits the container.
+_Level = list[tuple[int, int, int, int, Assignment]]
 
 
 def _levels(instance: Instance, order: str) -> list[_Level]:
     """The walk's levels in ``order``: one per slot in train order, listing
     its candidates in container order, or one per container, listing its
-    slots in train order.  A level with no option could only stay empty;
-    it is left out, which spares the walk a step per leaf."""
+    slots in train order.  An option that no config admits is left out, and
+    so is a level with no option, which could only stay empty; this spares
+    the walk a step per leaf."""
     containers = instance.containers
-    by_slot = [
-        [(i, j, Assignment(containers[i].id, wid, si)) for i in candidates]
-        for j, ((wid, si, _), candidates) in enumerate(
-            zip(instance.all_slots, instance.slot_candidates)
-        )
-    ]
+    by_slot = []
+    for j, ((wid, si, _), limits) in enumerate(zip(instance.all_slots, instance.slot_limits)):
+        options = []
+        for i in instance.slot_candidates[j]:
+            weight = containers[i].weight
+            if mask := sum(1 << b for b, limit in enumerate(limits) if weight <= limit):
+                assignment = Assignment(containers[i].id, wid, si)
+                options.append((i, j, instance.slot_wagon[j], mask, assignment))
+        by_slot.append(options)
     if order == "slot-major":
         levels = by_slot
     else:
@@ -191,19 +153,27 @@ def _feasible_assignments(
     estimate = estimate_search_space(instance)
     if estimate > limit:
         raise BudgetExceededError(estimate, limit)
-    loads = _Loads(instance)
     levels = _levels(instance, order)
+    wagons = instance.wagons
     weights = [c.weight for c in instance.containers]
+    wagon_max = [w.max_weight for w in wagons]
+    train_max = instance.train_max_weight
+    # Per wagon: the mask of its configs that admit every slot load placed
+    # on it so far, and its running load; then the train's load.
+    admitted = [(1 << len(w.configs)) - 1 for w in wagons]
+    load = [0] * len(wagons)
+    train = 0
+    choices = [_Choices(w.id) for w in wagons]
     used = [False] * len(weights)
     taken = [False] * instance.total_slots
     acc: list[Assignment] = []
-    # The option each level holds, or -1 while it is empty.
+    # The option each level holds (-1 while it is empty), and its wagon's
+    # mask and load and the train's load from before it was placed.
     held = [-1] * len(levels)
+    saved = [(0, 0, 0)] * len(levels)
     while True:
-        # A leaf: ``acc`` and ``loads`` describe the plan the levels hold.
-        choices = loads.config_choices()
-        if choices is not None:
-            yield tuple(sorted(acc)), choices
+        # A leaf: every wagon has a config that admits its slot loads.
+        yield tuple(sorted(acc)), [c[m] for c, m in zip(choices, admitted)]
         # Back up to the deepest level that has another admitted option,
         # emptying each level left on the way, and take that option.
         p = len(levels) - 1
@@ -211,22 +181,31 @@ def _feasible_assignments(
             options = levels[p]
             k = held[p]
             if k >= 0:
-                i, j, _ = options[k]
-                loads.add(j, -weights[i])
+                i, j, w, _, _ = options[k]
+                admitted[w], load[w], train = saved[p]
                 acc.pop()
                 used[i] = taken[j] = False
             for k in range(k + 1, len(options)):
-                i, j, assignment = options[k]
-                if not used[i] and not taken[j] and loads.fits(j, weights[i]):
+                i, j, w, mask, assignment = options[k]
+                weight = weights[i]
+                if (
+                    admitted[w] & mask
+                    and not (used[i] or taken[j])
+                    and load[w] + weight <= wagon_max[w]
+                    and train + weight <= train_max
+                ):
                     break
             else:
                 held[p] = -1
                 p -= 1
                 continue
             held[p] = k
+            saved[p] = admitted[w], load[w], train
+            admitted[w] &= mask
+            load[w] += weight
+            train += weight
             used[i] = taken[j] = True
             acc.append(assignment)
-            loads.add(j, weights[i])
             break
         else:
             return

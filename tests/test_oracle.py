@@ -280,6 +280,45 @@ def test_slots_no_container_can_take_add_no_recursion_depth():
     ]
 
 
+@pytest.mark.parametrize("order", ["slot-major", "container-major"])
+def test_a_wagon_whose_configs_each_admit_one_slot_takes_one_container(order):
+    # Each slot can hold 2,000 kg under some config, but no config admits
+    # both loads at once, so no plan loads both containers.
+    instance = make_instance(
+        containers=[("a", TWENTY, 2000, 3), ("b", TWENTY, 2000, 4)],
+        stacks=[("a",), ("b",)],
+        wagons=[("w0", (TWENTY, TWENTY), ((3000, 1000), (1000, 3000)), 10**6)],
+    )
+    solutions = list(iter_feasible_solutions(instance, order))
+    expected = [Solution((), (ConfigChoice("w0", b),)) for b in (0, 1)] + [
+        Solution((Assignment(c, "w0", s),), (ConfigChoice("w0", s),))
+        for c in ("a", "b")
+        for s in (0, 1)
+    ]
+    assert len(solutions) == 6 and Counter(solutions) == Counter(expected)
+    for solution in solutions:
+        assert check_feasibility(instance, solution) == []
+    result = enumerate_optima(instance, order=order)
+    assert (result.optimum, result.enumerated, len(result.optimal_solutions)) == (-4, 6, 2)
+
+
+def test_a_wagon_with_more_configs_than_bits_in_a_machine_word():
+    # 70 configs with limits 0, 100, ..., 6,900 kg: the 35 from 3,500 kg
+    # up admit the container.
+    instance = make_instance(
+        containers=[("a", TWENTY, 3450, 5)],
+        stacks=[("a",)],
+        wagons=[("w0", (TWENTY,), tuple((100 * b,) for b in range(70)), 10**6)],
+    )
+    for order in ("slot-major", "container-major"):
+        result = enumerate_optima(instance, order=order)
+        assert result.optimum == -5
+        assert result.enumerated == 105
+        assert [s.configs for s in result.optimal_solutions] == [
+            (ConfigChoice("w0", b),) for b in range(35, 70)
+        ]
+
+
 def test_rejects_unknown_order(pair_instance):
     with pytest.raises(ValueError, match="order"):
         list(iter_feasible_solutions(pair_instance, order="sideways"))
