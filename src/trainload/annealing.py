@@ -23,17 +23,29 @@ Three neighborhood moves, drawn uniformly per attempt:
 ``config``    Re-pick the weight configuration of a wagon that has more
               than one (single-config wagons are never drawn).
 
-Moves are checked and costed incrementally on an integer-indexed
+Moves are drawn, checked and costed incrementally on an integer-indexed
 :class:`AnnealState` with running slot, wagon and train loads.  Because the
 current plan is feasible, a candidate is feasible iff the few quantities it
-changes stay within their limits (delta feasibility): a swap or relocate
-touches at most two slot limits, two wagon loads and the train load, and a
-config move re-checks one wagon's slots against the new limits.  The
-objective change (delta cost) uses the closed form of the rehandle count:
-a loaded container's shortfall is the number of containers above it that
-are not loaded onto the same or an earlier wagon, so a move re-scores only
-the containers it moves and the containers below them in their stacks.
-Value changes only when a container enters or leaves the train.
+changes stay within their limits (delta feasibility), and
+:meth:`AnnealState.draw` checks each candidate as it builds it, one check
+per shape:
+
+* insertion: the slot limit, the wagon load and the train load;
+* trade (both containers loaded): both slot limits, and both wagon loads
+  when the slots are on different wagons;
+* replace (the partner is unloaded): the slot limit, the wagon load and the
+  train load, each with the weight difference;
+* relocate: the slot limit, and the wagon load when it changes wagon;
+* unassign: nothing, since weights are non-negative;
+* config: every occupied slot of the wagon against the new limits.
+
+Only a candidate that fits becomes a move.  The objective change (delta
+cost) uses the closed form of the rehandle count: a loaded container's
+shortfall is the number of containers above it that are not loaded onto
+the same or an earlier wagon.  When one container changes position, only
+its own shortfall and one term per loaded container below it change; a
+trade re-scores both movers and the containers below them.  Value changes
+only when a container enters or leaves the train.
 
 ``check_feasibility``, ``shifted_objective`` and ``evaluate`` stay the
 reference: the state starts from a plan they verify and score, ``solve``
@@ -187,7 +199,8 @@ def accept(delta: float, temperature: float, rng: Random) -> bool:
 
 class AnnealState:
     """A feasible plan in integer-indexed form, with running loads and
-    objective, that draws, checks, costs and applies moves.
+    objective, that draws feasible moves (:meth:`draw` builds and checks
+    each candidate in one pass), costs them (:meth:`delta`) and applies them.
 
     The layout is the instance's: its integer tables (``slot_wagon``,
     ``wagon_slots``, ``slot_limits``, ``above``) are read, not rebuilt, and
@@ -258,105 +271,105 @@ class AnnealState:
 
     # -- drawing ---------------------------------------------------------------
 
-    def propose(self, kind: str, rng: Random):
-        """Construct one candidate move of ``kind``, unchecked; ``None``
-        when the kind has nothing to move."""
-        bits = rng.getrandbits
-        slot = self.slot
-        if kind == "swap":
-            n = len(slot)
-            if not n:
-                return None
-            a = _below(n, bits)
-            if slot[a] < 0:
-                # Degenerate swap with an empty slot: insertion.
-                empties = self.empty[self.length[a]]
-                if not empties:
-                    return None
-                return ((a, empties[_below(len(empties), bits)]),), None
-            if n < 2:
-                return None
-            b = a
-            while b == a:
-                b = _below(n, bits)
-            if self.length[a] != self.length[b]:
-                return None
-            if slot[b] >= 0:
-                return ((a, slot[b]), (b, slot[a])), None
-            return ((b, slot[a]), (a, -1)), None
-        if kind == "relocate":
-            assigned = self.assigned
-            if not assigned:
-                return None
-            c = self.by_rank[assigned[_below(len(assigned), bits)]]
-            empties = self.empty[self.length[c]]
-            if empties:
-                return ((c, empties[_below(len(empties), bits)]),), None
-            return ((c, -1),), None
-        flexible = self.flexible
-        if not flexible:
-            return None
-        w = flexible[_below(len(flexible), bits)]
-        b = _below(self.config_count[w] - 1, bits)
-        return (), (w, b if b < self.config[w] else b + 1)
-
-    def fits(self, move) -> bool:
-        """Delta feasibility: whether the plan stays feasible after ``move``."""
-        changes, config = move
-        weight, occupant, slot_limits = self.weight, self.occupant, self.slot_limits
-        if config is not None:
-            w, b = config
-            return all(
-                occupant[s] < 0 or weight[occupant[s]] <= slot_limits[s][b]
-                for s in self.wagon_slots[w]
-            )
-        slot, slot_wagon = self.slot, self.slot_wagon
-        if len(changes) == 1:
-            # Weights are non-negative, so a container leaving a wagon or the
-            # train breaks no limit: only its destination is checked.
-            ((i, s),) = changes
-            if s < 0:
-                return True
-            wt = weight[i]
-            w = slot_wagon[s]
-            if wt > slot_limits[s][self.config[w]]:
-                return False
-            old = slot[i]
-            if old < 0:
-                if self.train_load + wt > self.train_max:
-                    return False
-            elif slot_wagon[old] == w:
-                return True
-            return self.wagon_load[w] + wt <= self.wagon_max[w]
-        load: dict[int, int] = {}
-        train = 0
-        for i, s in changes:
-            wt = weight[i]
-            old = slot[i]
-            if old >= 0:
-                w = slot_wagon[old]
-                load[w] = load.get(w, 0) - wt
-                train -= wt
-            if s >= 0:
-                w = slot_wagon[s]
-                if wt > slot_limits[s][self.config[w]]:
-                    return False
-                load[w] = load.get(w, 0) + wt
-                train += wt
-        wagon_load, wagon_max = self.wagon_load, self.wagon_max
-        for w, d in load.items():
-            if wagon_load[w] + d > wagon_max[w]:
-                return False
-        return self.train_load + train <= self.train_max
-
     def draw(self, rng: Random):
         """A feasible move, redrawn up to ``MAX_NEIGHBOR_RETRIES`` times;
-        ``None`` when every attempt fails."""
+        ``None`` when every attempt fails.
+
+        Each attempt draws an index into :data:`MOVE_KINDS`, builds
+        the candidate and checks the limits that its shape can break (delta
+        feasibility: the current plan is feasible).  Weights are
+        non-negative, so a container leaving a wagon or the train breaks no
+        limit.  A candidate that breaks one is dropped before any move is
+        built, and a kind with nothing to move ends the attempt."""
         bits = rng.getrandbits
+        slot, length, weight, empty = self.slot, self.length, self.weight, self.empty
+        slot_wagon, slot_limits, config = self.slot_wagon, self.slot_limits, self.config
+        wagon_load, wagon_max = self.wagon_load, self.wagon_max
+        train_load, train_max = self.train_load, self.train_max
+        n, kinds = len(slot), len(MOVE_KINDS)
         for _ in range(MAX_NEIGHBOR_RETRIES):
-            move = self.propose(MOVE_KINDS[_below(len(MOVE_KINDS), bits)], rng)
-            if move is not None and self.fits(move):
-                return move
+            kind = _below(kinds, bits)
+            if kind == 0:  # swap
+                if not n:
+                    continue
+                a = _below(n, bits)
+                sa = slot[a]
+                wt = weight[a]
+                if sa < 0:
+                    # Insertion: the degenerate swap with an empty slot.
+                    empties = empty[length[a]]
+                    if not empties:
+                        continue
+                    s = empties[_below(len(empties), bits)]
+                    w = slot_wagon[s]
+                    if (
+                        wt <= slot_limits[s][config[w]]
+                        and wagon_load[w] + wt <= wagon_max[w]
+                        and train_load + wt <= train_max
+                    ):
+                        return ((a, s),), None
+                    continue
+                if n < 2:
+                    continue
+                b = a
+                while b == a:
+                    b = _below(n, bits)
+                if length[a] != length[b]:
+                    continue
+                sb = slot[b]
+                wa = slot_wagon[sa]
+                d = weight[b] - wt
+                if sb < 0:
+                    # Replace: b takes a's slot and a leaves the train.
+                    if (
+                        weight[b] <= slot_limits[sa][config[wa]]
+                        and wagon_load[wa] + d <= wagon_max[wa]
+                        and train_load + d <= train_max
+                    ):
+                        return ((b, sa), (a, -1)), None
+                    continue
+                # Trade: the train load is unchanged, and so is a wagon's
+                # when both slots are on it.
+                wb = slot_wagon[sb]
+                if (
+                    wt <= slot_limits[sb][config[wb]]
+                    and weight[b] <= slot_limits[sa][config[wa]]
+                    and (
+                        wa == wb
+                        or (wagon_load[wa] + d <= wagon_max[wa] and wagon_load[wb] - d <= wagon_max[wb])
+                    )
+                ):
+                    return ((a, sb), (b, sa)), None
+            elif kind == 1:  # relocate
+                assigned = self.assigned
+                if not assigned:
+                    continue
+                c = self.by_rank[assigned[_below(len(assigned), bits)]]
+                empties = empty[length[c]]
+                if not empties:
+                    return ((c, -1),), None  # unassign
+                s = empties[_below(len(empties), bits)]
+                w = slot_wagon[s]
+                wt = weight[c]
+                if wt <= slot_limits[s][config[w]] and (
+                    slot_wagon[slot[c]] == w or wagon_load[w] + wt <= wagon_max[w]
+                ):
+                    return ((c, s),), None
+            else:  # config
+                flexible = self.flexible
+                if not flexible:
+                    continue
+                w = flexible[_below(len(flexible), bits)]
+                b = _below(self.config_count[w] - 1, bits)
+                if b >= config[w]:
+                    b += 1
+                occupant = self.occupant
+                for s in self.wagon_slots[w]:
+                    i = occupant[s]
+                    if i >= 0 and weight[i] > slot_limits[s][b]:
+                        break
+                else:
+                    return (), (w, b)
         return None
 
     # -- costing and applying --------------------------------------------------
@@ -386,15 +399,30 @@ class AnnealState:
         if not moved or not self.alpha:
             return value
         above, below = self.above, self.below
-        if len(moved) == 1:
-            i = moved[0][0]
-            touched = below[i] + [i]
-        else:
-            touched = set()
-            for i, _ in moved:
-                touched.add(i)
-                touched.update(below[i])
         shortfall = 0
+        if len(moved) == 1:
+            # Only the mover's own shortfall and, for each loaded container
+            # under it, whether the mover counts against it can change.  A
+            # yard container's position is above every wagon's, so it gains
+            # no term.
+            ((i, p),) = moved
+            q = position[i]
+            if q != unloaded:
+                for a in above[i]:
+                    if position[a] > q:
+                        shortfall -= 1
+            if p != unloaded:
+                for a in above[i]:
+                    if position[a] > p:
+                        shortfall += 1
+            for j in below[i]:
+                r = position[j]
+                shortfall += (p > r) - (q > r)
+            return self.alpha * shortfall + value
+        touched = set()
+        for i, _ in moved:
+            touched.add(i)
+            touched.update(below[i])
         for i in touched:
             p = position[i]
             if p != unloaded:

@@ -6,9 +6,10 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import TWENTY, make_instance, random_feasible_solution, random_instance
+from conftest import FORTY, TWENTY, make_instance, random_feasible_solution, random_instance
 from trainload import annealing
 from trainload.annealing import (
+    MAX_NEIGHBOR_RETRIES,
     MAX_PLANNED_ITERATIONS,
     MOVE_KINDS,
     AnnealState,
@@ -95,26 +96,6 @@ def test_index_draws_match_randrange():
         assert twin.getstate() == reference.getstate()
 
 
-def test_move_kinds_are_drawn_uniformly(pair_instance, monkeypatch):
-    counter: dict[str, int] = {}
-    propose = AnnealState.propose
-
-    def tallying_propose(self, kind, rng):
-        counter[kind] = counter.get(kind, 0) + 1
-        return propose(self, kind, rng)
-
-    monkeypatch.setattr(AnnealState, "propose", tallying_propose)
-    rng = stream(11, "anneal")
-    current = initial_solution(pair_instance)
-    for _ in range(10_000):
-        current = generate_neighbor(pair_instance, current, rng)
-    draws = sum(counter.values())
-    assert set(counter) == set(MOVE_KINDS)
-    for kind in MOVE_KINDS:
-        share = counter[kind] / draws
-        assert abs(share - 1 / 3) < 0.02, (kind, share)
-
-
 def test_neighbors_are_always_feasible():
     rng = random.Random(512)
     for _ in range(40):
@@ -184,6 +165,197 @@ def materialise(instance, state: AnnealState, move) -> Solution:
     return Solution.from_maps(amap, cmap)
 
 
+def reference_candidate(instance, state: AnnealState, kind: str, rng: random.Random):
+    """A candidate move of ``kind``, unchecked, built from the state's plan
+    alone as the annealing module's docstring describes the moves; ``None``
+    when the kind has nothing to move.  Indices come from ``randrange``."""
+    containers, all_slots, slot = instance.containers, instance.all_slots, state.slot
+
+    def empty_slots(i):
+        taken = set(slot)
+        return [
+            s for s, (_, _, length) in enumerate(all_slots)
+            if length == containers[i].length and s not in taken
+        ]
+
+    if kind == "swap":
+        n = len(containers)
+        if not n:
+            return None
+        a = rng.randrange(n)
+        if slot[a] < 0:
+            free = empty_slots(a)
+            if not free:
+                return None
+            return ((a, free[rng.randrange(len(free))]),), None
+        if n < 2:
+            return None
+        b = a
+        while b == a:
+            b = rng.randrange(n)
+        if containers[a].length != containers[b].length:
+            return None
+        if slot[b] >= 0:
+            return ((a, slot[b]), (b, slot[a])), None
+        return ((b, slot[a]), (a, -1)), None
+    if kind == "relocate":
+        assigned = sorted((i for i, s in enumerate(slot) if s >= 0), key=lambda i: containers[i].id)
+        if not assigned:
+            return None
+        c = assigned[rng.randrange(len(assigned))]
+        free = empty_slots(c)
+        if not free:
+            return ((c, -1),), None
+        return ((c, free[rng.randrange(len(free))]),), None
+    flexible = [w for w, wagon in enumerate(instance.wagons) if len(wagon.configs) > 1]
+    if not flexible:
+        return None
+    w = flexible[rng.randrange(len(flexible))]
+    b = rng.randrange(len(instance.wagons[w].configs) - 1)
+    return (), (w, b if b < state.config[w] else b + 1)
+
+
+def reference_draw(instance, state: AnnealState, rng: random.Random, tally=None):
+    """What ``AnnealState.draw`` must return: up to ``MAX_NEIGHBOR_RETRIES``
+    attempts, each a kind drawn uniformly and a candidate judged by
+    ``check_feasibility`` on the plan it would make.  Returns the first
+    feasible move (``None`` if there is none) and the number of candidates
+    rejected; ``tally`` counts the kinds drawn."""
+    rejected = 0
+    for _ in range(MAX_NEIGHBOR_RETRIES):
+        kind = MOVE_KINDS[rng.randrange(len(MOVE_KINDS))]
+        if tally is not None:
+            tally[kind] = tally.get(kind, 0) + 1
+        move = reference_candidate(instance, state, kind, rng)
+        if move is None:
+            continue
+        if check_feasibility(instance, materialise(instance, state, move)) == []:
+            return move, rejected
+        rejected += 1
+    return None, rejected
+
+
+def draw_in_pair(instance, state: AnnealState, rng: random.Random, twin: random.Random, tally=None):
+    """``state.draw(rng)`` checked against :func:`reference_draw` on
+    ``twin``, a stream seeded alike: the same move after the same reads.
+    Returns the move and the reference's rejected count."""
+    move = state.draw(rng)
+    expected, rejected = reference_draw(instance, state, twin, tally)
+    assert move == expected
+    assert rng.getstate() == twin.getstate()
+    return move, rejected
+
+
+def test_move_kinds_are_drawn_uniformly(pair_instance):
+    counter: dict[str, int] = {}
+    state = AnnealState(pair_instance, initial_solution(pair_instance))
+    rng, twin = stream(11, "anneal"), stream(11, "anneal")
+    for _ in range(10_000):
+        move, _ = draw_in_pair(pair_instance, state, rng, twin, counter)
+        if move is not None:
+            state.apply(move, state.delta(move))
+    draws = sum(counter.values())
+    assert set(counter) == set(MOVE_KINDS)
+    for kind in MOVE_KINDS:
+        share = counter[kind] / draws
+        assert abs(share - 1 / 3) < 0.02, (kind, share)
+
+
+def test_draw_matches_the_reference_on_random_walks():
+    rng = random.Random(47)
+    drawn = 0
+    for _ in range(60):
+        instance = random_instance(rng)
+        state = AnnealState(instance, random_feasible_solution(instance, rng))
+        seed = rng.randrange(2**32)
+        move_rng, twin = stream(seed, "anneal"), stream(seed, "anneal")
+        for _ in range(60):
+            move, _ = draw_in_pair(instance, state, move_rng, twin)
+            if move is not None:
+                drawn += 1
+                state.apply(move, state.delta(move))
+    assert drawn > 1000
+
+
+# Edge yards: (instance, plan as container -> (wagon, slot), configs).
+EDGE_YARDS = {
+    "no-containers": (
+        make_instance(
+            containers=[],
+            stacks=[],
+            wagons=[
+                ("w0", (TWENTY, FORTY), ((1000, 2000), (3000, 0), (0, 0)), 5000),
+                ("w1", (TWENTY,), ((1000,),), 5000),
+            ],
+        ),
+        {},
+        {"w0": 0, "w1": 0},
+    ),
+    "one-container": (
+        make_instance(
+            containers=[("a", TWENTY, 800, 3)],
+            stacks=[("a",)],
+            wagons=[("w0", (TWENTY, TWENTY), ((1000, 500), (500, 1000)), 5000)],
+        ),
+        {"a": ("w0", 0)},
+        {"w0": 0},
+    ),
+    "single-configs": (
+        make_instance(
+            containers=[("a", TWENTY, 900, 3), ("b", TWENTY, 1600, 5), ("c", FORTY, 700, 2)],
+            stacks=[("a", "b"), ("c",)],
+            wagons=[
+                ("w0", (TWENTY, FORTY), ((1000, 800),), 2000),
+                ("w1", (TWENTY, TWENTY), ((2000, 1000),), 2000),
+            ],
+        ),
+        {"a": ("w0", 0), "c": ("w0", 1)},
+        {"w0": 0, "w1": 0},
+    ),
+    "every-slot-full": (
+        make_instance(
+            containers=[
+                ("a", TWENTY, 900, 3), ("b", TWENTY, 1500, 5), ("c", TWENTY, 400, 1),
+                ("d", TWENTY, 2500, 8), ("e", FORTY, 1000, 4),
+            ],
+            stacks=[("a", "b", "c"), ("d", "e")],
+            wagons=[
+                ("w0", (TWENTY, TWENTY), ((1000, 2000), (2500, 1500)), 2600),
+                ("w1", (TWENTY,), ((1000,), (3000,)), 3000),
+            ],
+        ),
+        {"a": ("w0", 0), "b": ("w0", 1), "c": ("w1", 0)},
+        {"w0": 0, "w1": 0},
+    ),
+    "train-at-max": (
+        make_instance(
+            containers=[
+                ("a", TWENTY, 1000, 3), ("b", TWENTY, 1500, 5),
+                ("c", TWENTY, 500, 1), ("d", TWENTY, 2000, 8),
+            ],
+            stacks=[("a", "b"), ("c", "d")],
+            wagons=[
+                ("w0", (TWENTY, TWENTY), ((2000, 2000), (1200, 2500)), 4000),
+                ("w1", (TWENTY, TWENTY), ((2000, 2000),), 4000),
+            ],
+            train_max_weight=2500,
+        ),
+        {"a": ("w0", 0), "b": ("w1", 1)},
+        {"w0": 0, "w1": 0},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_YARDS)
+def test_draw_matches_the_reference_on_edge_yards(name):
+    # Every draw is made from the edge plan itself: nothing is applied.
+    instance, assignments, configs = EDGE_YARDS[name]
+    state = AnnealState(instance, Solution.from_maps(assignments, configs))
+    move_rng, twin = stream(5, "anneal"), stream(5, "anneal")
+    for _ in range(300):
+        draw_in_pair(instance, state, move_rng, twin)
+
+
 def recount_loads(instance, solution: Solution) -> tuple[list[int], int]:
     wagon = [0] * len(instance.wagons)
     for a in solution.assignments:
@@ -196,11 +368,12 @@ MUTABLE = ("occupant", "slot", "position", "config", "wagon_load", "train_load",
 
 
 def test_delta_checks_agree_with_the_reference():
-    # Drive the state through many draws from random feasible starts.  Every
-    # drawn candidate is materialised and judged by check_feasibility and
-    # shifted_objective; the delta verdict must agree in both directions,
-    # and after each applied move the incremental bookkeeping must equal
-    # that of a state rebuilt from scratch.
+    # Drive the state through many draws from random feasible starts.  Each
+    # draw is checked against reference_draw (draw_in_pair), which judges
+    # every candidate with check_feasibility, so the kernel's verdicts agree
+    # with the reference in both directions.  Every admitted move is costed
+    # against shifted_objective, and after each applied move the incremental
+    # bookkeeping must equal that of a state rebuilt from scratch.
     rng = random.Random(31)
     admitted = rejected = applied = 0
     # Admitted moves keyed by (rehandles cost something, containers whose
@@ -210,18 +383,14 @@ def test_delta_checks_agree_with_the_reference():
     for _ in range(80):
         instance = random_instance(rng, max_containers=8, max_wagons=3)
         state = AnnealState(instance, random_feasible_solution(instance, rng))
-        move_rng = stream(rng.randrange(2**32), "anneal")
+        seed = rng.randrange(2**32)
+        move_rng, twin = stream(seed, "anneal"), stream(seed, "anneal")
         for _ in range(150):
-            kind = MOVE_KINDS[move_rng.randrange(len(MOVE_KINDS))]
-            move = state.propose(kind, move_rng)
+            move, misses = draw_in_pair(instance, state, move_rng, twin)
+            rejected += misses
             if move is None:
                 continue
             candidate = materialise(instance, state, move)
-            fits = state.fits(move)
-            assert fits == (check_feasibility(instance, candidate) == []), (kind, move)
-            if not fits:
-                rejected += 1
-                continue
             admitted += 1
             moved = sum(
                 (instance.slot_wagon[s] if s >= 0 else state.unloaded) != state.position[i]
@@ -231,7 +400,7 @@ def test_delta_checks_agree_with_the_reference():
             movers[key] = movers.get(key, 0) + 1
             delta = state.delta(move)
             assert state.objective + delta == shifted_objective(instance, candidate)
-            if not accept(delta, 2.0, move_rng):
+            if not accept(delta, 2.0, rng):
                 continue
             state.apply(move, delta)
             applied += 1
@@ -246,6 +415,53 @@ def test_delta_checks_agree_with_the_reference():
     assert admitted > 2000 and rejected > 1000 and applied > 1000
     assert movers[True, 1] > 500 and movers[True, 2] > 30
     assert movers[False, 1] > 100 and movers[False, 2] > 10
+
+
+# A 3-high stack (b at the bottom, m, t on top) over three wagons with
+# three twenty-foot slots each; m moves.  Values b 5, m 7, t 4.
+STACK_OF_THREE = make_instance(
+    containers=[("b", TWENTY, 100, 5), ("m", TWENTY, 100, 7), ("t", TWENTY, 100, 4)],
+    stacks=[("b", "m", "t")],
+    wagons=[(w, (TWENTY,) * 3, ((1000,) * 3,), 5000) for w in ("w0", "w1", "w2")],
+)
+
+
+@pytest.mark.parametrize(
+    "start, target, alpha, expected",
+    [
+        # b on w0, m on w1, t on w2: m is short 1 (t), b is short 2 (m, t).
+        ("b0 m1 t2", ("w0", 1), 3, -3),  # b no longer waits for m
+        ("b0 m1 t2", ("w1", 1), 3, 0),
+        ("b0 m1 t2", ("w2", 1), 3, -3),  # t leaves with m: m's own shortfall goes
+        ("b0 m1 t2", None, 3, -3 + 7),  # m's own shortfall goes; b still waits for it
+        ("b0 m1 t2", ("w0", 1), 0, 0),
+        ("b0 m1 t2", ("w1", 1), 0, 0),
+        ("b0 m1 t2", ("w2", 1), 0, 0),
+        ("b0 m1 t2", None, 0, 7),
+        # b and m on w1, t on w0: nothing is short.
+        ("b1 m1 t0", ("w0", 1), 3, 0),
+        ("b1 m1 t0", ("w1", 2), 3, 0),
+        ("b1 m1 t0", ("w2", 0), 3, 3),  # b now waits for m
+        ("b1 m1 t0", None, 3, 3 + 7),  # b waits for m, which stays in the yard
+        ("b1 m1 t0", ("w2", 0), 0, 0),
+        ("b1 m1 t0", None, 0, 7),
+    ],
+)
+def test_single_mover_delta_by_hand(start, target, alpha, expected):
+    instance = replace(STACK_OF_THREE, rehandle_unit_cost=alpha)
+    wagon = {cid: f"w{start[start.index(cid) + 1]}" for cid in "bmt"}
+    taken = {w: 0 for w in ("w0", "w1", "w2")}
+    assignments = {}
+    for cid in "bmt":
+        assignments[cid] = (wagon[cid], taken[wagon[cid]])
+        taken[wagon[cid]] += 1
+    state = AnnealState(instance, Solution.from_maps(assignments, {"w0": 0, "w1": 0, "w2": 0}))
+    s = -1 if target is None else instance.all_slots.index((*target, TWENTY))
+    move = ((instance.container_index["m"], s),), None
+    assert state.delta(move) == expected
+    assert state.objective + expected == shifted_objective(
+        instance, materialise(instance, state, move)
+    )
 
 
 def test_solve_raises_when_the_reference_disagrees(pair_instance, monkeypatch):
