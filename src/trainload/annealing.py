@@ -33,8 +33,8 @@ per shape:
 * insertion: the slot limit, the wagon load and the train load;
 * trade (both containers loaded): both slot limits, and both wagon loads
   when the slots are on different wagons;
-* replace (the partner is unloaded): the slot limit, the wagon load and the
-  train load, each with the weight difference;
+* replace (the partner is unloaded): the slot limit for the partner, and
+  the wagon and train loads with the weight difference;
 * relocate: the slot limit, and the wagon load when it changes wagon;
 * unassign: nothing, since weights are non-negative;
 * config: every occupied slot of the wagon against the new limits.
@@ -50,8 +50,9 @@ only when a container enters or leaves the train.
 ``check_feasibility``, ``shifted_objective`` and ``evaluate`` stay the
 reference: the state starts from a plan they verify and score, ``solve``
 re-evaluates its best plan with them and raises if the two disagree, and
-the test suite cross-checks every delta verdict and running total against
-them.
+the test suite checks every draw against a reference draw that judges each
+candidate with ``check_feasibility``, and every delta and running total
+against ``shifted_objective``.
 
 Determinism: a run is a pure function of (instance, params); the RNG stream
 is derived from ``params.seed`` and nothing reads the clock except the
@@ -273,14 +274,9 @@ class AnnealState:
 
     def draw(self, rng: Random):
         """A feasible move, redrawn up to ``MAX_NEIGHBOR_RETRIES`` times;
-        ``None`` when every attempt fails.
-
-        Each attempt draws an index into :data:`MOVE_KINDS`, builds
-        the candidate and checks the limits that its shape can break (delta
-        feasibility: the current plan is feasible).  Weights are
-        non-negative, so a container leaving a wagon or the train breaks no
-        limit.  A candidate that breaks one is dropped before any move is
-        built, and a kind with nothing to move ends the attempt."""
+        ``None`` when every attempt fails.  Each attempt draws an index into
+        :data:`MOVE_KINDS`, builds the candidate and checks only the limits
+        its shape can break (see the module docstring)."""
         bits = rng.getrandbits
         slot, length, weight, empty = self.slot, self.length, self.weight, self.empty
         slot_wagon, slot_limits, config = self.slot_wagon, self.slot_limits, self.config

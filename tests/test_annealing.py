@@ -261,22 +261,6 @@ def test_move_kinds_are_drawn_uniformly(pair_instance):
         assert abs(share - 1 / 3) < 0.02, (kind, share)
 
 
-def test_draw_matches_the_reference_on_random_walks():
-    rng = random.Random(47)
-    drawn = 0
-    for _ in range(60):
-        instance = random_instance(rng)
-        state = AnnealState(instance, random_feasible_solution(instance, rng))
-        seed = rng.randrange(2**32)
-        move_rng, twin = stream(seed, "anneal"), stream(seed, "anneal")
-        for _ in range(60):
-            move, _ = draw_in_pair(instance, state, move_rng, twin)
-            if move is not None:
-                drawn += 1
-                state.apply(move, state.delta(move))
-    assert drawn > 1000
-
-
 # Edge yards: (instance, plan as container -> (wagon, slot), configs).
 EDGE_YARDS = {
     "no-containers": (
@@ -321,7 +305,7 @@ EDGE_YARDS = {
             stacks=[("a", "b", "c"), ("d", "e")],
             wagons=[
                 ("w0", (TWENTY, TWENTY), ((1000, 2000), (2500, 1500)), 2600),
-                ("w1", (TWENTY,), ((1000,), (3000,)), 3000),
+                ("w1", (TWENTY,), ((3000,), (1000,)), 1200),
             ],
         ),
         {"a": ("w0", 0), "b": ("w0", 1), "c": ("w1", 0)},
@@ -424,38 +408,40 @@ STACK_OF_THREE = make_instance(
     stacks=[("b", "m", "t")],
     wagons=[(w, (TWENTY,) * 3, ((1000,) * 3,), 5000) for w in ("w0", "w1", "w2")],
 )
+STARTS = {
+    # m is short 1 (t), b is short 2 (m, t).
+    "spread": {"b": ("w0", 0), "m": ("w1", 0), "t": ("w2", 0)},
+    # Nothing is short.
+    "shared": {"b": ("w1", 0), "m": ("w1", 1), "t": ("w0", 0)},
+}
+# (start, m's new slot or None for off the train, alpha, expected delta)
+HAND_DELTAS = [
+    ("spread", ("w0", 1), 3, -3),  # b no longer waits for m
+    ("spread", ("w1", 1), 3, 0),
+    ("spread", ("w2", 1), 3, -3),  # m joins t on w2, so t no longer counts against m
+    ("spread", None, 3, -3 + 7),  # m's own shortfall goes; b still waits for m
+    ("spread", ("w0", 1), 0, 0),
+    ("spread", ("w1", 1), 0, 0),
+    ("spread", ("w2", 1), 0, 0),
+    ("spread", None, 0, 7),
+    ("shared", ("w0", 1), 3, 0),
+    ("shared", ("w1", 2), 3, 0),
+    ("shared", ("w2", 0), 3, 3),  # b now waits for m
+    ("shared", None, 3, 3 + 7),  # b waits for m, which stays in the yard
+    ("shared", ("w2", 0), 0, 0),
+    ("shared", None, 0, 7),
+]
 
 
 @pytest.mark.parametrize(
     "start, target, alpha, expected",
-    [
-        # b on w0, m on w1, t on w2: m is short 1 (t), b is short 2 (m, t).
-        ("b0 m1 t2", ("w0", 1), 3, -3),  # b no longer waits for m
-        ("b0 m1 t2", ("w1", 1), 3, 0),
-        ("b0 m1 t2", ("w2", 1), 3, -3),  # t leaves with m: m's own shortfall goes
-        ("b0 m1 t2", None, 3, -3 + 7),  # m's own shortfall goes; b still waits for it
-        ("b0 m1 t2", ("w0", 1), 0, 0),
-        ("b0 m1 t2", ("w1", 1), 0, 0),
-        ("b0 m1 t2", ("w2", 1), 0, 0),
-        ("b0 m1 t2", None, 0, 7),
-        # b and m on w1, t on w0: nothing is short.
-        ("b1 m1 t0", ("w0", 1), 3, 0),
-        ("b1 m1 t0", ("w1", 2), 3, 0),
-        ("b1 m1 t0", ("w2", 0), 3, 3),  # b now waits for m
-        ("b1 m1 t0", None, 3, 3 + 7),  # b waits for m, which stays in the yard
-        ("b1 m1 t0", ("w2", 0), 0, 0),
-        ("b1 m1 t0", None, 0, 7),
-    ],
+    HAND_DELTAS,
+    ids=[f"{s}-{'-'.join(map(str, t or ['off']))}-alpha{a}" for s, t, a, _ in HAND_DELTAS],
 )
 def test_single_mover_delta_by_hand(start, target, alpha, expected):
     instance = replace(STACK_OF_THREE, rehandle_unit_cost=alpha)
-    wagon = {cid: f"w{start[start.index(cid) + 1]}" for cid in "bmt"}
-    taken = {w: 0 for w in ("w0", "w1", "w2")}
-    assignments = {}
-    for cid in "bmt":
-        assignments[cid] = (wagon[cid], taken[wagon[cid]])
-        taken[wagon[cid]] += 1
-    state = AnnealState(instance, Solution.from_maps(assignments, {"w0": 0, "w1": 0, "w2": 0}))
+    plan = Solution.from_maps(STARTS[start], {"w0": 0, "w1": 0, "w2": 0})
+    state = AnnealState(instance, plan)
     s = -1 if target is None else instance.all_slots.index((*target, TWENTY))
     move = ((instance.container_index["m"], s),), None
     assert state.delta(move) == expected
