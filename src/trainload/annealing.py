@@ -204,8 +204,8 @@ class AnnealState:
     each candidate in one pass), costs them (:meth:`delta`) and applies them.
 
     The layout is the instance's: its integer tables (``slot_wagon``,
-    ``wagon_slots``, ``slot_limits``, ``above``) are read, not rebuilt, and
-    only the plan and its running loads live here.  A *move* is a
+    ``wagon_slots``, ``slot_limits``, ``above``, ``below``) are read, not
+    rebuilt, and only the plan and its running loads live here.  A *move* is a
     pair ``(changes, config)``: ``changes`` is a tuple of ``(container,
     slot)`` pairs giving each moved container's new slot (``-1`` takes it
     off the train), and ``config`` is ``None`` or a ``(wagon, config)``
@@ -234,10 +234,7 @@ class AnnealState:
         for r, i in enumerate(self.by_rank):
             self.rank[i] = r
         self.above = instance.above
-        self.below: list[list[int]] = [[] for _ in containers]
-        for i, blockers in enumerate(self.above):
-            for a in blockers:
-                self.below[a].append(i)
+        self.below = instance.below
 
         self.slot_wagon = instance.slot_wagon
         self.slot_length = [int(length) for _, _, length in instance.all_slots]

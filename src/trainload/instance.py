@@ -256,6 +256,13 @@ class Instance:
         tiers = [self.stack_position[c.id] for c in self.containers]
         return tuple(tuple(index[cid] for cid in self.yard.stacks[k][l + 1 :]) for k, l in tiers)
 
+    @cached_property
+    def below(self) -> tuple[tuple[int, ...], ...]:
+        """Container -> the containers stacked beneath it, lowest first."""
+        index = self.container_index
+        tiers = [self.stack_position[c.id] for c in self.containers]
+        return tuple(tuple(index[cid] for cid in self.yard.stacks[k][:l]) for k, l in tiers)
+
     @property
     def total_slots(self) -> int:
         return len(self.all_slots)

@@ -30,14 +30,33 @@ and independently, and the objective ignores them, so the feasible
 solutions of a leaf's assignment are exactly the product of each wagon's
 masked configs (config factoring).  The yield order is the one of the
 plain walk over every (assignment, config combination) pair.
-:func:`enumerate_optima` scores each assignment once and expands configs
-only for assignments that tie or beat the best so far.
+
+The walk also carries each container's position (its wagon, or
+``len(wagons)`` while it is not placed) and the shifted objective of the
+plan so far, so no leaf is scored from scratch.  The closed-form count
+(``evaluation._count_rehandles``) charges one rehandle per stacked pair
+whose upper container leaves on a later wagon than the loaded lower one,
+and a yard container counts as leaving after the last wagon.  Placing a
+container on wagon ``w`` moves it out of the yard, so only the pairs that
+contain it can change: its own, one rehandle per container above it that
+leaves after ``w`` (one not yet placed counts, as a yard container does),
+and one per placed container beneath it, which paid for it while it sat in
+the yard and keeps paying only if it leaves before ``w``.  The placement
+adds those terms, times ``rehandle_unit_cost``, and subtracts the
+container's value; backing up restores the saved objective with the loads
+and masks.  This is the single-mover form of ``AnnealState.delta`` with
+the yard as the old position, so every leaf's objective equals
+``shifted_objective`` of its plan.  :func:`enumerate_optima` reads each
+leaf's objective and feasible count (the product of its wagons' admitted
+config counts), and sorts the assignment and expands its configs only for
+leaves that tie or beat the best so far.
 
 ``check_feasibility`` and ``shifted_objective`` stay the reference:
 ``enumerate_optima`` re-checks every optimum it returns with them and
-raises if either disagrees, and the test suite compares both orders with an
+raises if either disagrees.  The test suite compares both orders with an
 unpruned brute force over every injective container-to-slot map and every
-config combination, filtered by ``check_feasibility``.
+config combination, filtered by ``check_feasibility``, and every leaf's
+carried objective with ``shifted_objective``.
 
 A budget guard in :func:`iter_feasible_solutions`, shared by every
 enumeration, refuses instances whose raw search space (config combinations
@@ -142,9 +161,11 @@ def _levels(instance: Instance, order: str) -> list[_Level]:
 
 def _feasible_assignments(
     instance: Instance, order: str, limit: int
-) -> Iterator[tuple[tuple[Assignment, ...], list[tuple[ConfigChoice, ...]]]]:
-    """Yield every assignment that some config combination makes feasible
-    (entries sorted), with each wagon's admitting configs in index order.
+) -> Iterator[tuple[int, list[Assignment], list[int]]]:
+    """Yield every assignment that some config combination makes feasible,
+    as its shifted objective, its entries in placement order, and each
+    wagon's mask of the configs that admit it.  The two lists are the
+    walk's own and change on the next draw; a caller copies what it keeps.
     Budget and order are checked on the first draw, before any work."""
     if order not in _ORDERS:
         raise ValueError(f"order must be one of {_ORDERS}")
@@ -156,24 +177,31 @@ def _feasible_assignments(
     levels = _levels(instance, order)
     wagons = instance.wagons
     weights = [c.weight for c in instance.containers]
+    values = [c.value for c in instance.containers]
+    above, below = instance.above, instance.below
+    alpha = instance.rehandle_unit_cost
     wagon_max = [w.max_weight for w in wagons]
     train_max = instance.train_max_weight
     # Per wagon: the mask of its configs that admit every slot load placed
-    # on it so far, and its running load; then the train's load.
+    # on it so far, and its running load; then the train's load, each
+    # container's position (its wagon, or ``yard`` while it is not placed)
+    # and the plan's shifted objective.
     admitted = [(1 << len(w.configs)) - 1 for w in wagons]
     load = [0] * len(wagons)
     train = 0
-    choices = [_Choices(w.id) for w in wagons]
-    used = [False] * len(weights)
+    yard = len(wagons)
+    position = [yard] * len(weights)
+    objective = 0
     taken = [False] * instance.total_slots
     acc: list[Assignment] = []
     # The option each level holds (-1 while it is empty), and its wagon's
-    # mask and load and the train's load from before it was placed.
+    # mask and load, the train's load and the objective from before it was
+    # placed.
     held = [-1] * len(levels)
-    saved = [(0, 0, 0)] * len(levels)
+    saved = [(0, 0, 0, 0)] * len(levels)
     while True:
         # A leaf: every wagon has a config that admits its slot loads.
-        yield tuple(sorted(acc)), [c[m] for c, m in zip(choices, admitted)]
+        yield objective, acc, admitted
         # Back up to the deepest level that has another admitted option,
         # emptying each level left on the way, and take that option.
         p = len(levels) - 1
@@ -182,15 +210,17 @@ def _feasible_assignments(
             k = held[p]
             if k >= 0:
                 i, j, w, _, _ = options[k]
-                admitted[w], load[w], train = saved[p]
+                admitted[w], load[w], train, objective = saved[p]
                 acc.pop()
-                used[i] = taken[j] = False
+                position[i] = yard
+                taken[j] = False
             for k in range(k + 1, len(options)):
                 i, j, w, mask, assignment = options[k]
                 weight = weights[i]
                 if (
                     admitted[w] & mask
-                    and not (used[i] or taken[j])
+                    and position[i] == yard
+                    and not taken[j]
                     and load[w] + weight <= wagon_max[w]
                     and train + weight <= train_max
                 ):
@@ -200,22 +230,38 @@ def _feasible_assignments(
                 p -= 1
                 continue
             held[p] = k
-            saved[p] = admitted[w], load[w], train
+            saved[p] = admitted[w], load[w], train, objective
             admitted[w] &= mask
             load[w] += weight
             train += weight
-            used[i] = taken[j] = True
+            position[i] = w
+            taken[j] = True
             acc.append(assignment)
+            # The mover's own rehandles: its blockers that leave later, an
+            # unplaced one counting as leaving last.  A placed container
+            # beneath it stops paying for it unless it leaves earlier.
+            objective -= values[i]
+            if alpha:
+                rehandles = 0
+                for a in above[i]:
+                    if position[a] > w:
+                        rehandles += 1
+                for b in below[i]:
+                    if w <= position[b] < yard:
+                        rehandles -= 1
+                objective += alpha * rehandles
             break
         else:
             return
 
 
 def _solutions(
-    assignments: tuple[Assignment, ...], choices: list[tuple[ConfigChoice, ...]]
+    acc: list[Assignment], admitted: list[int], choices: list[_Choices]
 ) -> Iterator[Solution]:
-    """Every config combination of one assignment, first wagon slowest."""
-    for configs in product(*choices):
+    """Every config combination of the walk's current assignment (entries
+    sorted), first wagon slowest."""
+    assignments = tuple(sorted(acc))
+    for configs in product(*(c[m] for c, m in zip(choices, admitted))):
         yield Solution(assignments, configs)
 
 
@@ -230,8 +276,9 @@ def iter_feasible_solutions(
     if the raw search space is larger than ``limit``, and :class:`ValueError`
     if ``limit`` is negative.
     """
-    for assignments, choices in _feasible_assignments(instance, order, limit):
-        yield from _solutions(assignments, choices)
+    choices = [_Choices(w.id) for w in instance.wagons]
+    for _, acc, admitted in _feasible_assignments(instance, order, limit):
+        yield from _solutions(acc, admitted, choices)
 
 
 def enumerate_optima(
@@ -247,18 +294,17 @@ def enumerate_optima(
     :func:`shifted_objective`; a :class:`RuntimeError` is raised if either
     disagrees with the enumeration.
     """
+    choices = [_Choices(w.id) for w in instance.wagons]
     best: int | None = None
     argmins: list[Solution] = []
     count = 0
-    for assignments, choices in _feasible_assignments(instance, order, limit):
-        count += prod(len(c) for c in choices)
-        # The objective depends on the assignments only.
-        obj = shifted_objective(instance, Solution(assignments, tuple(c[0] for c in choices)))
+    for obj, acc, admitted in _feasible_assignments(instance, order, limit):
+        count += prod(map(int.bit_count, admitted))
         if best is None or obj < best:
             best = obj
-            argmins = list(_solutions(assignments, choices))
+            argmins = list(_solutions(acc, admitted, choices))
         elif obj == best:
-            argmins.extend(_solutions(assignments, choices))
+            argmins.extend(_solutions(acc, admitted, choices))
 
     assert best is not None  # empty plan is feasible for any wagon config
     for solution in argmins:

@@ -320,6 +320,12 @@ def test_integer_tables_agree_with_the_reference():
     for _ in range(300):
         instance = random_instance(rng)
         assert sum(map(len, instance.above)) == len(derive_blocking_pairs(instance))
+        index, tier = instance.container_index, instance.stack_position
+        pairs = {(index[p.below], index[p.above]) for p in derive_blocking_pairs(instance)}
+        assert {(b, i) for i, under in enumerate(instance.below) for b in under} == pairs
+        for under in instance.below:  # lowest first
+            tiers = [tier[instance.containers[b].id][1] for b in under]
+            assert tiers == sorted(tiers)
         spans = instance.wagon_slots
         assert [s for span in spans for s in span] == list(range(instance.total_slots))
         assert [w for w, span in enumerate(spans) for _ in span] == list(instance.slot_wagon)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -188,23 +189,47 @@ def test_pruned_factored_enumeration_matches_the_reference():
     assert loaded >= 150  # many draws can load something
 
 
+def test_the_walks_running_objective_matches_the_reference():
+    # Every leaf's carried objective against a full recount, with one
+    # admitted config per wagon (the objective ignores configs), and the
+    # feasible count against the leaves' config products.
+    rng = random.Random(2121)
+    draws = [random_instance(rng, max_containers=6, max_wagons=3) for _ in range(150)]
+    free, charged = 0, 0
+    for instance in draws + [coarsened(instance) for instance in draws]:
+        for order in ("slot-major", "container-major"):
+            total = 0
+            for objective, acc, admitted in oracle._feasible_assignments(
+                instance, order, DEFAULT_BUDGET
+            ):
+                configs = tuple(
+                    ConfigChoice(w.id, (m & -m).bit_length() - 1)
+                    for w, m in zip(instance.wagons, admitted)
+                )
+                solution = Solution(tuple(sorted(acc)), configs)
+                assert objective == shifted_objective(instance, solution), (order, solution)
+                total += math.prod(bin(m).count("1") for m in admitted)
+                free += instance.rehandle_unit_cost == 0 and bool(acc)
+                charged += evaluate(instance, solution).rehandles > 0
+            assert enumerate_optima(instance, order=order).enumerated == total
+    # Both regimes are exercised: plans priced without rehandles, and plans
+    # whose carried objective includes some.
+    assert free >= 100
+    assert charged >= 100
+
+
 def test_enumerate_optima_raises_when_the_reference_disagrees(pair_instance, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(oracle, "check_feasibility", lambda instance, solution: ["broken"])
         with pytest.raises(RuntimeError, match="disagrees"):
             enumerate_optima(pair_instance)
 
-    # A reference that scores a plan differently the second time it sees it:
-    # the enumeration scores each assignment once, the re-check once more.
+    # The walk carries its own objective and calls the reference only to
+    # re-check the optima, so a reference off by one must be caught there.
     real = oracle.shifted_objective
-    seen = set()
-
-    def drifting(instance, solution):
-        again = solution in seen
-        seen.add(solution)
-        return real(instance, solution) + again
-
-    monkeypatch.setattr(oracle, "shifted_objective", drifting)
+    monkeypatch.setattr(
+        oracle, "shifted_objective", lambda instance, solution: real(instance, solution) + 1
+    )
     with pytest.raises(RuntimeError, match="disagrees"):
         enumerate_optima(pair_instance)
 
