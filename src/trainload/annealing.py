@@ -39,13 +39,9 @@ per shape:
 * unassign: nothing, since weights are non-negative;
 * config: every occupied slot of the wagon against the new limits.
 
-Only a candidate that fits becomes a move.  The objective change (delta
-cost) uses the closed form of the rehandle count: a loaded container's
-shortfall is the number of containers above it that are not loaded onto
-the same or an earlier wagon.  When one container changes position, only
-its own shortfall and one term per loaded container below it change; a
-trade re-scores both movers and the containers below them.  Value changes
-only when a container enters or leaves the train.
+Only a candidate that fits becomes a move.  Its objective change (delta
+cost) adds :func:`~trainload.evaluation.rehandle_change`, the one
+incremental rehandle rule, for each container whose position changes.
 
 ``check_feasibility``, ``shifted_objective`` and ``evaluate`` stay the
 reference: the state starts from a plan they verify and score, ``solve``
@@ -75,6 +71,7 @@ from .evaluation import (
     Solution,
     check_feasibility,
     evaluate,
+    rehandle_change,
     shifted_objective,
 )
 from .instance import Instance
@@ -368,14 +365,12 @@ class AnnealState:
     # -- costing and applying --------------------------------------------------
 
     def delta(self, move) -> int:
-        """Change of the shifted objective if ``move`` were applied.
-
-        A loaded container's shortfall (the rehandles charged to it) is the
-        number of containers above it that are not loaded onto the same or
-        an earlier wagon; only the moved containers and those below them
-        can change theirs."""
+        """Change of the shifted objective if ``move`` were applied: the
+        value of the containers that enter or leave the train, and the sum of
+        :func:`~trainload.evaluation.rehandle_change` over the containers
+        whose position changes, each taken with the earlier ones moved."""
         changes, _ = move
-        slot, position, unloaded = self.slot, self.position, self.unloaded
+        slot, position = self.slot, self.position
         value = 0
         moved = []
         for i, s in changes:
@@ -384,56 +379,21 @@ class AnnealState:
                 if slot[i] < 0:
                     value -= self.value[i]
             else:
-                p = unloaded
+                p = self.unloaded
                 if slot[i] >= 0:
                     value += self.value[i]
             if p != position[i]:
-                moved.append((i, p))
+                moved.append((i, position[i], p))
         if not moved or not self.alpha:
             return value
         above, below = self.above, self.below
-        shortfall = 0
-        if len(moved) == 1:
-            # Only the mover's own shortfall and, for each loaded container
-            # under it, whether the mover counts against it can change.  A
-            # yard container's position is above every wagon's, so it gains
-            # no term.
-            ((i, p),) = moved
-            q = position[i]
-            if q != unloaded:
-                for a in above[i]:
-                    if position[a] > q:
-                        shortfall -= 1
-            if p != unloaded:
-                for a in above[i]:
-                    if position[a] > p:
-                        shortfall += 1
-            for j in below[i]:
-                r = position[j]
-                shortfall += (p > r) - (q > r)
-            return self.alpha * shortfall + value
-        touched = set()
-        for i, _ in moved:
-            touched.add(i)
-            touched.update(below[i])
-        for i in touched:
-            p = position[i]
-            if p != unloaded:
-                for a in above[i]:
-                    if position[a] > p:
-                        shortfall -= 1
-        old = [(i, position[i]) for i, _ in moved]
-        for i, p in moved:
-            position[i] = p
-        for i in touched:
-            p = position[i]
-            if p != unloaded:
-                for a in above[i]:
-                    if position[a] > p:
-                        shortfall += 1
-        for i, p in old:
-            position[i] = p
-        return self.alpha * shortfall + value
+        rehandles = 0
+        for i, old, new in moved:
+            rehandles += rehandle_change(above[i], below[i], position, old, new)
+            position[i] = new
+        for i, old, _ in moved:
+            position[i] = old
+        return self.alpha * rehandles + value
 
     def apply(self, move, delta: int) -> None:
         """Make ``move``, whose objective change is ``delta``, current."""

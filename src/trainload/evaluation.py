@@ -264,6 +264,32 @@ def _count_rehandles(instance: Instance, solution: Solution) -> int:
     return sum(position[b] > p for p, blockers in zip(position, instance.above) for b in blockers)
 
 
+def rehandle_change(above, below, position, old: int, new: int) -> int:
+    """Exact change of :func:`_count_rehandles` when one container moves
+    from position ``old`` to ``new`` and every other container stays put.
+
+    A position is a wagon index, or ``len(wagons)`` for the yard; ``position``
+    holds every container's, and ``above`` and ``below`` are the mover's
+    entries of ``instance.above`` and ``instance.below``.  The count sums
+    ``position[upper] > position[lower]`` over the stacked pairs, so only the
+    pairs that hold the mover change: each ``a`` above it adds
+    ``(position[a] > new) - (position[a] > old)``, and each ``b`` below it
+    adds ``(new > position[b]) - (old > position[b])``.  No position exceeds
+    the yard's, so a container in the yard is never charged for a blocker
+    and these terms need no yard guard.  A move of several containers is the
+    sum of one call per mover, each made with the earlier movers already at
+    their new positions: the changes telescope.
+    """
+    change = 0
+    for a in above:
+        p = position[a]
+        change += (p > new) - (p > old)
+    for b in below:
+        p = position[b]
+        change += (new > p) - (old > p)
+    return change
+
+
 def count_rehandles_compact(instance: Instance, solution: Solution) -> int:
     """Total crane rehandles implied by the plan, without simulation.
 

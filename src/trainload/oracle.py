@@ -32,24 +32,16 @@ masked configs (config factoring).  The yield order is the one of the
 plain walk over every (assignment, config combination) pair.
 
 The walk also carries each container's position (its wagon, or
-``len(wagons)`` while it is not placed) and the shifted objective of the
-plan so far, so no leaf is scored from scratch.  The closed-form count
-(``evaluation._count_rehandles``) charges one rehandle per stacked pair
-whose upper container leaves on a later wagon than the loaded lower one,
-and a yard container counts as leaving after the last wagon.  Placing a
-container on wagon ``w`` moves it out of the yard, so only the pairs that
-contain it can change: its own, one rehandle per container above it that
-leaves after ``w`` (one not yet placed counts, as a yard container does),
-and one per placed container beneath it, which paid for it while it sat in
-the yard and keeps paying only if it leaves before ``w``.  The placement
-adds those terms, times ``rehandle_unit_cost``, and subtracts the
-container's value; backing up restores the saved objective with the loads
-and masks.  This is the single-mover form of ``AnnealState.delta`` with
-the yard as the old position, so every leaf's objective equals
-``shifted_objective`` of its plan.  :func:`enumerate_optima` reads each
-leaf's objective and feasible count (the product of its wagons' admitted
-config counts), and sorts the assignment and expands its configs only for
-leaves that tie or beat the best so far.
+``len(wagons)`` while it is not placed, as in the yard) and the shifted
+objective of the plan so far: a placement adds
+``evaluation.rehandle_change`` from the yard to its wagon, times
+``rehandle_unit_cost``, less the container's value, and backing up
+restores the saved objective with the loads and masks.  So every leaf's
+objective equals ``shifted_objective`` of its plan, and
+:func:`enumerate_optima` reads each leaf's objective and feasible count
+(the product of its wagons' admitted config counts), and sorts the
+assignment and expands its configs only for leaves that tie or beat the
+best so far.
 
 ``check_feasibility`` and ``shifted_objective`` stay the reference:
 ``enumerate_optima`` re-checks every optimum it returns with them and
@@ -76,6 +68,7 @@ from .evaluation import (
     ConfigChoice,
     Solution,
     check_feasibility,
+    rehandle_change,
     shifted_objective,
 )
 from .instance import Instance
@@ -237,19 +230,7 @@ def _feasible_assignments(
             position[i] = w
             taken[j] = True
             acc.append(assignment)
-            # The mover's own rehandles: its blockers that leave later, an
-            # unplaced one counting as leaving last.  A placed container
-            # beneath it stops paying for it unless it leaves earlier.
-            objective -= values[i]
-            if alpha:
-                rehandles = 0
-                for a in above[i]:
-                    if position[a] > w:
-                        rehandles += 1
-                for b in below[i]:
-                    if w <= position[b] < yard:
-                        rehandles -= 1
-                objective += alpha * rehandles
+            objective += alpha * rehandle_change(above[i], below[i], position, yard, w) - values[i]
             break
         else:
             return

@@ -361,8 +361,9 @@ def test_delta_checks_agree_with_the_reference():
     rng = random.Random(31)
     admitted = rejected = applied = 0
     # Admitted moves keyed by (rehandles cost something, containers whose
-    # position changes: another wagon, or on or off the train).  delta has
-    # one path for a single mover and another for two.
+    # position changes: another wagon, or on or off the train).  delta sums
+    # one rule change per mover, so the floors below keep single movers,
+    # trades and replaces all exercised.
     movers: dict[tuple[bool, int], int] = {}
     for _ in range(80):
         instance = random_instance(rng, max_containers=8, max_wagons=3)
@@ -402,7 +403,9 @@ def test_delta_checks_agree_with_the_reference():
 
 
 # A 3-high stack (b at the bottom, m, t on top) over three wagons with
-# three twenty-foot slots each; m moves.  Values b 5, m 7, t 4.
+# three twenty-foot slots each.  Values b 5, m 7, t 4.  A plan pays one
+# rehandle per pair (upper, lower) whose upper container leaves later; a
+# yard container leaves last.
 STACK_OF_THREE = make_instance(
     containers=[("b", TWENTY, 100, 5), ("m", TWENTY, 100, 7), ("t", TWENTY, 100, 4)],
     stacks=[("b", "m", "t")],
@@ -413,37 +416,68 @@ STARTS = {
     "spread": {"b": ("w0", 0), "m": ("w1", 0), "t": ("w2", 0)},
     # Nothing is short.
     "shared": {"b": ("w1", 0), "m": ("w1", 1), "t": ("w0", 0)},
+    # m is in the yard; b is short 1 (m), m pays nothing.
+    "yard": {"b": ("w2", 0), "t": ("w0", 0)},
 }
-# (start, m's new slot or None for off the train, alpha, expected delta)
+# (start, each mover's new slot or None for off the train, in the order the
+# move lists them, alpha, expected delta)
 HAND_DELTAS = [
-    ("spread", ("w0", 1), 3, -3),  # b no longer waits for m
-    ("spread", ("w1", 1), 3, 0),
-    ("spread", ("w2", 1), 3, -3),  # m joins t on w2, so t no longer counts against m
-    ("spread", None, 3, -3 + 7),  # m's own shortfall goes; b still waits for m
-    ("spread", ("w0", 1), 0, 0),
-    ("spread", ("w1", 1), 0, 0),
-    ("spread", ("w2", 1), 0, 0),
-    ("spread", None, 0, 7),
-    ("shared", ("w0", 1), 3, 0),
-    ("shared", ("w1", 2), 3, 0),
-    ("shared", ("w2", 0), 3, 3),  # b now waits for m
-    ("shared", None, 3, 3 + 7),  # b waits for m, which stays in the yard
-    ("shared", ("w2", 0), 0, 0),
-    ("shared", None, 0, 7),
+    ("spread", {"m": ("w0", 1)}, 3, -3),  # b no longer waits for m
+    ("spread", {"m": ("w1", 1)}, 3, 0),
+    ("spread", {"m": ("w2", 1)}, 3, -3),  # m joins t on w2, so t no longer counts against m
+    ("spread", {"m": None}, 3, -3 + 7),  # m's own shortfall goes; b still waits for m
+    ("spread", {"m": ("w0", 1)}, 0, 0),
+    ("spread", {"m": ("w1", 1)}, 0, 0),
+    ("spread", {"m": ("w2", 1)}, 0, 0),
+    ("spread", {"m": None}, 0, 7),
+    ("shared", {"m": ("w0", 1)}, 3, 0),
+    ("shared", {"m": ("w1", 2)}, 3, 0),
+    ("shared", {"m": ("w2", 0)}, 3, 3),  # b now waits for m
+    ("shared", {"m": None}, 3, 3 + 7),  # b waits for m, which stays in the yard
+    ("shared", {"m": ("w2", 0)}, 0, 0),
+    ("shared", {"m": None}, 0, 7),
+    # Trade across wagons: b on w2, m on w1, t on w0; no one is short (3 -> 0).
+    ("spread", {"b": ("w2", 0), "t": ("w0", 0)}, 3, 3 * -3),
+    ("spread", {"b": ("w2", 0), "t": ("w0", 0)}, 0, 0),
+    # Trade across wagons: m on w0 under t on w1, so m is short 1 (0 -> 1).
+    ("shared", {"t": ("w1", 1), "m": ("w0", 0)}, 3, 3),
+    # Trade on one wagon: every container keeps its wagon.
+    ("shared", {"b": ("w1", 1), "m": ("w1", 0)}, 3, 0),
+    # Replace, the yard partner above the leaver: m takes b's slot on w2 and
+    # b goes to the yard.  Yard containers pay nothing and t on w0 is early,
+    # so no one is short (1 -> 0); m's 7 comes in, b's 5 goes.
+    ("yard", {"m": ("w2", 0), "b": None}, 3, 3 * -1 - 7 + 5),
+    ("yard", {"m": ("w2", 0), "b": None}, 0, -7 + 5),
+    # Replace, the yard partner below the leaver: m takes t's slot on w0 and
+    # t goes to the yard.  b is short 1 (t) and m 1 (t) (1 -> 2); m's 7
+    # comes in, t's 4 goes.
+    ("yard", {"m": ("w0", 0), "t": None}, 3, 3 * 1 - 7 + 4),
+    ("yard", {"m": ("w0", 0), "t": None}, 2, 2 * 1 - 7 + 4),
 ]
 
 
+def hand_id(start, movers, alpha) -> str:
+    moves = [f"{c}-{'-'.join(map(str, t or ['off']))}" for c, t in movers.items()]
+    return f"{start}-{'-'.join(moves)}-alpha{alpha}"
+
+
 @pytest.mark.parametrize(
-    "start, target, alpha, expected",
+    "start, movers, alpha, expected",
     HAND_DELTAS,
-    ids=[f"{s}-{'-'.join(map(str, t or ['off']))}-alpha{a}" for s, t, a, _ in HAND_DELTAS],
+    ids=[hand_id(s, m, a) for s, m, a, _ in HAND_DELTAS],
 )
-def test_single_mover_delta_by_hand(start, target, alpha, expected):
+def test_delta_by_hand(start, movers, alpha, expected):
     instance = replace(STACK_OF_THREE, rehandle_unit_cost=alpha)
     plan = Solution.from_maps(STARTS[start], {"w0": 0, "w1": 0, "w2": 0})
     state = AnnealState(instance, plan)
-    s = -1 if target is None else instance.all_slots.index((*target, TWENTY))
-    move = ((instance.container_index["m"], s),), None
+    changes = tuple(
+        (
+            instance.container_index[cid],
+            -1 if target is None else instance.all_slots.index((*target, TWENTY)),
+        )
+        for cid, target in movers.items()
+    )
+    move = changes, None
     assert state.delta(move) == expected
     assert state.objective + expected == shifted_objective(
         instance, materialise(instance, state, move)

@@ -21,11 +21,13 @@ from trainload.evaluation import (
     Solution,
     SolutionFormatError,
     ViolationKind,
+    _count_rehandles,
     check_feasibility,
     count_rehandles_compact,
     evaluate,
     event_log_jsonl,
     load_solution,
+    rehandle_change,
     serialize_solution,
     shifted_objective,
     simulate_loading,
@@ -324,6 +326,49 @@ def test_loading_whole_stack_on_one_wagon_is_free():
         solution = plan({f"c{i}": ("w0", i) for i in range(n)}, {"w0": 0})
         assert count_rehandles_compact(instance, solution) == 0
         assert simulate_loading(instance, solution).rehandles == 0
+
+
+def count_at(instance, position) -> int:
+    """``_count_rehandles`` of the plan that puts each container at its
+    position (slot 0 of that wagon, or the yard), with no feasibility check."""
+    yard = len(instance.wagons)
+    assignments = tuple(
+        Assignment(c.id, instance.wagons[p].id, 0)
+        for c, p in zip(instance.containers, position)
+        if p < yard
+    )
+    return _count_rehandles(instance, Solution(assignments, ()))
+
+
+def test_rehandle_change_matches_the_recount():
+    # Every container of a random feasible plan moves in turn to every
+    # wagon and to the yard; the rule must equal the recount's difference.
+    rng = random.Random(2207)
+    moves: dict[tuple[bool, bool], int] = {}  # keyed by (from the yard, to the yard)
+    draws = 0
+    while draws < 120:
+        instance = random_instance(rng, max_containers=9, max_wagons=3, max_tiers=4)
+        if max(map(len, instance.yard.stacks), default=0) < 3:
+            continue
+        draws += 1
+        yard = len(instance.wagons)
+        position = [yard] * len(instance.containers)
+        for a in random_feasible_solution(instance, rng).assignments:
+            position[instance.container_index[a.container]] = instance.wagon_position[a.wagon]
+        before = count_at(instance, position)
+        for i, old in enumerate(position):
+            for new in range(yard + 1):
+                change = rehandle_change(
+                    instance.above[i], instance.below[i], position, old, new
+                )
+                position[i] = new
+                assert change == count_at(instance, position) - before
+                position[i] = old
+                if old != new:
+                    key = (old == yard, new == yard)
+                    moves[key] = moves.get(key, 0) + 1
+    # yard->wagon, wagon->wagon and wagon->yard
+    assert moves[True, False] > 100 and moves[False, False] > 100 and moves[False, True] > 100
 
 
 # ---------------------------------------------------------------------------
