@@ -20,6 +20,7 @@ beyond ``--limit``, ``qubo --check`` beyond the default oracle budget).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -313,7 +314,13 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``trainload`` argument parser, built on the first call and
+    returned by every later one, so that a process which runs :func:`main`
+    many times builds it once.  The parser is shared: callers must not
+    change it.  It holds the ``_cmd_*`` handlers as bound at that first
+    build."""
     parser = argparse.ArgumentParser(
         prog="trainload",
         description="Generate, solve, score, and export train load plans.",
@@ -392,7 +399,11 @@ def run_main(main: Callable[[], int]) -> int:
         return status
     except BrokenPipeError:
         # Point stdout at devnull so the interpreter's final flush succeeds.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
         return 0
 
 

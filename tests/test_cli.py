@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import DATA_DIR, TWENTY, make_instance
-from trainload import annealing, qubo
+from trainload import annealing, cli, qubo
 from trainload.cli import main
 from trainload.evaluation import load_solution_file, serialize_solution, Solution
 from trainload.evaluation import _SOLUTION_KEYS, Assignment, ConfigChoice
@@ -577,6 +577,102 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["gen"])  # all the required shape flags are missing
     assert excinfo.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+
+def test_the_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.fixture
+def plan_path(tmp_path, capsys, instance_path):
+    path = tmp_path / "plan.json"
+    code, _, _ = run(
+        capsys,
+        "solve", str(instance_path),
+        "--t-initial", "50", "--t-final", "0.5", "--cooling", "0.7",
+        "--iters", "30", "-o", str(path),
+    )
+    assert code == 0
+    return path
+
+
+def test_a_usage_error_leaves_the_next_call_unchanged(capsys, instance_path, plan_path):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["gen"])
+    assert excinfo.value.code == 2
+    capsys.readouterr()
+    code, stdout, stderr = run(capsys, "eval", str(instance_path), str(plan_path))
+    assert (code, stderr) == (0, "")
+    assert stdout.startswith("feasible: yes\n")
+
+
+def test_eval_json_does_not_carry_over_to_the_next_eval(capsys, instance_path, plan_path):
+    code, stdout, _ = run(capsys, "eval", str(instance_path), str(plan_path), "--json")
+    assert code == 0
+    assert json.loads(stdout)["feasible"] is True
+    code, stdout, _ = run(capsys, "eval", str(instance_path), str(plan_path))
+    assert code == 0
+    assert stdout.startswith("feasible: yes\n")
+    assert "objective (shifted): " in stdout
+
+
+def test_qubo_format_and_out_do_not_carry_over(tmp_path, capsys, instance_path):
+    out = tmp_path / "model.json"
+    code, _, _ = run(capsys, "qubo", str(instance_path), "--format", "json", "-o", str(out))
+    assert code == 0
+    assert json.loads(out.read_text())["n"] > 0
+    code, stdout, _ = run(capsys, "qubo", str(instance_path))
+    assert code == 0
+    model, varmap = build_qubo(load_instance_file(instance_path))
+    assert stdout == export_qubo(model, varmap, "text")
+
+
+def test_solve_schedule_flags_do_not_carry_over(capsys, instance_path):
+    code, stdout, _ = run(
+        capsys, "solve", str(instance_path), "--t-initial", "5", "--seed", "3", "--json"
+    )
+    assert code == 0
+    short = json.loads(stdout)
+    short_schedule = annealing.SaParams(t_initial=5).planned_iterations + 1
+    assert (short["seed"], short["evaluations"]) == (3, short_schedule)
+    code, stdout, _ = run(capsys, "solve", str(instance_path), "--json")
+    assert code == 0
+    default = json.loads(stdout)
+    assert (default["seed"], default["evaluations"]) == (0, 27_001)
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
+def test_run_main_after_a_broken_pipe_leaks_no_descriptor():
+    """Each ``run_main`` call that meets a closed pipe points stdout at
+    devnull; the descriptor it opens for that is closed again."""
+    script = """
+import json, os, sys
+from trainload.cli import run_main
+
+def closed():
+    raise BrokenPipeError
+
+before = len(os.listdir("/proc/self/fd"))
+codes = [run_main(closed) for _ in range(3)]
+after = len(os.listdir("/proc/self/fd"))
+print(json.dumps([codes, before, after]), file=sys.stderr)
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path_var = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=path_var), timeout=120, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    codes, before, after = json.loads(done.stderr)
+    assert codes == [0, 0, 0]
+    assert after == before
 
 
 def readme_commands() -> list[list[str]]:
