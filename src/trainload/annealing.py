@@ -80,7 +80,7 @@ from .rng import stream
 MOVE_KINDS = ("swap", "relocate", "config")
 MAX_NEIGHBOR_RETRIES = 50
 # Most move draws (levels x iters_per_level, times runs for solve_many) a
-# schedule may plan: at about 1e5 draws/s, a quarter of an hour.  The
+# schedule may plan: at about 2.3e5 draws/s, about 7 minutes.  The
 # production schedule plans 27,000.
 MAX_PLANNED_ITERATIONS = 10**8
 
