@@ -32,6 +32,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--runs", type=int, default=1, help="restarts per instance")
     parser.add_argument("--seed", type=int, default=0, help="base annealing seed")
     args = parser.parse_args(argv)
+    for option in ("instances", "runs"):
+        if getattr(args, option) < 1:
+            parser.error(f"--{option} must be at least 1")
 
     params = SaParams(
         t_initial=100.0, t_final=0.1, cooling_rate=0.8, iters_per_level=60, seed=args.seed

@@ -42,6 +42,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--runs", type=int, default=3, help="restarts per instance")
     parser.add_argument("--seed", type=int, default=0, help="base annealing seed")
     args = parser.parse_args(argv)
+    if args.runs < 1:
+        parser.error("--runs must be at least 1")
 
     print(HEADER)
     print("-" * len(HEADER))

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -211,6 +212,30 @@ def test_build_matches_a_naive_expansion_of_the_rows(request, shape, weight_unit
     expected, offset = naive_expansion(instance, model, varmap)
     assert list(model.terms()) == [(i, j, value) for (i, j), value in expected.items()]
     assert model.offset == offset
+
+
+@pytest.mark.parametrize(
+    "spec", [GenSpec(20, 8, 4, 19, 28, seed=7), GenSpec(60, 12, 4, 40, 90, seed=1)], ids=str
+)
+def test_build_peak_stays_within_twice_what_the_model_keeps(spec):
+    """Each penalty square is expanded only as the model row of its lower
+    index is packed, so a build never holds every term as Python ints at
+    once.  Its traced peak stays within twice the memory that the returned
+    model and varmap keep (all terms at once read over 3x)."""
+    instance = generate_instance(spec)
+    build_qubo(instance)  # warm the instance's cached tables
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        built = build_qubo(instance)  # alive while the memory is read
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak - before <= 2 * (after - before)
 
 
 def test_coefficients_are_upper_triangular_and_nonzero(pair_instance):
