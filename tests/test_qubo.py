@@ -220,8 +220,8 @@ def test_build_matches_a_naive_expansion_of_the_rows(request, shape, weight_unit
 def test_build_peak_stays_within_twice_what_the_model_keeps(spec):
     """Each penalty square is expanded only as the model row of its lower
     index is packed, so a build never holds every term as Python ints at
-    once.  Its traced peak stays within twice the memory that the returned
-    model and varmap keep (all terms at once read over 3x)."""
+    once: its traced peak stays within twice the memory that the returned
+    model and varmap keep."""
     instance = generate_instance(spec)
     build_qubo(instance)  # warm the instance's cached tables
     started = not tracemalloc.is_tracing()
