@@ -36,7 +36,6 @@ from .evaluation import (
 )
 from .instance import (
     GenSpec,
-    Instance,
     generate_instance,
     load_instance_file,
     serialize_instance,
@@ -184,31 +183,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _qubo_size(instance: Instance) -> dict | None:
-    """Size and coefficient range of the default QUBO export
-    (:data:`~trainload.qubo.DEFAULT_WEIGHT_UNIT`, default penalty); ``None``
-    when the instance has no such model."""
-    from . import qubo
-
-    try:
-        model, _ = qubo.build_qubo(instance)
-    except (qubo.EmptyModelError, qubo.SlackWidthError, qubo.CoefficientRangeError):
-        return None
-    coefficients = model.coefficients
-    return {
-        "variables": model.n,
-        "terms": len(coefficients),
-        "max_abs_coefficient": max(map(abs, coefficients)),
-        "min_abs_coefficient": min(map(abs, coefficients)),
-    }
-
-
 def _cmd_stats(args: argparse.Namespace) -> int:
     from . import model_stats, qubo
 
     instance = load_instance_file(args.instance)
     cmp = model_stats.compare(instance)
-    size = _qubo_size(instance)
+    size = qubo.model_size(instance)
     if args.json:
         _print_json({**cmp.to_dict(), "qubo": size})
     else:
@@ -235,10 +215,12 @@ def _cmd_qubo(args: argparse.Namespace) -> int:
     weight_unit = qubo.DEFAULT_WEIGHT_UNIT if args.weight_unit is None else args.weight_unit
     model, varmap = qubo.build_qubo(instance, penalty=args.penalty, weight_unit=weight_unit)
 
+    # The --json object: the check's counts and, once written, the export's.
+    summary: dict[str, int | str] = {}
+    mismatches = 0
     if args.check:
         from . import oracle
 
-        mismatches = 0
         checked = 0
         for solution in oracle.iter_feasible_solutions(instance):
             checked += 1
@@ -253,32 +235,31 @@ def _cmd_qubo(args: argparse.Namespace) -> int:
                         f"for {solution.assignments}",
                         file=sys.stderr,
                     )
-        verdict = "ok" if mismatches == 0 else "FAILED"
-        print(f"check {verdict}: {checked} feasible solutions, {mismatches} mismatches")
-        if mismatches:
-            return 1
+        summary = {"checked": checked, "mismatches": mismatches}
+        if not args.json:
+            verdict = "ok" if mismatches == 0 else "FAILED"
+            print(f"check {verdict}: {checked} feasible solutions, {mismatches} mismatches")
 
-    if args.out is None:
-        if not args.check:
-            sys.stdout.write(qubo.export_qubo(model, varmap, fmt=args.format))
-    else:
+    if args.out is not None and not mismatches:
         _write_text(args.out, qubo.export_qubo(model, varmap, fmt=args.format))
-        if args.json:
-            _print_json(
-                {
-                    "path": str(args.out),
-                    "n": model.n,
-                    "terms": len(model.coefficients),
-                    "offset": model.offset,
-                    "weight_unit": varmap.weight_unit,
-                }
-            )
-        else:
+        summary = {
+            "path": str(args.out),
+            "n": model.n,
+            "terms": len(model.coefficients),
+            "offset": model.offset,
+            "weight_unit": varmap.weight_unit,
+            **summary,
+        }
+        if not args.json:
             print(
                 f"wrote {args.out}: {model.n} variables, {len(model.coefficients)} terms, "
                 f"offset {model.offset}"
             )
-    return 0
+    elif args.out is None and not args.check:
+        sys.stdout.write(qubo.export_qubo(model, varmap, fmt=args.format))
+    if args.json and summary:
+        _print_json(summary)
+    return 1 if mismatches else 0
 
 
 # ---------------------------------------------------------------------------

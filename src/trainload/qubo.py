@@ -161,8 +161,8 @@ class QuboModel:
 
     On the 400-container yard of ``scripts/run_benchmark.py`` (17,311
     variables, 2,833,544 terms) the arrays take 45 MB; building the model
-    takes 1.0-1.4 s with a 95 MB peak RSS, as the penalty terms of each row
-    are expanded only when it is packed (2-CPU Linux VM, Python 3.11).
+    takes 1.0-1.1 s with a 77 MB peak RSS, as each row, objective included,
+    is expanded only when it is packed (2-CPU Linux VM, Python 3.11).
     """
 
     n: int
@@ -354,19 +354,12 @@ def _rows(
     return rows
 
 
-def build_qubo(
-    instance: Instance,
-    *,
-    penalty: int | None = None,
-    weight_unit: int = DEFAULT_WEIGHT_UNIT,
-) -> tuple[QuboModel, VariableMap]:
-    """Assemble the QUBO for an instance.
-
-    Variables are laid out as assignment triples, then config selectors,
-    then the slack registers of the rows (:func:`_rows`) in row order.
-    ``penalty`` is the one weight of every row; ``None`` picks
-    :func:`default_penalty`.
-    """
+def _model_rows(
+    instance: Instance, penalty: int | None, weight_unit: int
+) -> tuple[VariableMap, int, int, Iterator[tuple[array, array]]]:
+    """:func:`build_qubo`'s variable map, offset, penalty and an iterator over
+    its rows in order, each as (ascending columns, nonzero coefficients); a
+    coefficient beyond signed 64 bits raises only when its row is reached."""
     if weight_unit < 1:
         raise ValueError("weight_unit must be a positive integer")
     if penalty is not None and penalty < 1:
@@ -374,15 +367,18 @@ def build_qubo(
     if penalty is None:
         penalty = default_penalty(instance)
 
-    # Per container: its (assignment variable, wagon) pairs.
+    # Per container: its (assignment variable, wagon) pairs; per assignment
+    # variable: its container's value, above and below lists, and wagon.
     x_index: dict[tuple[str, str, int], int] = {}
     placements: list[list[tuple[int, int]]] = []
-    for c in instance.containers:
+    owners: list[tuple[int, tuple[int, ...], tuple[int, ...], int]] = []
+    for c, up, down in zip(instance.containers, instance.above, instance.below):
         placements.append([])
         for (wid, si, length), wi in zip(instance.all_slots, instance.slot_wagon):
             if length == c.length:
                 x_index[(c.id, wid, si)] = idx = len(x_index)
                 placements[-1].append((idx, wi))
+                owners.append((c.value, up, down, wi))
 
     t_index: dict[tuple[str, int], int] = {}
     for w in instance.wagons:
@@ -400,26 +396,10 @@ def build_qubo(
     if not entries:
         raise EmptyModelError("instance yields no binary variables")
 
-    table: list[dict[int, int] | None] = [{} for _ in entries]  # table[i][j], i <= j
-
-    # Objective: forfeited value plus rehandle shortfall.  A container loaded
-    # onto wagon ``wi`` pays for each blocker above it, unless that blocker
-    # is loaded onto a wagon at or before ``wi``.
-    offset = instance.total_value
-    alpha = instance.rehandle_unit_cost
-    for c, own, blockers in zip(instance.containers, placements, instance.above):
-        for xi, wi in own:
-            xrow = table[xi]
-            xrow[xi] = xrow.get(xi, 0) + alpha * len(blockers) - c.value
-            for b in blockers:
-                for xj, wj in placements[b]:
-                    if wj <= wi:
-                        i, j = (xi, xj) if xi <= xj else (xj, xi)
-                        table[i][j] = table[i].get(j, 0) - alpha
-
     # Each row's square, penalty * (sum(c_k * z_k) + constant)**2, with its
     # terms sorted so every pair is (low, high), listed under every variable
     # it holds as (terms, that variable's position, constant).
+    offset = instance.total_value
     squares: list[list[tuple[list[tuple[int, int]], int, int]] | None] = [[] for _ in entries]
     for row in rows:
         terms = sorted(row.terms + row.register)
@@ -427,31 +407,80 @@ def build_qubo(
         for k, (i, _) in enumerate(terms):
             squares[i].append((terms, k, row.constant))
 
-    # Pack row by row: add the part of each square whose lower index is i,
-    # then drop the row's dict once it is in the arrays.
+    def packed() -> Iterator[tuple[array, array]]:
+        alpha = instance.rehandle_unit_cost
+        for i, held in enumerate(squares):
+            squares[i] = None
+            cells: dict[int, int] = {}
+            if i < len(owners):
+                # Objective: forfeited value plus rehandle shortfall, -alpha per
+                # blocker loaded no later than its container, in the pair's lower row.
+                value, up, down, wi = owners[i]
+                cells[i] = alpha * len(up) - value
+                for b in up:
+                    cells.update((j, -alpha) for j, wj in placements[b] if j > i and wj <= wi)
+                for a in down:
+                    cells.update((j, -alpha) for j, wj in placements[a] if j > i and wj >= wi)
+            # Then the part of each square listed under i whose lower index is i.
+            get = cells.get
+            for terms, k, constant in held:
+                ci = terms[k][1]
+                cells[i] = get(i, 0) + penalty * (ci * ci + 2 * constant * ci)
+                twice = 2 * penalty * ci
+                for j, cj in terms[k + 1 :]:
+                    cells[j] = get(j, 0) + twice * cj
+            kept = sorted([j for j, value in cells.items() if value])
+            try:
+                coefficients = array("q", map(cells.__getitem__, kept))
+            except OverflowError:
+                j = next(j for j in kept if cells[j] not in _INT64)
+                raise CoefficientRangeError(
+                    f"term ({i}, {j}): coefficient {cells[j]} does not fit in signed 64 bits; "
+                    f"use a smaller penalty than {penalty} or a coarser weight_unit"
+                ) from None
+            yield array("q", kept), coefficients
+
+    return VariableMap(entries=tuple(entries), weight_unit=weight_unit), offset, penalty, packed()
+
+
+def build_qubo(
+    instance: Instance,
+    *,
+    penalty: int | None = None,
+    weight_unit: int = DEFAULT_WEIGHT_UNIT,
+) -> tuple[QuboModel, VariableMap]:
+    """Assemble the QUBO for an instance.
+
+    Variables are laid out as assignment triples, then config selectors,
+    then the slack registers of the rows (:func:`_rows`) in row order.
+    ``penalty`` is the one weight of every row; ``None`` picks
+    :func:`default_penalty`.
+    """
+    varmap, offset, penalty, rows = _model_rows(instance, penalty, weight_unit)
     starts, columns, coefficients = array("q", [0]), array("q"), array("q")
-    for i, (cells, held) in enumerate(zip(table, squares)):
-        table[i] = squares[i] = None
-        get = cells.get
-        for terms, k, constant in held:
-            ci = terms[k][1]
-            cells[i] = get(i, 0) + penalty * (ci * ci + 2 * constant * ci)
-            twice = 2 * penalty * ci
-            for j, cj in terms[k + 1 :]:
-                cells[j] = get(j, 0) + twice * cj
-        kept = sorted([j for j, value in cells.items() if value])
-        columns.extend(kept)
-        try:
-            coefficients.extend(map(cells.__getitem__, kept))
-        except OverflowError:
-            j = next(j for j in kept if cells[j] not in _INT64)
-            raise CoefficientRangeError(
-                f"term ({i}, {j}): coefficient {cells[j]} does not fit in signed 64 bits; "
-                f"use a smaller penalty than {penalty} or a coarser weight_unit"
-            ) from None
+    for row_columns, row_coefficients in rows:
+        columns += row_columns
+        coefficients += row_coefficients
         starts.append(len(columns))
-    model = QuboModel(len(entries), starts, columns, coefficients, offset, penalty)
-    return model, VariableMap(entries=tuple(entries), weight_unit=weight_unit)
+    return QuboModel(len(varmap.entries), starts, columns, coefficients, offset, penalty), varmap
+
+
+def model_size(instance: Instance) -> dict[str, int] | None:
+    """``variables``, ``terms`` and the extreme |coefficient| of the default
+    :func:`build_qubo` model, read row by row without holding it; ``None``
+    if it cannot be built (no variables, or a register or coefficient too wide)."""
+    try:
+        varmap, _, _, rows = _model_rows(instance, None, DEFAULT_WEIGHT_UNIT)
+        sizes = [(len(c), max(map(abs, c)), min(map(abs, c))) for _, c in rows if c]
+    except (EmptyModelError, SlackWidthError, CoefficientRangeError):
+        return None
+    counts, largest, smallest = zip(*sizes)
+    return {
+        "variables": len(varmap.entries),
+        "terms": sum(counts),
+        "max_abs_coefficient": max(largest),
+        "min_abs_coefficient": min(smallest),
+    }
 
 
 def energy_of(model: QuboModel, bits: Sequence[int]) -> int:

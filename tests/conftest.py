@@ -4,6 +4,7 @@ instance/solution samplers used by the equivalence and identity suites."""
 from __future__ import annotations
 
 import random
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -138,6 +139,24 @@ def sub_unit_instance() -> Instance:
 @pytest.fixture
 def instance3() -> Instance:
     return load_instance_file(DATA_DIR / "instance3.json")
+
+
+def traced(call):
+    """Run ``call`` under tracemalloc, started here unless it already runs,
+    and return its result, the bytes still held after it and its peak, both
+    counted from the bytes traced before it."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        result = call()  # alive while the memory is read
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    return result, after - before, peak - before
 
 
 def random_instance(rng: random.Random, *, max_containers=6, max_wagons=2, max_tiers=3) -> Instance:

@@ -8,12 +8,18 @@ from pathlib import Path
 
 import pytest
 
-from conftest import DATA_DIR, TWENTY, make_instance
+from conftest import DATA_DIR, TWENTY, make_instance, traced
 from trainload import annealing, cli, qubo
 from trainload.cli import main
 from trainload.evaluation import load_solution_file, serialize_solution, Solution
 from trainload.evaluation import _SOLUTION_KEYS, Assignment, ConfigChoice
-from trainload.instance import _TOP_KEYS, load_instance_file, serialize_instance
+from trainload.instance import (
+    _TOP_KEYS,
+    GenSpec,
+    generate_instance,
+    load_instance_file,
+    serialize_instance,
+)
 from trainload.qubo import _QUBO_KEYS, build_qubo, export_qubo
 
 GEN_ARGS = [
@@ -337,6 +343,20 @@ def test_stats_json(capsys):
     }
 
 
+def test_stats_peaks_below_what_a_built_model_keeps(tmp_path, capsys):
+    """``stats`` reads the QUBO's size row by row: on the benchmark's
+    60-container export yard its whole run peaks below the bytes that a
+    built model and its varmap keep."""
+    instance = generate_instance(GenSpec(60, 12, 4, 40, 90, seed=1))
+    path = tmp_path / "export.json"
+    path.write_text(serialize_instance(instance))
+    build_qubo(instance)  # warm the instance's cached tables
+    (model, _), kept, _ = traced(lambda: build_qubo(instance))
+    (code, stdout, _), _, peak = traced(lambda: run(capsys, "stats", str(path), "--json"))
+    assert code == 0 and json.loads(stdout)["qubo"]["terms"] == len(model.coefficients)
+    assert peak < kept
+
+
 def test_stats_without_a_qubo_model(tmp_path, capsys):
     # No wagons, so no binary variables: the formulation counts still print.
     path = tmp_path / "empty.json"
@@ -408,6 +428,28 @@ def test_qubo_json_summary(tmp_path, capsys, instance_path):
     export = json.loads(out.read_text())
     assert export["n"] == summary["n"]
     assert export["weight_unit"] == summary["weight_unit"] == 10
+
+
+def test_qubo_check_json_prints_one_object(tmp_path, capsys, instance_path, monkeypatch):
+    out = tmp_path / "model.txt"
+    code, stdout, _ = run(capsys, "qubo", str(instance_path), "--check", "--json", "-o", str(out))
+    assert code == 0
+    summary = json.loads(stdout)
+    assert list(summary) == ["path", "n", "terms", "offset", "weight_unit", "checked", "mismatches"]
+    assert summary["checked"] > 0 and summary["mismatches"] == 0
+    assert summary["n"] == int(out.read_text().split()[2].removeprefix("n="))
+
+    code, stdout, _ = run(capsys, "qubo", str(instance_path), "--check", "--json")
+    assert code == 0
+    assert json.loads(stdout) == {"checked": summary["checked"], "mismatches": 0}
+
+    # A mismatch exits 1 and writes no export.
+    energy_of = qubo.energy_of
+    monkeypatch.setattr(qubo, "energy_of", lambda model, bits: energy_of(model, bits) + 1)
+    failed = tmp_path / "failed.txt"
+    code, stdout, _ = run(capsys, "qubo", str(instance_path), "--check", "--json", "-o", str(failed))
+    assert code == 1 and not failed.exists()
+    assert json.loads(stdout) == {"checked": summary["checked"], "mismatches": summary["checked"]}
 
 
 def test_oracle_reports_and_writes_best(tmp_path, capsys, instance_path):

@@ -1,6 +1,6 @@
 import json
 import random
-import tracemalloc
+from typing import NamedTuple
 
 import pytest
 
@@ -10,6 +10,7 @@ from conftest import (
     make_instance,
     random_feasible_solution,
     random_instance,
+    traced,
 )
 from trainload.evaluation import InfeasibleSolutionError, Solution, evaluate
 from trainload.instance import GenSpec, derive_blocking_pairs, generate_instance
@@ -31,6 +32,7 @@ from trainload.qubo import (
     encode_solution,
     energy_of,
     export_qubo,
+    model_size,
     parse_qubo_json,
 )
 
@@ -112,8 +114,18 @@ def documented_json(model, varmap) -> str:
     return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
+class Drawn(NamedTuple):
+    """A ``random_instance`` draw.  Its stacks hold containers in shuffled
+    order, so a container may sit above one listed after it; generated
+    yards list every stack bottom up."""
+
+    seed: int
+
+
 # Instances for the independent pairs below: the two fixtures, the
-# benchmark's 60-container export yard and a few small generated yards.
+# benchmark's 60-container export yard, a few small generated yards and
+# random draws that stack containers above later-listed ones (seed 7 has
+# no rehandle cost).
 PAIR_SHAPES = [
     "pair_instance",
     "scan_instance",
@@ -122,12 +134,19 @@ PAIR_SHAPES = [
     GenSpec(12, 2, 4, 7, 18, seed=1),
     GenSpec(14, 3, 4, 8, 21, seed=1),
     GenSpec(4, 2, 2, 3, 6, seed=3),
+    Drawn(7),
+    Drawn(19),
+    Drawn(29),
+    Drawn(35),
 ]
 
 
 def pair_shape(request, shape):
     if isinstance(shape, str):
         return request.getfixturevalue(shape)
+    if isinstance(shape, Drawn):
+        rng = random.Random(shape.seed)
+        return random_instance(rng, max_containers=10, max_wagons=3, max_tiers=4)
     return generate_instance(shape)
 
 
@@ -224,18 +243,21 @@ def test_build_peak_stays_within_twice_what_the_model_keeps(spec):
     model and varmap keep."""
     instance = generate_instance(spec)
     build_qubo(instance)  # warm the instance's cached tables
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before, _ = tracemalloc.get_traced_memory()
-        built = build_qubo(instance)  # alive while the memory is read
-        after, peak = tracemalloc.get_traced_memory()
-    finally:
-        if started:
-            tracemalloc.stop()
-    assert peak - before <= 2 * (after - before)
+    _, kept, peak = traced(lambda: build_qubo(instance))
+    assert peak <= 2 * kept
+
+
+@pytest.mark.parametrize("shape", PAIR_SHAPES, ids=str)
+def test_model_size_reads_the_built_model(request, shape):
+    instance = pair_shape(request, shape)
+    model, _ = build_qubo(instance)
+    magnitudes = [abs(value) for _, _, value in model.terms()]
+    assert model_size(instance) == {
+        "variables": model.n,
+        "terms": len(model.coefficients),
+        "max_abs_coefficient": max(magnitudes),
+        "min_abs_coefficient": min(magnitudes),
+    }
 
 
 def test_coefficients_are_upper_triangular_and_nonzero(pair_instance):
