@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, compress
 from typing import Any, NamedTuple
 
 from .rng import stream
@@ -92,8 +92,7 @@ class Yard:
 
 @dataclass(frozen=True)
 class Slot:
-    """One wagon slot.  A slot's identity is its position in the wagon's
-    slot list; only a container of exactly matching length may occupy it."""
+    """One wagon slot, identified by its position in the wagon's slot list."""
 
     length: ContainerLength
 
@@ -241,13 +240,21 @@ class Instance:
         )
 
     @cached_property
-    def slot_candidates(self) -> tuple[tuple[int, ...], ...]:
-        """Slot -> the containers of its length."""
-        by_length = {
-            length: tuple(i for i, c in enumerate(self.containers) if c.length == length)
-            for length in ContainerLength
-        }
-        return tuple(by_length[length] for _, _, length in self.all_slots)
+    def eligible_slots(self) -> tuple[tuple[int, ...], ...]:
+        """Container -> the slots it may occupy, in train order: the slots of
+        its length where its weight is at most three limits, the slot's limit
+        under at least one config of the wagon, the wagon's ``max_weight``
+        and ``train_max_weight``.  No feasible plan uses any other slot."""
+        slots: dict[ContainerLength, list[int]] = {length: [] for length in ContainerLength}
+        caps: dict[ContainerLength, list[int]] = {length: [] for length in ContainerLength}
+        for s, ((_, _, length), limits) in enumerate(zip(self.all_slots, self.slot_limits)):
+            slots[length].append(s)
+            wagon = self.wagons[self.slot_wagon[s]]
+            caps[length].append(min(max(limits), wagon.max_weight, self.train_max_weight))
+        return tuple(
+            tuple(compress(slots[c.length], map(c.weight.__le__, caps[c.length])))
+            for c in self.containers
+        )
 
     @cached_property
     def above(self) -> tuple[tuple[int, ...], ...]:
@@ -282,7 +289,9 @@ class Instance:
 
 def derive_blocking_pairs(instance: Instance) -> list[BlockingPair]:
     """All (below, above) pairs sharing a stack, ordered by stack, then
-    below tier, then above tier."""
+    below tier, then above tier.  The package reads ``Instance.above`` and
+    ``below`` instead; these pairs and :class:`BlockingPair` stay as exported
+    API and as an independent reference for those tables in the tests."""
     pairs: list[BlockingPair] = []
     for stack in instance.yard.stacks:
         for lb in range(len(stack)):

@@ -3,15 +3,13 @@
 Enumerates every feasible (assignment, config) combination and reports the
 exact optimum of the shifted objective together with *all* optimal
 solutions.  Two enumeration orders are provided as two level layouts over
-one depth-first walk: slot-major (one level per slot, which takes one of
-its candidate containers or nothing) and container-major (one level per
-container, which takes one free slot of its length or nothing).  Both
-layouts are read off ``Instance.slot_candidates``.  The two orders must
-visit the same solution set, and the test suite cross-checks them.  That
-cross-check covers the level layouts only: the walk, the weight pruning
-and the config masks below are shared steps, so a bug there shows up
-the same way in either order.  The shared steps are guarded instead by a
-test-only unpruned brute force and by golden digests of the output.
+one depth-first walk, both read off ``Instance.eligible_slots``: slot-major
+(one level per slot, which takes one of its eligible containers or nothing)
+and container-major (one level per container, which takes one free eligible
+slot or nothing).  The two orders must visit the same solution set, and the
+test suite cross-checks them.  That check covers the level layouts only: the
+walk, the weight pruning and the config masks are shared steps, so a bug
+there shows up alike in either order; the reference checks below guard them.
 
 The walk is one loop, so its depth is bounded by memory, not by the
 interpreter's recursion limit.  Each level is first left empty, then holds
@@ -20,9 +18,9 @@ the deepest level with another admitted option, undoing each level it
 leaves, and moves that level on with every deeper level empty again.  It
 enumerates assignments only.  Per wagon it carries a load and a config
 mask: the configs whose limits admit every slot load placed on it so far.
-An option carries the mask of the configs that admit its container at its
-slot, and is dropped if that is empty; it is taken only if the two masks
-meet and the wagon's ``max_weight`` and ``train_max_weight`` still hold.
+An option, an eligible (container, slot) pair, carries the mask of the
+configs that admit its container at its slot; it is taken only if the two
+masks meet and the wagon's ``max_weight`` and ``train_max_weight`` still hold.
 Weights are non-negative, so loads only grow and masks only shrink as a
 plan is extended: a skipped placement leads to no feasible plan (weight
 pruning), and every leaf is feasible.  Configs gate feasibility per wagon
@@ -48,7 +46,7 @@ best so far.
 raises if either disagrees.  The test suite compares both orders with an
 unpruned brute force over every injective container-to-slot map and every
 config combination, filtered by ``check_feasibility``, and every leaf's
-carried objective with ``shifted_objective``.
+carried objective with ``shifted_objective``; golden digests pin the output.
 
 A budget guard in :func:`iter_feasible_solutions`, shared by every
 enumeration, refuses instances whose raw search space (config combinations
@@ -58,6 +56,7 @@ the caller's limit.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from math import prod
@@ -102,10 +101,11 @@ class OracleResult:
 
 
 def estimate_search_space(instance: Instance) -> int:
-    """Config combinations times per-slot (occupant or empty) choices."""
-    return prod(len(w.configs) for w in instance.wagons) * prod(
-        len(candidates) + 1 for candidates in instance.slot_candidates
-    )
+    """Config combinations times per-slot (occupant or empty) choices, where
+    every container of the slot's length counts as a possible occupant."""
+    per_length = Counter(c.length for c in instance.containers)
+    choices = (per_length[length] + 1 for _, _, length in instance.all_slots)
+    return prod(len(w.configs) for w in instance.wagons) * prod(choices)
 
 
 class _Choices(dict):
@@ -128,27 +128,17 @@ _Level = list[tuple[int, int, int, int, Assignment]]
 
 def _levels(instance: Instance, order: str) -> list[_Level]:
     """The walk's levels in ``order``: one per slot in train order, listing
-    its candidates in container order, or one per container, listing its
-    slots in train order.  An option that no config admits is left out, and
-    so is a level with no option, which could only stay empty; this spares
-    the walk a step per leaf."""
-    containers = instance.containers
-    by_slot = []
-    for j, ((wid, si, _), limits) in enumerate(zip(instance.all_slots, instance.slot_limits)):
-        options = []
-        for i in instance.slot_candidates[j]:
-            weight = containers[i].weight
-            if mask := sum(1 << b for b, limit in enumerate(limits) if weight <= limit):
-                assignment = Assignment(containers[i].id, wid, si)
-                options.append((i, j, instance.slot_wagon[j], mask, assignment))
-        by_slot.append(options)
-    if order == "slot-major":
-        levels = by_slot
-    else:
-        levels = [[] for _ in containers]
-        for options in by_slot:
-            for option in options:
-                levels[option[0]].append(option)
+    its eligible containers in container order, or one per container,
+    listing its eligible slots in train order.  A level with no option could
+    only stay empty and is left out, sparing the walk a step per leaf."""
+    slot_major = order == "slot-major"
+    levels: list[_Level] = [[] for _ in (instance.all_slots if slot_major else instance.containers)]
+    for i, (c, slots) in enumerate(zip(instance.containers, instance.eligible_slots)):
+        for j in slots:
+            wid, si, _ = instance.all_slots[j]
+            mask = sum(1 << b for b, cap in enumerate(instance.slot_limits[j]) if c.weight <= cap)
+            option = (i, j, instance.slot_wagon[j], mask, Assignment(c.id, wid, si))
+            levels[j if slot_major else i].append(option)
     return [options for options in levels if options]
 
 

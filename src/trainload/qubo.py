@@ -1,11 +1,12 @@
 """Quadratic binary (QUBO) export of the load-planning problem.
 
-Binary variables are the length-compatible assignment triples, the
-per-wagon config selectors and the slack registers.  Every hard constraint
-is one row of :func:`_rows`: a name, integer terms, a constant and its own
-register of slack bits (bounded binary expansion of the slack range, so no
-slack state exceeds it; the ``one_config`` equality has none).  The model
-adds ``penalty * (sum(terms + register) + constant)**2`` per row.
+Binary variables are the eligible assignment triples
+(``Instance.eligible_slots``), the per-wagon config selectors and the slack
+registers.  Every hard constraint is one row of :func:`_rows`: a name,
+integer terms, a constant and its own register of slack bits (bounded
+binary expansion of the slack range, so no slack state exceeds it; the
+``one_config`` equality has none).  The model adds
+``penalty * (sum(terms + register) + constant)**2`` per row.
 :func:`build_qubo` turns the rows into variables and penalty terms, and
 :func:`encode_solution` sets each register to its row's residual, so the
 two cannot disagree on a constraint.
@@ -52,7 +53,7 @@ from bisect import bisect_left
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import chain, compress, count, repeat
 from operator import itemgetter, sub
 from typing import Any, NamedTuple
 
@@ -159,9 +160,9 @@ class QuboModel:
     store one that does not.  ``penalty`` weighs every row.  :meth:`row`
     reads one row and :meth:`terms` every ``(i, j, value)`` in order.
 
-    On the 400-container yard of ``scripts/run_benchmark.py`` (17,311
-    variables, 2,833,544 terms) the arrays take 45 MB; building the model
-    takes 1.0-1.1 s with a 77 MB peak RSS, as each row, objective included,
+    On the 400-container yard of ``scripts/run_benchmark.py`` (14,117
+    variables, 2,000,947 terms) the arrays take 32 MB; building the model
+    takes 0.7-0.8 s with a 62 MB peak RSS, as each row, objective included,
     is expanded only when it is packed (2-CPU Linux VM, Python 3.11).
     """
 
@@ -372,18 +373,17 @@ def _model_rows(
     x_index: dict[tuple[str, str, int], int] = {}
     placements: list[list[tuple[int, int]]] = []
     owners: list[tuple[int, tuple[int, ...], tuple[int, ...], int]] = []
-    for c, up, down in zip(instance.containers, instance.above, instance.below):
+    tables = zip(instance.containers, instance.above, instance.below, instance.eligible_slots)
+    for c, up, down, slots in tables:
         placements.append([])
-        for (wid, si, length), wi in zip(instance.all_slots, instance.slot_wagon):
-            if length == c.length:
-                x_index[(c.id, wid, si)] = idx = len(x_index)
-                placements[-1].append((idx, wi))
-                owners.append((c.value, up, down, wi))
+        for s in slots:
+            wid, si, _ = instance.all_slots[s]
+            x_index[(c.id, wid, si)] = idx = len(x_index)
+            placements[-1].append((idx, instance.slot_wagon[s]))
+            owners.append((c.value, up, down, instance.slot_wagon[s]))
 
-    t_index: dict[tuple[str, int], int] = {}
-    for w in instance.wagons:
-        for b in range(len(w.configs)):
-            t_index[(w.id, b)] = len(x_index) + len(t_index)
+    configs = [(w.id, b) for w in instance.wagons for b in range(len(w.configs))]
+    t_index = dict(zip(configs, count(len(x_index))))
 
     rows = _rows(instance, x_index, t_index, weight_unit)
     entries = [QuboVariable(i, "assignment", cid, wid, si) for (cid, wid, si), i in x_index.items()]

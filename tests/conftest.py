@@ -11,10 +11,11 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, settings
 
-from trainload.evaluation import Solution
+from trainload.evaluation import Solution, check_feasibility
 from trainload.instance import (
     Container,
     ContainerLength,
+    GenSpec,
     Instance,
     Slot,
     Wagon,
@@ -201,6 +202,42 @@ def random_instance(rng: random.Random, *, max_containers=6, max_wagons=2, max_t
         max_tiers=tiers,
         alpha=rng.choice((0, 1, 1, 2)),
     )
+
+
+# The generated yards behind the golden files: the benchmark's small,
+# medium and large shapes, its certify corpus, its export yard and its
+# 100-container anneal yard.
+GOLDEN_YARDS = (
+    GenSpec(6, 1, 3, 2, 9, seed=42),
+    GenSpec(12, 2, 4, 5, 18, seed=1),
+    GenSpec(20, 8, 4, 19, 28, seed=7),
+    GenSpec(12, 2, 4, 7, 18, seed=1),
+    GenSpec(12, 3, 4, 8, 18, seed=1),
+    GenSpec(14, 3, 4, 8, 21, seed=1),
+    GenSpec(16, 3, 4, 8, 24, seed=1),
+    GenSpec(60, 12, 4, 40, 90, seed=1),
+    GenSpec(100, 20, 4, 48, 140, seed=1),
+)
+
+
+def feasible_pairs(instance: Instance) -> list[list[int]]:
+    """Per container, in train order, each slot (its index in ``all_slots``)
+    where the plan loading that container alone passes ``check_feasibility``
+    under some config of the slot's wagon, every other wagon on config 0."""
+    base = {w.id: 0 for w in instance.wagons}
+    pairs = []
+    for c in instance.containers:
+        pairs.append([
+            s
+            for s, (wid, si, _) in enumerate(instance.all_slots)
+            if any(
+                not check_feasibility(
+                    instance, Solution.from_maps({c.id: (wid, si)}, {**base, wid: b})
+                )
+                for b in range(len(instance.wagon_map[wid].configs))
+            )
+        ])
+    return pairs
 
 
 def random_feasible_solution(instance: Instance, rng: random.Random) -> Solution:

@@ -331,7 +331,7 @@ def test_stats_json(capsys):
     code, stdout, _ = run(capsys, "stats", str(path), "--json")
     assert code == 0
     payload = json.loads(stdout)
-    assert payload["model_b"]["variables"]["total"] == 100
+    assert payload["model_b"]["variables"]["total"] == 87
     assert payload["model_a"]["constraints"]["total"] == 297
     model, _ = build_qubo(load_instance_file(path))
     magnitudes = [abs(value) for _, _, value in model.terms()]

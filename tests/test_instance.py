@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 from conftest import (
     DATA_DIR,
     FORTY,
+    GOLDEN_YARDS,
     TWENTY,
+    feasible_pairs,
     make_instance,
     random_feasible_solution,
     random_instance,
@@ -330,11 +333,8 @@ def test_integer_tables_agree_with_the_reference():
         assert [s for span in spans for s in span] == list(range(instance.total_slots))
         assert [w for w, span in enumerate(spans) for _ in span] == list(instance.slot_wagon)
         size = math.prod(len(w.configs) for w in instance.wagons)
-        for (_, _, length), candidates in zip(instance.all_slots, instance.slot_candidates):
-            assert candidates == tuple(
-                i for i, c in enumerate(instance.containers) if c.length == length
-            )
-            size *= len(candidates) + 1
+        for _, _, length in instance.all_slots:
+            size *= sum(c.length == length for c in instance.containers) + 1
         assert estimate_search_space(instance) == size
 
         for _ in range(3):
@@ -346,6 +346,33 @@ def test_integer_tables_agree_with_the_reference():
             assert table_overweights(instance, heavy) == reference
             overweight += bool(reference)
     assert overweight > 200
+
+
+def test_eligible_slots_are_the_pairs_a_lone_load_may_take():
+    """A (container, slot) pair is in ``eligible_slots`` exactly when the
+    plan loading that container alone in that slot passes the feasibility
+    check under some config of the slot's wagon: on random draws with tight
+    limits, on the golden yards and on the frozen instance.  Each of the
+    slot, wagon and train limits is alone in ruling out some
+    length-compatible pair."""
+    rng = random.Random(2_626)
+    instances = [random_instance(rng, max_containers=8, max_wagons=3) for _ in range(300)]
+    instances += [generate_instance(spec) for spec in GOLDEN_YARDS]
+    instances.append(load_instance_file(DATA_DIR / "instance3.json"))
+    ruled_out = Counter()
+    for instance in instances:
+        eligible = instance.eligible_slots
+        assert list(map(list, eligible)) == feasible_pairs(instance)
+        for c, slots in zip(instance.containers, eligible):
+            for s, (wid, _, length) in enumerate(instance.all_slots):
+                if length == c.length and s not in slots:
+                    ruled_out[
+                        c.weight > max(instance.slot_limits[s]),
+                        c.weight > instance.wagon_map[wid].max_weight,
+                        c.weight > instance.train_max_weight,
+                    ] += 1
+    assert ruled_out[True, False, False] and ruled_out[False, True, False]
+    assert ruled_out[False, False, True]
 
 
 def test_instance3_totals():

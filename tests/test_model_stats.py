@@ -109,13 +109,14 @@ def test_compact_variables_are_the_exported_qubo_variables():
 
 def _expected_qubo_rows(instance) -> dict[str, int]:
     """Formulation B's constraint counts per family, less the rows the QUBO
-    leaves out as vacuous: a container with no slot of its length, a slot
-    with no candidate, and the train row of a train without wagons."""
+    leaves out as vacuous: a container with no eligible slot, a slot that
+    is eligible for no container, and the train row of a train without
+    wagons."""
     expected = count_model_b(instance).constraints.to_dict()
     del expected["rehandle_link"], expected["total"]
-    lengths = {length for _, _, length in instance.all_slots}
-    empty_slots = sum(not candidates for candidates in instance.slot_candidates)
-    expected["assign_once"] -= sum(c.length not in lengths for c in instance.containers)
+    filled = {s for slots in instance.eligible_slots for s in slots}
+    empty_slots = instance.total_slots - len(filled)
+    expected["assign_once"] -= sum(not slots for slots in instance.eligible_slots)
     expected["slot_once"] -= empty_slots
     expected["slot_weight"] -= empty_slots
     if not instance.wagons:
@@ -179,11 +180,11 @@ def test_frozen_instance_counts():
     instance = load_instance_file(DATA_DIR / "instance3.json")
     a = count_model_a(instance)
     b = count_model_b(instance)
-    assert (b.variables.total, b.constraints.total) == (100, 57)
-    assert (a.variables.total, a.constraints.total) == (260, 297)
+    assert (b.variables.total, b.constraints.total) == (87, 57)
+    assert (a.variables.total, a.constraints.total) == (247, 297)
 
     cmp = compare(instance)
-    assert cmp.var_reduction_pct == pytest.approx(61.538, abs=0.001)
+    assert cmp.var_reduction_pct == pytest.approx(64.777, abs=0.001)
     assert cmp.constraint_reduction_pct == pytest.approx(80.808, abs=0.001)
 
 
@@ -191,6 +192,7 @@ def test_markdown_rendering(six_pack):
     text = comparison_markdown(compare(six_pack))
     assert "| A (conventional) | 19 | 19 |" in text
     assert "| B (compact) | 13 | 13 |" in text
+    assert "assignment variables: 12 weight-eligible pairs" in text
     assert "variable reduction: 31.6%" in text
     assert "constraint reduction: 31.6%" in text
 

@@ -26,6 +26,14 @@ registers of the rows below them where that form has fewer terms, which
 changed the ``text`` and ``json`` digests of 7 cases.  That replacement
 came after the ground-state sweep, the encode sweep and the unchanged
 acceptance tests passed on the new rows; no ``encode`` digest changed.
+All three digests were replaced a third time, again in a commit touching
+only the data file, when the assignment bits became the eligible pairs of
+``Instance.eligible_slots`` instead of every length-compatible pair.  They
+changed on exactly the 52 cases whose instance has a length-compatible
+pair that the table leaves out, and on no other (one ``encode`` digest,
+``random-30-u100``, stayed the digest of an empty sample).  That
+replacement came after the energy-contract, ground-state-sweep and
+naive-expansion tests passed on the new layout.
 Never regenerate them to make a change pass.
 
 ``python tests/test_qubo_golden.py`` prints the digests of the current
