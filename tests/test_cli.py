@@ -733,6 +733,24 @@ def test_readme_commands_run(tmp_path, capsys, monkeypatch):
         assert code == 0, (argv, stderr)
 
 
+def test_readme_python_examples_run(capsys):
+    """README's Python examples (the ``solve_many`` quick start, then the
+    crane simulator, which reads its ``instance`` and ``result``) run in
+    order in one namespace.  The one-line ``energy_of(...)`` fragment of the
+    QUBO section names a model and a plan that no example builds, so it is
+    left out by name."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    fragment = "energy_of(model, encode_solution(varmap, instance, solution))\n"
+    assert fragment in blocks
+    examples = [block for block in blocks if block != fragment]
+    assert len(examples) == 2
+    namespace: dict = {}
+    for block in examples:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert capsys.readouterr().out.count("\n") > 2
+
+
 def test_format_doc_json_examples_match_the_loaders():
     """Each JSON example in docs/formats.md has exactly its loader's
     top-level keys, in the loader's order."""
