@@ -35,7 +35,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Any, Iterable, Mapping, NamedTuple
 
-from .instance import DocumentReader, Instance
+from .instance import DocumentReader, Instance, indented_array
 
 
 class DanglingReferenceError(ValueError):
@@ -364,8 +364,15 @@ def simulate_loading(instance: Instance, solution: Solution) -> SimulationResult
 
 
 def event_log_jsonl(events: Iterable[CraneMove]) -> str:
-    """Crane moves as JSON lines, one move per line, replay order."""
-    return "".join(json.dumps(e.to_dict()) + "\n" for e in events)
+    """Crane moves as JSON lines, one move per line, replay order.  Each
+    line is ``json.dumps(move.to_dict())`` plus a newline, written directly."""
+    return "".join(
+        f'{{"op": {json.dumps(op)}, "container": {json.dumps(container)}, '
+        f'"stack": {stack}, "tier": {tier}, '
+        f'"wagon": {"null" if wagon is None else json.dumps(wagon)}, '
+        f'"slot": {"null" if slot is None else slot}}}\n'
+        for op, container, stack, tier, wagon, slot in events
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +476,8 @@ def evaluate(instance: Instance, solution: Solution) -> EvaluationReport:
 _SOLUTION_KEYS = ("assignments", "configs")
 _ASSIGNMENT_KEYS = ("container", "wagon", "slot")
 _CONFIG_KEYS = ("wagon", "config")
+_ASSIGNMENT_FIELDS = frozenset(_ASSIGNMENT_KEYS)
+_CONFIG_FIELDS = frozenset(_CONFIG_KEYS)
 
 
 class SolutionFormatError(ValueError):
@@ -478,34 +487,70 @@ class SolutionFormatError(ValueError):
 _read = DocumentReader(SolutionFormatError)
 
 
+def _assignment(raw: Any, where: str) -> Assignment:
+    """The field-by-field reading of one assignment entry."""
+    obj = _read.object(raw, where, _ASSIGNMENT_KEYS)
+    container = _read.string(obj["container"], f"{where}.container")
+    wagon = _read.string(obj["wagon"], f"{where}.wagon")
+    slot = _read.integer(obj["slot"], f"{where}.slot")
+    return Assignment(container, wagon, slot)
+
+
+def _config_choice(raw: Any, where: str) -> ConfigChoice:
+    """The field-by-field reading of one config entry."""
+    obj = _read.object(raw, where, _CONFIG_KEYS)
+    wagon = _read.string(obj["wagon"], f"{where}.wagon")
+    config = _read.integer(obj["config"], f"{where}.config")
+    return ConfigChoice(wagon, config)
+
+
 def load_solution(content: bytes | str) -> Solution:
     """Parse solution JSON.  Reference validity is *not* checked here;
-    pair with an instance via :func:`check_feasibility` or :func:`evaluate`."""
+    pair with an instance via :func:`check_feasibility` or :func:`evaluate`.
+
+    An entry whose fields all have the right type is built in one step; any
+    other is read field by field, which names the offending path."""
     doc = _read.document(content, _SOLUTION_KEYS)
-
-    assignments = []
-    for i, raw in enumerate(_read.array(doc["assignments"], "assignments")):
-        where = f"assignments[{i}]"
-        obj = _read.object(raw, where, _ASSIGNMENT_KEYS)
-        container = _read.string(obj["container"], f"{where}.container")
-        wagon = _read.string(obj["wagon"], f"{where}.wagon")
-        slot = _read.integer(obj["slot"], f"{where}.slot")
-        assignments.append(Assignment(container, wagon, slot))
-
-    configs = []
-    for i, raw in enumerate(_read.array(doc["configs"], "configs")):
-        where = f"configs[{i}]"
-        obj = _read.object(raw, where, _CONFIG_KEYS)
-        wagon = _read.string(obj["wagon"], f"{where}.wagon")
-        config = _read.integer(obj["config"], f"{where}.config")
-        configs.append(ConfigChoice(wagon, config))
-
-    return Solution(tuple(assignments), tuple(configs))
+    assignments = tuple(
+        Assignment(raw["container"], raw["wagon"], raw["slot"])
+        if type(raw) is dict
+        and raw.keys() == _ASSIGNMENT_FIELDS
+        and type(raw["container"]) is str
+        and type(raw["wagon"]) is str
+        and type(raw["slot"]) is int
+        else _assignment(raw, f"assignments[{i}]")
+        for i, raw in enumerate(_read.array(doc["assignments"], "assignments"))
+    )
+    configs = tuple(
+        ConfigChoice(raw["wagon"], raw["config"])
+        if type(raw) is dict
+        and raw.keys() == _CONFIG_FIELDS
+        and type(raw["wagon"]) is str
+        and type(raw["config"]) is int
+        else _config_choice(raw, f"configs[{i}]")
+        for i, raw in enumerate(_read.array(doc["configs"], "configs"))
+    )
+    return Solution(assignments, configs)
 
 
 def serialize_solution(solution: Solution) -> str:
-    """Canonical JSON: assignments sorted by container id, configs by wagon."""
-    return json.dumps(solution.canonical().to_dict(), indent=2) + "\n"
+    """Canonical JSON: assignments sorted by container id, configs by wagon.
+    The bytes are those of ``json.dumps(solution.canonical().to_dict(),
+    indent=2) + "\\n"``, written directly."""
+    canonical = solution.canonical()
+    assignments = [
+        f'{{\n      "container": {json.dumps(a.container)},\n'
+        f'      "wagon": {json.dumps(a.wagon)},\n      "slot": {a.slot}\n    }}'
+        for a in canonical.assignments
+    ]
+    configs = [
+        f'{{\n      "wagon": {json.dumps(c.wagon)},\n      "config": {c.config}\n    }}'
+        for c in canonical.configs
+    ]
+    return (
+        f'{{\n  "assignments": {indented_array(assignments, 1)},\n'
+        f'  "configs": {indented_array(configs, 1)}\n}}\n'
+    )
 
 
 def load_solution_file(path: Any) -> Solution:

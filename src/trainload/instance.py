@@ -370,6 +370,25 @@ class DocumentReader:
             raise self.error(f"{where}: expected a string")
         return value
 
+    def strings(self, value: Any, where: str) -> tuple[str, ...]:
+        arr = self.array(value, where)
+        return tuple(self.string(item, f"{where}[{j}]") for j, item in enumerate(arr))
+
+    def integers(self, value: Any, where: str) -> tuple[int, ...]:
+        arr = self.array(value, where)
+        return tuple(self.integer(item, f"{where}[{j}]") for j, item in enumerate(arr))
+
+
+def indented_array(items: list[str], depth: int) -> str:
+    """A JSON array as ``json.dumps(..., indent=2)`` lays out one that sits
+    ``depth`` levels deep: ``[]`` when empty, else one item per line.  Each
+    item is JSON text already laid out for depth ``depth + 1``."""
+    if not items:
+        return "[]"
+    pad = "  " * depth
+    sep = ",\n" + pad + "  "
+    return f"[\n{pad}  {sep.join(items)}\n{pad}]"
+
 
 # ---------------------------------------------------------------------------
 # Instance files
@@ -378,6 +397,17 @@ class DocumentReader:
 _TOP_KEYS = ("alpha", "train_max_weight", "max_tiers", "containers", "stacks", "wagons")
 _CONTAINER_KEYS = ("id", "teu", "weight", "value")
 _WAGON_KEYS = ("id", "max_weight", "slots", "configs")
+_CONTAINER_FIELDS = frozenset(_CONTAINER_KEYS)
+_WAGON_FIELDS = frozenset(_WAGON_KEYS)
+_SLOT_FIELDS = frozenset(("teu",))
+_LENGTHS = {teu: ContainerLength(teu) for teu in (1, 2)}
+_SLOTS = {teu: Slot(length) for teu, length in _LENGTHS.items()}
+# A slot record as it sits in a wagon's "slots" array.
+_SLOT_TEXT = {
+    length: f'{{\n          "teu": {length.teu}\n        }}' for length in ContainerLength
+}
+_INT = {int}
+_STR = {str}
 _read = DocumentReader(InstanceFormatError)
 
 
@@ -388,6 +418,56 @@ def _as_length(value: Any, where: str) -> ContainerLength:
     return ContainerLength(teu)
 
 
+def _container(raw: Any, where: str) -> Container:
+    """The field-by-field reading of one container record."""
+    obj = _read.object(raw, where, _CONTAINER_KEYS)
+    return Container(
+        id=_read.string(obj["id"], f"{where}.id"),
+        length=_as_length(obj["teu"], f"{where}.teu"),
+        weight=_read.integer(obj["weight"], f"{where}.weight"),
+        value=_read.integer(obj["value"], f"{where}.value"),
+    )
+
+
+def _wagon(raw: Any, where: str) -> Wagon:
+    """The field-by-field reading of one wagon record."""
+    obj = _read.object(raw, where, _WAGON_KEYS)
+    slots = []
+    for si, sraw in enumerate(_read.array(obj["slots"], f"{where}.slots")):
+        sobj = _read.object(sraw, f"{where}.slots[{si}]", ("teu",))
+        slots.append(Slot(_as_length(sobj["teu"], f"{where}.slots[{si}].teu")))
+    configs = [
+        WeightConfig(_read.integers(craw, f"{where}.configs[{b}]"))
+        for b, craw in enumerate(_read.array(obj["configs"], f"{where}.configs"))
+    ]
+    return Wagon(
+        id=_read.string(obj["id"], f"{where}.id"),
+        slots=tuple(slots),
+        configs=tuple(configs),
+        max_weight=_read.integer(obj["max_weight"], f"{where}.max_weight"),
+    )
+
+
+def _is_wagon(raw: Any) -> bool:
+    """Whether ``raw`` is a wagon record with every field of the right type."""
+    return (
+        type(raw) is dict
+        and raw.keys() == _WAGON_FIELDS
+        and type(raw["id"]) is str
+        and type(raw["max_weight"]) is int
+        and type(raw["slots"]) is list
+        and type(raw["configs"]) is list
+        and all(
+            type(slot) is dict
+            and slot.keys() == _SLOT_FIELDS
+            and type(slot["teu"]) is int
+            and slot["teu"] in _LENGTHS
+            for slot in raw["slots"]
+        )
+        and all(type(cfg) is list and set(map(type, cfg)) <= _INT for cfg in raw["configs"])
+    )
+
+
 def load_instance(content: bytes | str) -> Instance:
     """Parse instance JSON.
 
@@ -395,54 +475,45 @@ def load_instance(content: bytes | str) -> Instance:
     line/field diagnostics) and :class:`InstanceInvariantError` when the
     data is well-formed but inconsistent (duplicate ids, over-tall stacks,
     containers missing from the yard, ...).
+
+    Each record is built straight from its fields when one test shows that
+    every field has the right type; any other record is read field by field,
+    which names the offending path.  Records are built in document order, so
+    the first problem in the file is the one reported either way.
     """
     top = _read.document(content, _TOP_KEYS)
 
-    containers = []
-    for i, raw in enumerate(_read.array(top["containers"], "containers")):
-        where = f"containers[{i}]"
-        obj = _read.object(raw, where, _CONTAINER_KEYS)
-        containers.append(
-            Container(
-                id=_read.string(obj["id"], f"{where}.id"),
-                length=_as_length(obj["teu"], f"{where}.teu"),
-                weight=_read.integer(obj["weight"], f"{where}.weight"),
-                value=_read.integer(obj["value"], f"{where}.value"),
-            )
-        )
+    containers = [
+        Container(raw["id"], _LENGTHS[raw["teu"]], raw["weight"], raw["value"])
+        if type(raw) is dict
+        and raw.keys() == _CONTAINER_FIELDS
+        and type(raw["id"]) is str
+        and type(raw["teu"]) is int
+        and type(raw["weight"]) is int
+        and type(raw["value"]) is int
+        and raw["teu"] in _LENGTHS
+        else _container(raw, f"containers[{i}]")
+        for i, raw in enumerate(_read.array(top["containers"], "containers"))
+    ]
 
-    stacks = []
-    for k, raw in enumerate(_read.array(top["stacks"], "stacks")):
-        arr = _read.array(raw, f"stacks[{k}]")
-        stacks.append(tuple(_read.string(cid, f"stacks[{k}][{j}]") for j, cid in enumerate(arr)))
+    stacks = [
+        tuple(raw)
+        if type(raw) is list and set(map(type, raw)) <= _STR
+        else _read.strings(raw, f"stacks[{k}]")
+        for k, raw in enumerate(_read.array(top["stacks"], "stacks"))
+    ]
 
-    wagons = []
-    for i, raw in enumerate(_read.array(top["wagons"], "wagons")):
-        where = f"wagons[{i}]"
-        obj = _read.object(raw, where, _WAGON_KEYS)
-        slots = []
-        for si, sraw in enumerate(_read.array(obj["slots"], f"{where}.slots")):
-            sobj = _read.object(sraw, f"{where}.slots[{si}]", ("teu",))
-            slots.append(Slot(_as_length(sobj["teu"], f"{where}.slots[{si}].teu")))
-        configs = []
-        for b, craw in enumerate(_read.array(obj["configs"], f"{where}.configs")):
-            arr = _read.array(craw, f"{where}.configs[{b}]")
-            configs.append(
-                WeightConfig(
-                    tuple(
-                        _read.integer(limit, f"{where}.configs[{b}][{j}]")
-                        for j, limit in enumerate(arr)
-                    )
-                )
-            )
-        wagons.append(
-            Wagon(
-                id=_read.string(obj["id"], f"{where}.id"),
-                slots=tuple(slots),
-                configs=tuple(configs),
-                max_weight=_read.integer(obj["max_weight"], f"{where}.max_weight"),
-            )
+    wagons = [
+        Wagon(
+            raw["id"],
+            tuple(_SLOTS[slot["teu"]] for slot in raw["slots"]),
+            tuple(WeightConfig(tuple(cfg)) for cfg in raw["configs"]),
+            raw["max_weight"],
         )
+        if _is_wagon(raw)
+        else _wagon(raw, f"wagons[{i}]")
+        for i, raw in enumerate(_read.array(top["wagons"], "wagons"))
+    ]
 
     return Instance(
         containers=tuple(containers),
@@ -454,27 +525,33 @@ def load_instance(content: bytes | str) -> Instance:
 
 
 def serialize_instance(instance: Instance) -> str:
-    """Canonical JSON for an instance; byte-identical across round trips."""
-    doc = {
-        "alpha": instance.rehandle_unit_cost,
-        "train_max_weight": instance.train_max_weight,
-        "max_tiers": instance.yard.max_tiers,
-        "containers": [
-            {"id": c.id, "teu": c.length.teu, "weight": c.weight, "value": c.value}
-            for c in instance.containers
-        ],
-        "stacks": [list(stack) for stack in instance.yard.stacks],
-        "wagons": [
-            {
-                "id": w.id,
-                "max_weight": w.max_weight,
-                "slots": [{"teu": s.length.teu} for s in w.slots],
-                "configs": [list(cfg.per_slot_max) for cfg in w.configs],
-            }
-            for w in instance.wagons
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """Canonical JSON for an instance: the bytes of ``json.dumps(doc,
+    indent=2) + "\\n"`` for the document of ``docs/formats.md``, written
+    directly.  Byte-identical across round trips."""
+    containers = [
+        f'{{\n      "id": {json.dumps(c.id)},\n      "teu": {c.length.teu},\n'
+        f'      "weight": {c.weight},\n      "value": {c.value}\n    }}'
+        for c in instance.containers
+    ]
+    stacks = [
+        indented_array(list(map(json.dumps, stack)), 2) for stack in instance.yard.stacks
+    ]
+    wagons = []
+    for w in instance.wagons:
+        slots = indented_array([_SLOT_TEXT[s.length] for s in w.slots], 3)
+        configs = [indented_array(list(map(str, cfg.per_slot_max)), 4) for cfg in w.configs]
+        wagons.append(
+            f'{{\n      "id": {json.dumps(w.id)},\n      "max_weight": {w.max_weight},\n'
+            f'      "slots": {slots},\n      "configs": {indented_array(configs, 3)}\n    }}'
+        )
+    return (
+        f'{{\n  "alpha": {instance.rehandle_unit_cost},\n'
+        f'  "train_max_weight": {instance.train_max_weight},\n'
+        f'  "max_tiers": {instance.yard.max_tiers},\n'
+        f'  "containers": {indented_array(containers, 1)},\n'
+        f'  "stacks": {indented_array(stacks, 1)},\n'
+        f'  "wagons": {indented_array(wagons, 1)}\n}}\n'
+    )
 
 
 def load_instance_file(path: Any) -> Instance:

@@ -610,7 +610,38 @@ _VARIABLE_KEYS = {
     "slack": ("index", "kind", "constraint", "bit", "coefficient"),
 }
 _STRING_FIELDS = ("container", "wagon", "constraint")
+# Kind -> field -> the type its value must have (an int is never a bool).
+_VARIABLE_TYPES = {
+    kind: {key: str if key == "kind" or key in _STRING_FIELDS else int for key in keys}
+    for kind, keys in _VARIABLE_KEYS.items()
+}
 _read = DocumentReader(QuboFormatError)
+
+
+def _is_variable(raw: Any, k: int) -> bool:
+    """Whether ``raw`` is a well-formed ``variables[k]`` entry."""
+    if type(raw) is not dict:
+        return False
+    types = dict(zip(raw, map(type, raw.values())))
+    return (
+        types.get("kind") is str
+        and types == _VARIABLE_TYPES.get(raw["kind"])
+        and raw["index"] == k
+    )
+
+
+def _variable(raw: Any, k: int) -> QuboVariable:
+    """The field-by-field reading of ``variables[k]``."""
+    where = f"variables[{k}]"
+    kind = raw.get("kind") if isinstance(raw, dict) else None
+    if not isinstance(kind, str) or kind not in _VARIABLE_KEYS:
+        raise QuboFormatError(f"{where}.kind: expected one of {', '.join(_VARIABLE_KEYS)}")
+    _read.object(raw, where, _VARIABLE_KEYS[kind])
+    if _read.integer(raw["index"], f"{where}.index") != k:
+        raise QuboFormatError(f"{where}.index: expected {k}")
+    for key in _VARIABLE_KEYS[kind][2:]:
+        (_read.string if key in _STRING_FIELDS else _read.integer)(raw[key], f"{where}.{key}")
+    return QuboVariable(**raw)
 
 
 def _bad_term(terms: list, n: int) -> QuboFormatError:
@@ -653,18 +684,10 @@ def parse_qubo_json(content: bytes | str) -> tuple[QuboModel, VariableMap]:
     variables = _read.array(doc["variables"], "variables")
     if len(variables) != n:
         raise QuboFormatError(f"variables: {len(variables)} entries for n={n}")
-    entries = []
-    for k, raw in enumerate(variables):
-        where = f"variables[{k}]"
-        kind = raw.get("kind") if isinstance(raw, dict) else None
-        if not isinstance(kind, str) or kind not in _VARIABLE_KEYS:
-            raise QuboFormatError(f"{where}.kind: expected one of {', '.join(_VARIABLE_KEYS)}")
-        _read.object(raw, where, _VARIABLE_KEYS[kind])
-        if _read.integer(raw["index"], f"{where}.index") != k:
-            raise QuboFormatError(f"{where}.index: expected {k}")
-        for key in _VARIABLE_KEYS[kind][2:]:
-            (_read.string if key in _STRING_FIELDS else _read.integer)(raw[key], f"{where}.{key}")
-        entries.append(QuboVariable(**raw))
+    entries = [
+        QuboVariable(**raw) if _is_variable(raw, k) else _variable(raw, k)
+        for k, raw in enumerate(variables)
+    ]
 
     offset = _read.integer(doc["offset"], "offset")
     terms = _read.array(doc["terms"], "terms")
