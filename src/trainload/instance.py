@@ -11,9 +11,10 @@ configurations: alternative per-slot mass limits of which exactly one must
 be selected for the wagon.
 
 All masses are integer kilograms and values are integers, which keeps
-objective arithmetic exact.  Instance files are canonical JSON (fixed key
-order, two-space indent), so serialisation is byte-reproducible: loading a
-file and re-serialising it yields the identical bytes.
+objective arithmetic exact.  Instance files are canonical JSON, the bytes
+of ``json.dumps(doc, indent=2)`` plus a newline with the keys in a fixed
+order, so serialisation is byte-reproducible: loading a file and
+re-serialising it yields the identical bytes.
 """
 
 from __future__ import annotations
@@ -413,9 +414,9 @@ _read = DocumentReader(InstanceFormatError)
 
 def _as_length(value: Any, where: str) -> ContainerLength:
     teu = _read.integer(value, where)
-    if teu not in (1, 2):
+    if teu not in _LENGTHS:
         raise InstanceFormatError(f"{where}: teu must be 1 or 2, got {teu}")
-    return ContainerLength(teu)
+    return _LENGTHS[teu]
 
 
 def _container(raw: Any, where: str) -> Container:
@@ -449,7 +450,8 @@ def _wagon(raw: Any, where: str) -> Wagon:
 
 
 def _is_wagon(raw: Any) -> bool:
-    """Whether ``raw`` is a wagon record with every field of the right type."""
+    """Whether ``raw`` is a wagon record with every field of the right type
+    and every slot 1 or 2 TEU long."""
     return (
         type(raw) is dict
         and raw.keys() == _WAGON_FIELDS

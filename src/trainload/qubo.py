@@ -671,7 +671,9 @@ def parse_qubo_json(content: bytes | str) -> tuple[QuboModel, VariableMap]:
     an integer (``penalty`` and ``weight_unit`` positive),
     ``variables[k].index == k`` for all ``n`` variables, and every term is a
     distinct ``[i, j, value]`` with ``0 <= i <= j < n`` and a value within
-    signed 64 bits.  The terms may come in any order."""
+    signed 64 bits.  The terms may come in any order.  A variable entry
+    whose key set and field types match its kind is built in one step; any
+    other is read field by field, which names the offending field."""
     doc = _read.document(content, _QUBO_KEYS)
     n = _read.integer(doc["n"], "n")
     weight_unit = _read.integer(doc["weight_unit"], "weight_unit")

@@ -11,18 +11,27 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, settings
 
-from trainload.evaluation import Solution, check_feasibility
+from trainload.evaluation import (
+    Assignment,
+    ConfigChoice,
+    Solution,
+    SolutionFormatError,
+    check_feasibility,
+)
 from trainload.instance import (
     Container,
     ContainerLength,
+    DocumentReader,
     GenSpec,
     Instance,
+    InstanceFormatError,
     Slot,
     Wagon,
     WeightConfig,
     Yard,
     load_instance_file,
 )
+from trainload.qubo import QuboFormatError, QuboModel, QuboVariable, VariableMap, _bad_term
 
 settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -284,8 +293,6 @@ def random_feasible_solution(instance: Instance, rng: random.Random) -> Solution
 def random_messy_solution(instance: Instance, rng: random.Random) -> Solution:
     """Arbitrary well-referenced solution: duplicates, overloads, missing or
     doubled configs are all fair game; only the ids are guaranteed real."""
-    from trainload.evaluation import Assignment, ConfigChoice
-
     assignments = []
     slots = instance.all_slots
     if slots and instance.containers:
@@ -298,3 +305,157 @@ def random_messy_solution(instance: Instance, rng: random.Random) -> Solution:
         for _ in range(rng.choice((0, 1, 1, 1, 2))):
             configs.append(ConfigChoice(w.id, rng.randrange(len(w.configs))))
     return Solution(tuple(assignments), tuple(configs))
+
+
+# ---------------------------------------------------------------------------
+# Reference loaders: every field read on its own, through DocumentReader.
+# The package builds well-typed records in one step and reads only the
+# others this way; tests/test_fuzz.py holds the two to the same results.
+# ---------------------------------------------------------------------------
+
+_REF_TOP_KEYS = ("alpha", "train_max_weight", "max_tiers", "containers", "stacks", "wagons")
+_REF_CONTAINER_KEYS = ("id", "teu", "weight", "value")
+_REF_WAGON_KEYS = ("id", "max_weight", "slots", "configs")
+_ref_instance = DocumentReader(InstanceFormatError)
+
+
+def _ref_as_length(value, where: str) -> ContainerLength:
+    teu = _ref_instance.integer(value, where)
+    if teu not in (1, 2):
+        raise InstanceFormatError(f"{where}: teu must be 1 or 2, got {teu}")
+    return ContainerLength(teu)
+
+
+def reference_load_instance(content: bytes | str) -> Instance:
+    _read = _ref_instance
+    top = _read.document(content, _REF_TOP_KEYS)
+
+    containers = []
+    for i, raw in enumerate(_read.array(top["containers"], "containers")):
+        where = f"containers[{i}]"
+        obj = _read.object(raw, where, _REF_CONTAINER_KEYS)
+        containers.append(
+            Container(
+                id=_read.string(obj["id"], f"{where}.id"),
+                length=_ref_as_length(obj["teu"], f"{where}.teu"),
+                weight=_read.integer(obj["weight"], f"{where}.weight"),
+                value=_read.integer(obj["value"], f"{where}.value"),
+            )
+        )
+
+    stacks = []
+    for k, raw in enumerate(_read.array(top["stacks"], "stacks")):
+        arr = _read.array(raw, f"stacks[{k}]")
+        stacks.append(tuple(_read.string(cid, f"stacks[{k}][{j}]") for j, cid in enumerate(arr)))
+
+    wagons = []
+    for i, raw in enumerate(_read.array(top["wagons"], "wagons")):
+        where = f"wagons[{i}]"
+        obj = _read.object(raw, where, _REF_WAGON_KEYS)
+        slots = []
+        for si, sraw in enumerate(_read.array(obj["slots"], f"{where}.slots")):
+            sobj = _read.object(sraw, f"{where}.slots[{si}]", ("teu",))
+            slots.append(Slot(_ref_as_length(sobj["teu"], f"{where}.slots[{si}].teu")))
+        configs = []
+        for b, craw in enumerate(_read.array(obj["configs"], f"{where}.configs")):
+            arr = _read.array(craw, f"{where}.configs[{b}]")
+            configs.append(
+                WeightConfig(
+                    tuple(
+                        _read.integer(limit, f"{where}.configs[{b}][{j}]")
+                        for j, limit in enumerate(arr)
+                    )
+                )
+            )
+        wagons.append(
+            Wagon(
+                id=_read.string(obj["id"], f"{where}.id"),
+                slots=tuple(slots),
+                configs=tuple(configs),
+                max_weight=_read.integer(obj["max_weight"], f"{where}.max_weight"),
+            )
+        )
+
+    return Instance(
+        containers=tuple(containers),
+        yard=Yard(stacks=tuple(stacks), max_tiers=_read.integer(top["max_tiers"], "max_tiers")),
+        wagons=tuple(wagons),
+        train_max_weight=_read.integer(top["train_max_weight"], "train_max_weight"),
+        rehandle_unit_cost=_read.integer(top["alpha"], "alpha"),
+    )
+
+
+_ref_solution = DocumentReader(SolutionFormatError)
+
+
+def reference_load_solution(content: bytes | str) -> Solution:
+    _read = _ref_solution
+    doc = _read.document(content, ("assignments", "configs"))
+
+    assignments = []
+    for i, raw in enumerate(_read.array(doc["assignments"], "assignments")):
+        where = f"assignments[{i}]"
+        obj = _read.object(raw, where, ("container", "wagon", "slot"))
+        container = _read.string(obj["container"], f"{where}.container")
+        wagon = _read.string(obj["wagon"], f"{where}.wagon")
+        slot = _read.integer(obj["slot"], f"{where}.slot")
+        assignments.append(Assignment(container, wagon, slot))
+
+    configs = []
+    for i, raw in enumerate(_read.array(doc["configs"], "configs")):
+        where = f"configs[{i}]"
+        obj = _read.object(raw, where, ("wagon", "config"))
+        wagon = _read.string(obj["wagon"], f"{where}.wagon")
+        config = _read.integer(obj["config"], f"{where}.config")
+        configs.append(ConfigChoice(wagon, config))
+
+    return Solution(tuple(assignments), tuple(configs))
+
+
+_REF_QUBO_KEYS = ("n", "offset", "terms", "variables", "penalty", "weight_unit")
+_REF_VARIABLE_KEYS = {
+    "assignment": ("index", "kind", "container", "wagon", "slot"),
+    "config": ("index", "kind", "wagon", "config"),
+    "slack": ("index", "kind", "constraint", "bit", "coefficient"),
+}
+_REF_STRING_FIELDS = ("container", "wagon", "constraint")
+_ref_qubo = DocumentReader(QuboFormatError)
+
+
+def reference_parse_qubo_json(content: bytes | str) -> tuple[QuboModel, VariableMap]:
+    _read = _ref_qubo
+    doc = _read.document(content, _REF_QUBO_KEYS)
+    n = _read.integer(doc["n"], "n")
+    weight_unit = _read.integer(doc["weight_unit"], "weight_unit")
+    if weight_unit < 1:
+        raise QuboFormatError("weight_unit: must be positive")
+    penalty = _read.integer(doc["penalty"], "penalty")
+    if penalty < 1:
+        raise QuboFormatError("penalty: must be positive")
+
+    variables = _read.array(doc["variables"], "variables")
+    if len(variables) != n:
+        raise QuboFormatError(f"variables: {len(variables)} entries for n={n}")
+    entries = []
+    for k, raw in enumerate(variables):
+        where = f"variables[{k}]"
+        kind = raw.get("kind") if isinstance(raw, dict) else None
+        if not isinstance(kind, str) or kind not in _REF_VARIABLE_KEYS:
+            raise QuboFormatError(
+                f"{where}.kind: expected one of {', '.join(_REF_VARIABLE_KEYS)}"
+            )
+        _read.object(raw, where, _REF_VARIABLE_KEYS[kind])
+        if _read.integer(raw["index"], f"{where}.index") != k:
+            raise QuboFormatError(f"{where}.index: expected {k}")
+        for key in _REF_VARIABLE_KEYS[kind][2:]:
+            reader = _read.string if key in _REF_STRING_FIELDS else _read.integer
+            reader(raw[key], f"{where}.{key}")
+        entries.append(QuboVariable(**raw))
+
+    offset = _read.integer(doc["offset"], "offset")
+    terms = _read.array(doc["terms"], "terms")
+    try:
+        model = QuboModel.from_terms(n, terms, offset, penalty)
+    except (TypeError, ValueError):  # name the first offending term in document order
+        raise _bad_term(terms, n) from None
+    return model, VariableMap(entries=tuple(entries), weight_unit=weight_unit)

@@ -1,14 +1,22 @@
 """Fuzzing the loaders and ``trainload eval``: whatever the input bytes, only
-the documented exception types and exit codes come out."""
+the documented exception types and exit codes come out, and each loader
+gives what its field-by-field reference in ``conftest`` gives."""
 
 import contextlib
 import copy
 import io
 import json
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from conftest import (
+    GOLDEN_YARDS,
+    reference_load_instance,
+    reference_load_solution,
+    reference_parse_qubo_json,
+)
 from trainload.annealing import initial_solution
 from trainload.cli import main
 from trainload.evaluation import SolutionFormatError, load_solution, serialize_solution
@@ -125,3 +133,107 @@ def test_eval_exits_with_a_documented_code(tmp_path_factory, instance, solution,
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (0, 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# Each loader against its field-by-field reference
+# ---------------------------------------------------------------------------
+
+# A value of each JSON type, with the integers a schema field may hold and
+# the booleans Python counts as integers.
+LEAVES = (True, False, None, 1.0, 2.5, "1", "", [], {}, 0, 1, 2, 3, -1)
+
+
+@st.composite
+def retyped(draw, doc):
+    """``doc`` with one leaf, found by a random walk from the root down to
+    a leaf or an empty array, replaced by a value of any JSON type."""
+    doc = copy.deepcopy(doc)
+    parent, key, node = None, None, doc
+    while isinstance(node, (dict, list)) and node:
+        key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        parent, node = node, node[key]
+    if parent is not None:
+        parent[key] = draw(st.sampled_from(LEAVES))
+    return doc
+
+
+def loader_inputs(doc):
+    return st.one_of(documents(doc), retyped(doc).map(json.dumps))
+
+
+def outcome(load, content):
+    """The repr of what ``load`` returns for ``content`` (it tells a bool
+    from an int and an enum member from its value), or the type and
+    message of the error it raises; every documented error is a
+    ``ValueError``."""
+    try:
+        return repr(load(content))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@given(loader_inputs(INSTANCE_DOC))
+def test_load_instance_matches_its_reference(content):
+    assert outcome(load_instance, content) == outcome(reference_load_instance, content)
+
+
+@given(loader_inputs(SOLUTION_DOC))
+def test_load_solution_matches_its_reference(content):
+    assert outcome(load_solution, content) == outcome(reference_load_solution, content)
+
+
+@given(loader_inputs(QUBO_DOC))
+def test_parse_qubo_json_matches_its_reference(content):
+    assert outcome(parse_qubo_json, content) == outcome(reference_parse_qubo_json, content)
+
+
+def at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+def leaves(node, path=()):
+    """The path of every leaf and empty array or object under ``node``."""
+    if isinstance(node, (dict, list)) and node:
+        for key in node if isinstance(node, dict) else range(len(node)):
+            yield from leaves(node[key], (*path, key))
+    else:
+        yield path
+
+
+# The first QUBO variable of each kind.
+FIRST_VARIABLES = [
+    ("variables", next(k for k, v in enumerate(QUBO_DOC["variables"]) if v["kind"] == kind))
+    for kind in ("assignment", "config", "slack")
+]
+
+
+@pytest.mark.parametrize(
+    "load, reference, doc, roots",
+    [
+        (load_instance, reference_load_instance, INSTANCE_DOC, [()]),
+        (load_solution, reference_load_solution, SOLUTION_DOC, [()]),
+        (parse_qubo_json, reference_parse_qubo_json, QUBO_DOC, FIRST_VARIABLES),
+    ],
+    ids=["instance", "solution", "qubo"],
+)
+def test_each_leaf_of_each_type_reads_as_the_reference_reads_it(load, reference, doc, roots):
+    """Every leaf under each root, set in turn to each of ``LEAVES``."""
+    doc = copy.deepcopy(doc)
+    for root in roots:
+        for *steps, last in leaves(at(doc, root), root):
+            parent = at(doc, steps)
+            kept = parent[last]
+            for value in LEAVES:
+                parent[last] = value
+                content = json.dumps(doc)
+                assert outcome(load, content) == outcome(reference, content), (steps, last, value)
+            parent[last] = kept
+
+
+@pytest.mark.parametrize("spec", GOLDEN_YARDS, ids=str)
+def test_load_instance_matches_its_reference_on_generated_yards(spec):
+    content = serialize_instance(generate_instance(spec))
+    assert outcome(load_instance, content) == outcome(reference_load_instance, content)
