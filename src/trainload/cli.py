@@ -28,11 +28,11 @@ from pathlib import Path
 from typing import Callable
 
 from .evaluation import (
+    _replay_crane,
     evaluate,
     event_log_jsonl,
     load_solution_file,
     serialize_solution,
-    simulate_loading,
 )
 from .instance import (
     GenSpec,
@@ -157,7 +157,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     report = evaluate(instance, solution)
 
     if args.events is not None and report.feasible:
-        sim = simulate_loading(instance, solution)
+        sim = _replay_crane(instance, solution)
         _write_text(args.events, event_log_jsonl(sim.events))
 
     if args.json:

@@ -333,7 +333,11 @@ def simulate_loading(instance: Instance, solution: Solution) -> SimulationResult
     violations = check_feasibility(instance, solution)
     if violations:
         raise InfeasibleSolutionError(violations)
+    return _replay_crane(instance, solution)
 
+
+def _replay_crane(instance: Instance, solution: Solution) -> SimulationResult:
+    """:func:`simulate_loading` for a plan already found feasible."""
     state = [list(stack) for stack in instance.yard.stacks]
     wagon_pos = instance.wagon_position
     tier_of = instance.stack_position

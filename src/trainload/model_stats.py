@@ -11,7 +11,10 @@ needs neither the indicator block nor the linkage rows.  Both share the
 assignment variables (one per eligible container/slot pair,
 ``Instance.eligible_slots``), the config selectors, and the six structural
 constraint families: one assignment per container, one occupant per slot,
-one config per wagon, slot weight, wagon weight, and train weight.
+one config per wagon, slot weight, wagon weight, and train weight.  A row
+that no assignment variable enters is vacuous and not counted: the rows of a
+container with no eligible slot, of a slot eligible for no container, and
+the train row of a train without wagons, as in the exported QUBO.
 
 Exact identities, by construction::
 
@@ -90,18 +93,20 @@ class ModelComparison:
 
 def count_model_b(instance: Instance) -> ModelStats:
     """Compact formulation: assignment and config variables only."""
+    eligible = instance.eligible_slots
+    filled = len({s for slots in eligible for s in slots})
     variables = VariableCounts(
-        assignment=sum(map(len, instance.eligible_slots)),
+        assignment=sum(map(len, eligible)),
         config=sum(len(w.configs) for w in instance.wagons),
         rehandle=0,
     )
     constraints = ConstraintCounts(
-        assign_once=len(instance.containers),
-        slot_once=instance.total_slots,
+        assign_once=sum(map(bool, eligible)),
+        slot_once=filled,
         one_config=len(instance.wagons),
-        slot_weight=instance.total_slots,
+        slot_weight=filled,
         wagon_weight=len(instance.wagons),
-        train_weight=1,
+        train_weight=int(bool(instance.wagons)),
         rehandle_link=0,
     )
     return ModelStats(model="B", variables=variables, constraints=constraints)

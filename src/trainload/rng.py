@@ -6,6 +6,8 @@ another.  A stream is derived by hashing ``"{seed}:{label}"`` with SHA-256
 and seeding :class:`random.Random` with the digest; both the hash and the
 Mersenne Twister behind ``random.Random`` are stable across platforms and
 Python versions, which is what makes generated files byte-reproducible.
+The hash comes from the interpreter's built-in module, as :mod:`random`'s own
+does, because importing :mod:`hashlib` maps OpenSSL: about 3.5 MB resident.
 
 Stream labels in use:
 
@@ -16,11 +18,18 @@ Stream labels in use:
 
 from __future__ import annotations
 
-import hashlib
 import random
+
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 
 def stream(seed: int, label: str) -> random.Random:
     """Return an independent generator for (seed, label)."""
-    digest = hashlib.sha256(f"{seed}:{label}".encode("utf-8")).digest()
+    digest = sha256(f"{seed}:{label}".encode("utf-8")).digest()
     return random.Random(int.from_bytes(digest, "big"))

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import DATA_DIR, TWENTY, make_instance, traced
-from trainload import annealing, cli, qubo
+from trainload import annealing, cli, evaluation, qubo
 from trainload.cli import main
 from trainload.evaluation import load_solution_file, serialize_solution, Solution
 from trainload.evaluation import _SOLUTION_KEYS, Assignment, ConfigChoice
@@ -273,6 +273,21 @@ def test_eval_writes_event_log(tmp_path, capsys, instance_path):
         assert json.loads(line)["op"] in {"lift", "load", "restack"}
 
 
+def test_eval_events_checks_the_plan_once(tmp_path, capsys, monkeypatch, instance_path, plan_path):
+    """``evaluate`` finds the plan feasible, so the crane replay behind
+    ``--events`` does not check it again; the log is ``simulate_loading``'s."""
+    calls = []
+    check = evaluation.check_feasibility
+    monkeypatch.setattr(
+        evaluation, "check_feasibility", lambda *args: calls.append(args) or check(*args)
+    )
+    events = tmp_path / "events.jsonl"
+    code, _, _ = run(capsys, "eval", str(instance_path), str(plan_path), "--events", str(events))
+    assert (code, len(calls)) == (0, 1)
+    sim = evaluation.simulate_loading(*calls[0])
+    assert events.read_text(encoding="utf-8") == evaluation.event_log_jsonl(sim.events)
+
+
 def test_eval_rejects_an_instance_that_breaks_an_invariant(tmp_path, capsys, instance_path):
     doc = json.loads(instance_path.read_text())
     doc["alpha"] = -1
@@ -332,7 +347,7 @@ def test_stats_json(capsys):
     assert code == 0
     payload = json.loads(stdout)
     assert payload["model_b"]["variables"]["total"] == 87
-    assert payload["model_a"]["constraints"]["total"] == 297
+    assert payload["model_a"]["constraints"]["total"] == 291
     model, _ = build_qubo(load_instance_file(path))
     magnitudes = [abs(value) for _, _, value in model.terms()]
     assert payload["qubo"] == {
