@@ -162,7 +162,7 @@ class QuboModel:
 
     On the 400-container yard of ``scripts/run_benchmark.py`` (14,117
     variables, 2,000,947 terms) the arrays take 32 MB; building the model
-    takes 0.7-0.8 s with a 62 MB peak RSS, as each row, objective included,
+    takes 0.7-0.8 s with a 59 MB peak RSS, as each row, objective included,
     is expanded only when it is packed (2-CPU Linux VM, Python 3.11).
     """
 
