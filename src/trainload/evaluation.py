@@ -35,7 +35,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Any, Iterable, Mapping, NamedTuple
 
-from .instance import DocumentReader, Instance, indented_array
+from .instance import Array, DocumentReader, Instance, Record, indented_array
 
 
 class DanglingReferenceError(ValueError):
@@ -478,10 +478,8 @@ def evaluate(instance: Instance, solution: Solution) -> EvaluationReport:
 # ---------------------------------------------------------------------------
 
 _SOLUTION_KEYS = ("assignments", "configs")
-_ASSIGNMENT_KEYS = ("container", "wagon", "slot")
-_CONFIG_KEYS = ("wagon", "config")
-_ASSIGNMENT_FIELDS = frozenset(_ASSIGNMENT_KEYS)
-_CONFIG_FIELDS = frozenset(_CONFIG_KEYS)
+_ASSIGNMENTS = Array(Record({"container": str, "wagon": str, "slot": int}, Assignment))
+_CONFIGS = Array(Record({"wagon": str, "config": int}, ConfigChoice))
 
 
 class SolutionFormatError(ValueError):
@@ -491,50 +489,17 @@ class SolutionFormatError(ValueError):
 _read = DocumentReader(SolutionFormatError)
 
 
-def _assignment(raw: Any, where: str) -> Assignment:
-    """The field-by-field reading of one assignment entry."""
-    obj = _read.object(raw, where, _ASSIGNMENT_KEYS)
-    container = _read.string(obj["container"], f"{where}.container")
-    wagon = _read.string(obj["wagon"], f"{where}.wagon")
-    slot = _read.integer(obj["slot"], f"{where}.slot")
-    return Assignment(container, wagon, slot)
-
-
-def _config_choice(raw: Any, where: str) -> ConfigChoice:
-    """The field-by-field reading of one config entry."""
-    obj = _read.object(raw, where, _CONFIG_KEYS)
-    wagon = _read.string(obj["wagon"], f"{where}.wagon")
-    config = _read.integer(obj["config"], f"{where}.config")
-    return ConfigChoice(wagon, config)
-
-
 def load_solution(content: bytes | str) -> Solution:
     """Parse solution JSON.  Reference validity is *not* checked here;
     pair with an instance via :func:`check_feasibility` or :func:`evaluate`.
 
-    An entry whose fields all have the right type is built in one step; any
-    other is read field by field, which names the offending path."""
+    Assignments and configs are read through their field tables
+    (:meth:`DocumentReader.read`), which name the first offending path."""
     doc = _read.document(content, _SOLUTION_KEYS)
-    assignments = tuple(
-        Assignment(raw["container"], raw["wagon"], raw["slot"])
-        if type(raw) is dict
-        and raw.keys() == _ASSIGNMENT_FIELDS
-        and type(raw["container"]) is str
-        and type(raw["wagon"]) is str
-        and type(raw["slot"]) is int
-        else _assignment(raw, f"assignments[{i}]")
-        for i, raw in enumerate(_read.array(doc["assignments"], "assignments"))
+    return Solution(
+        _read.read(_ASSIGNMENTS, doc["assignments"], "assignments"),
+        _read.read(_CONFIGS, doc["configs"], "configs"),
     )
-    configs = tuple(
-        ConfigChoice(raw["wagon"], raw["config"])
-        if type(raw) is dict
-        and raw.keys() == _CONFIG_FIELDS
-        and type(raw["wagon"]) is str
-        and type(raw["config"]) is int
-        else _config_choice(raw, f"configs[{i}]")
-        for i, raw in enumerate(_read.array(doc["configs"], "configs"))
-    )
-    return Solution(assignments, configs)
 
 
 def serialize_solution(solution: Solution) -> str:

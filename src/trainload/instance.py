@@ -23,8 +23,9 @@ import json
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
-from itertools import accumulate, compress
-from typing import Any, NamedTuple
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import itemgetter
+from typing import Any, Callable, Iterable, NamedTuple
 
 from .rng import stream
 
@@ -306,6 +307,36 @@ def derive_blocking_pairs(instance: Instance) -> list[BlockingPair]:
 # ---------------------------------------------------------------------------
 
 
+class Array(NamedTuple):
+    """A JSON array field: each item read as ``item``, their tuple passed to ``make``."""
+
+    item: Any
+    make: Callable[[tuple], Any] = tuple
+
+
+class Record(NamedTuple):
+    """One kind of JSON record: its fields in reading order, each ``int``,
+    ``str``, a table of the integers it may hold (each mapped to its value)
+    or an :class:`Array`; ``make`` takes their values in that order."""
+
+    fields: dict[str, Any]
+    make: Callable[..., Any]
+
+    @property
+    def keys(self) -> tuple[str, ...]:
+        """The keys in listed order, which names missing keys: arrays last."""
+        return tuple(sorted(self.fields, key=lambda key: type(self.fields[key]) is Array))
+
+
+class Kinds(NamedTuple):
+    """Records each read by the field table its ``kind`` field names, whose
+    ``index`` field must be the record's position in its array; ``make``
+    takes the fields as keywords."""
+
+    tables: dict[str, dict[str, Any]]
+    make: Callable[..., Any]
+
+
 class DocumentReader:
     """Strict reading of one JSON file format.
 
@@ -371,13 +402,91 @@ class DocumentReader:
             raise self.error(f"{where}: expected a string")
         return value
 
-    def strings(self, value: Any, where: str) -> tuple[str, ...]:
-        arr = self.array(value, where)
-        return tuple(self.string(item, f"{where}[{j}]") for j, item in enumerate(arr))
+    def read(self, kind: Any, value: Any, where: str, position: int = 0) -> Any:
+        """``value`` at ``where`` read as field kind ``kind`` (the ``position``
+        of a :class:`Kinds` record in its array).  An array is built from its
+        items when one type check over all of them passes; otherwise its items
+        are read one by one, each field in reading order, so the first
+        offending path in document order is the one named."""
+        if kind is int:
+            return self.integer(value, where)
+        if kind is str:
+            return self.string(value, where)
+        if type(kind) is dict:
+            if self.integer(value, where) not in kind:
+                name, allowed = where.rpartition(".")[2], " or ".join(map(str, kind))
+                raise self.error(f"{where}: {name} must be {allowed}, got {value}")
+            return kind[value]
+        if type(kind) is Array:
+            items = self.array(value, where)
+            if self._fits(kind.item, items):
+                return kind.make(tuple(self._built(kind.item, items)))
+            items = (self.read(kind.item, item, f"{where}[{i}]", i) for i, item in enumerate(items))
+            return kind.make(tuple(items))
+        if type(kind) is Record:
+            self.object(value, where, kind.keys)
+            return kind.make(*self._fields(kind.fields, value, where))
+        tag = value.get("kind") if isinstance(value, dict) else None
+        if not isinstance(tag, str) or tag not in kind.tables:
+            raise self.error(f"{where}.kind: expected one of {', '.join(kind.tables)}")
+        self.object(value, where, tuple(kind.tables[tag]))
+        if self.integer(value["index"], f"{where}.index") != position:
+            raise self.error(f"{where}.index: expected {position}")
+        self._fields(kind.tables[tag], value, where)
+        return kind.make(**value)
 
-    def integers(self, value: Any, where: str) -> tuple[int, ...]:
-        arr = self.array(value, where)
-        return tuple(self.integer(item, f"{where}[{j}]") for j, item in enumerate(arr))
+    def _fields(self, fields: dict[str, Any], obj: dict, where: str) -> list:
+        return [self.read(kind, obj[key], f"{where}.{key}") for key, kind in fields.items()]
+
+    def _fits(self, kind: Any, values: list) -> bool:
+        """Whether each of ``values`` reads as ``kind`` without an error."""
+        types = set(map(type, values))
+        if kind is int or kind is str:
+            return types <= {kind}
+        if type(kind) is dict:
+            return types <= {int} and set(values) <= kind.keys()
+        if type(kind) is Array:
+            return types <= {list} and self._fits(kind.item, [*chain.from_iterable(values)])
+        if not types <= {dict}:
+            return False
+        if type(kind) is Record:
+            return self._fit_fields(kind.fields, values)
+        tags = [value.get("kind") for value in values]
+        return (
+            set(map(type, tags)) <= {str}
+            and set(tags) <= kind.tables.keys()
+            and [value.get("index") for value in values] == [*range(len(values))]
+            and all(
+                self._fit_fields(fields, [value for value, t in zip(values, tags) if t == tag])
+                for tag, fields in kind.tables.items()
+            )
+        )
+
+    def _fit_fields(self, fields: dict[str, Any], values: list) -> bool:
+        try:
+            columns = [[value[key] for value in values] for key in fields]
+        except KeyError:
+            return False
+        return set(map(len, values)) <= {len(fields)} and all(
+            map(self._fits, fields.values(), columns)
+        )
+
+    def _built(self, kind: Any, values: Iterable) -> Iterable:
+        """``values``, which fit ``kind``, built lazily in document order."""
+        if kind is int or kind is str:
+            return values
+        if type(kind) is dict:
+            return map(kind.__getitem__, values)
+        if type(kind) is Array:
+            if kind.item is int or kind.item is str:
+                return map(kind.make, map(tuple, values))
+            values = list(values)
+            items = iter(self._built(kind.item, [*chain.from_iterable(values)]))
+            return map(kind.make, map(tuple, map(islice, repeat(items), map(len, values))))
+        if type(kind) is Record:
+            fields = kind.fields.items()
+            return map(kind.make, *(self._built(f, map(itemgetter(k), values)) for k, f in fields))
+        return (kind.make(**value) for value in values)
 
 
 def indented_array(items: list[str], depth: int) -> str:
@@ -396,78 +505,26 @@ def indented_array(items: list[str], depth: int) -> str:
 # ---------------------------------------------------------------------------
 
 _TOP_KEYS = ("alpha", "train_max_weight", "max_tiers", "containers", "stacks", "wagons")
-_CONTAINER_KEYS = ("id", "teu", "weight", "value")
-_WAGON_KEYS = ("id", "max_weight", "slots", "configs")
-_CONTAINER_FIELDS = frozenset(_CONTAINER_KEYS)
-_WAGON_FIELDS = frozenset(_WAGON_KEYS)
-_SLOT_FIELDS = frozenset(("teu",))
 _LENGTHS = {teu: ContainerLength(teu) for teu in (1, 2)}
-_SLOTS = {teu: Slot(length) for teu, length in _LENGTHS.items()}
+_CONTAINERS = Array(Record({"id": str, "teu": _LENGTHS, "weight": int, "value": int}, Container))
+_STACKS = Array(Array(str))
+_SLOTS = {length: Slot(length) for length in ContainerLength}
+_WAGONS = Array(
+    Record(
+        {
+            "slots": Array(Record({"teu": _LENGTHS}, _SLOTS.__getitem__)),
+            "configs": Array(Array(int, WeightConfig)),
+            "id": str,
+            "max_weight": int,
+        },
+        lambda slots, configs, id, max_weight: Wagon(id, slots, configs, max_weight),
+    )
+)
 # A slot record as it sits in a wagon's "slots" array.
 _SLOT_TEXT = {
     length: f'{{\n          "teu": {length.teu}\n        }}' for length in ContainerLength
 }
-_INT = {int}
-_STR = {str}
 _read = DocumentReader(InstanceFormatError)
-
-
-def _as_length(value: Any, where: str) -> ContainerLength:
-    teu = _read.integer(value, where)
-    if teu not in _LENGTHS:
-        raise InstanceFormatError(f"{where}: teu must be 1 or 2, got {teu}")
-    return _LENGTHS[teu]
-
-
-def _container(raw: Any, where: str) -> Container:
-    """The field-by-field reading of one container record."""
-    obj = _read.object(raw, where, _CONTAINER_KEYS)
-    return Container(
-        id=_read.string(obj["id"], f"{where}.id"),
-        length=_as_length(obj["teu"], f"{where}.teu"),
-        weight=_read.integer(obj["weight"], f"{where}.weight"),
-        value=_read.integer(obj["value"], f"{where}.value"),
-    )
-
-
-def _wagon(raw: Any, where: str) -> Wagon:
-    """The field-by-field reading of one wagon record."""
-    obj = _read.object(raw, where, _WAGON_KEYS)
-    slots = []
-    for si, sraw in enumerate(_read.array(obj["slots"], f"{where}.slots")):
-        sobj = _read.object(sraw, f"{where}.slots[{si}]", ("teu",))
-        slots.append(Slot(_as_length(sobj["teu"], f"{where}.slots[{si}].teu")))
-    configs = [
-        WeightConfig(_read.integers(craw, f"{where}.configs[{b}]"))
-        for b, craw in enumerate(_read.array(obj["configs"], f"{where}.configs"))
-    ]
-    return Wagon(
-        id=_read.string(obj["id"], f"{where}.id"),
-        slots=tuple(slots),
-        configs=tuple(configs),
-        max_weight=_read.integer(obj["max_weight"], f"{where}.max_weight"),
-    )
-
-
-def _is_wagon(raw: Any) -> bool:
-    """Whether ``raw`` is a wagon record with every field of the right type
-    and every slot 1 or 2 TEU long."""
-    return (
-        type(raw) is dict
-        and raw.keys() == _WAGON_FIELDS
-        and type(raw["id"]) is str
-        and type(raw["max_weight"]) is int
-        and type(raw["slots"]) is list
-        and type(raw["configs"]) is list
-        and all(
-            type(slot) is dict
-            and slot.keys() == _SLOT_FIELDS
-            and type(slot["teu"]) is int
-            and slot["teu"] in _LENGTHS
-            for slot in raw["slots"]
-        )
-        and all(type(cfg) is list and set(map(type, cfg)) <= _INT for cfg in raw["configs"])
-    )
 
 
 def load_instance(content: bytes | str) -> Instance:
@@ -478,49 +535,18 @@ def load_instance(content: bytes | str) -> Instance:
     data is well-formed but inconsistent (duplicate ids, over-tall stacks,
     containers missing from the yard, ...).
 
-    Each record is built straight from its fields when one test shows that
-    every field has the right type; any other record is read field by field,
-    which names the offending path.  Records are built in document order, so
-    the first problem in the file is the one reported either way.
+    Containers, stacks and wagons are read through their field tables
+    (:meth:`DocumentReader.read`) and built in document order, so the first
+    problem in the file is the one reported.
     """
     top = _read.document(content, _TOP_KEYS)
-
-    containers = [
-        Container(raw["id"], _LENGTHS[raw["teu"]], raw["weight"], raw["value"])
-        if type(raw) is dict
-        and raw.keys() == _CONTAINER_FIELDS
-        and type(raw["id"]) is str
-        and type(raw["teu"]) is int
-        and type(raw["weight"]) is int
-        and type(raw["value"]) is int
-        and raw["teu"] in _LENGTHS
-        else _container(raw, f"containers[{i}]")
-        for i, raw in enumerate(_read.array(top["containers"], "containers"))
-    ]
-
-    stacks = [
-        tuple(raw)
-        if type(raw) is list and set(map(type, raw)) <= _STR
-        else _read.strings(raw, f"stacks[{k}]")
-        for k, raw in enumerate(_read.array(top["stacks"], "stacks"))
-    ]
-
-    wagons = [
-        Wagon(
-            raw["id"],
-            tuple(_SLOTS[slot["teu"]] for slot in raw["slots"]),
-            tuple(WeightConfig(tuple(cfg)) for cfg in raw["configs"]),
-            raw["max_weight"],
-        )
-        if _is_wagon(raw)
-        else _wagon(raw, f"wagons[{i}]")
-        for i, raw in enumerate(_read.array(top["wagons"], "wagons"))
-    ]
-
+    containers = _read.read(_CONTAINERS, top["containers"], "containers")
+    stacks = _read.read(_STACKS, top["stacks"], "stacks")
+    wagons = _read.read(_WAGONS, top["wagons"], "wagons")
     return Instance(
-        containers=tuple(containers),
-        yard=Yard(stacks=tuple(stacks), max_tiers=_read.integer(top["max_tiers"], "max_tiers")),
-        wagons=tuple(wagons),
+        containers=containers,
+        yard=Yard(stacks=stacks, max_tiers=_read.integer(top["max_tiers"], "max_tiers")),
+        wagons=wagons,
         train_max_weight=_read.integer(top["train_max_weight"], "train_max_weight"),
         rehandle_unit_cost=_read.integer(top["alpha"], "alpha"),
     )

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, count, repeat
 from operator import itemgetter, sub
-from typing import Any, NamedTuple
+from typing import NamedTuple
 
 from .evaluation import (
     Assignment,
@@ -64,7 +64,7 @@ from .evaluation import (
     check_feasibility,
     InfeasibleSolutionError,
 )
-from .instance import DocumentReader, Instance
+from .instance import Array, DocumentReader, Instance, Kinds
 
 # Mass step in kg of a model built without an explicit ``weight_unit``.
 DEFAULT_WEIGHT_UNIT = 100
@@ -108,12 +108,8 @@ class QuboVariable:
     coefficient: int | None = None
 
     def to_dict(self) -> dict:
-        out: dict[str, Any] = {"index": self.index, "kind": self.kind}
-        for key in ("container", "wagon", "slot", "config", "constraint", "bit", "coefficient"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        return out
+        """The JSON export's record: the fields of its kind's table, in order."""
+        return {key: getattr(self, key) for key in _VARIABLES.tables[self.kind]}
 
 
 @dataclass(frozen=True)
@@ -604,44 +600,15 @@ def export_qubo(model: QuboModel, varmap: VariableMap, fmt: str = "text") -> str
 
 
 _QUBO_KEYS = ("n", "offset", "terms", "variables", "penalty", "weight_unit")
-_VARIABLE_KEYS = {
-    "assignment": ("index", "kind", "container", "wagon", "slot"),
-    "config": ("index", "kind", "wagon", "config"),
-    "slack": ("index", "kind", "constraint", "bit", "coefficient"),
-}
-_STRING_FIELDS = ("container", "wagon", "constraint")
-# Kind -> field -> the type its value must have (an int is never a bool).
-_VARIABLE_TYPES = {
-    kind: {key: str if key == "kind" or key in _STRING_FIELDS else int for key in keys}
-    for kind, keys in _VARIABLE_KEYS.items()
-}
+_VARIABLES = Kinds(
+    {
+        "assignment": {"index": int, "kind": str, "container": str, "wagon": str, "slot": int},
+        "config": {"index": int, "kind": str, "wagon": str, "config": int},
+        "slack": {"index": int, "kind": str, "constraint": str, "bit": int, "coefficient": int},
+    },
+    QuboVariable,
+)
 _read = DocumentReader(QuboFormatError)
-
-
-def _is_variable(raw: Any, k: int) -> bool:
-    """Whether ``raw`` is a well-formed ``variables[k]`` entry."""
-    if type(raw) is not dict:
-        return False
-    types = dict(zip(raw, map(type, raw.values())))
-    return (
-        types.get("kind") is str
-        and types == _VARIABLE_TYPES.get(raw["kind"])
-        and raw["index"] == k
-    )
-
-
-def _variable(raw: Any, k: int) -> QuboVariable:
-    """The field-by-field reading of ``variables[k]``."""
-    where = f"variables[{k}]"
-    kind = raw.get("kind") if isinstance(raw, dict) else None
-    if not isinstance(kind, str) or kind not in _VARIABLE_KEYS:
-        raise QuboFormatError(f"{where}.kind: expected one of {', '.join(_VARIABLE_KEYS)}")
-    _read.object(raw, where, _VARIABLE_KEYS[kind])
-    if _read.integer(raw["index"], f"{where}.index") != k:
-        raise QuboFormatError(f"{where}.index: expected {k}")
-    for key in _VARIABLE_KEYS[kind][2:]:
-        (_read.string if key in _STRING_FIELDS else _read.integer)(raw[key], f"{where}.{key}")
-    return QuboVariable(**raw)
 
 
 def _bad_term(terms: list, n: int) -> QuboFormatError:
@@ -671,9 +638,8 @@ def parse_qubo_json(content: bytes | str) -> tuple[QuboModel, VariableMap]:
     an integer (``penalty`` and ``weight_unit`` positive),
     ``variables[k].index == k`` for all ``n`` variables, and every term is a
     distinct ``[i, j, value]`` with ``0 <= i <= j < n`` and a value within
-    signed 64 bits.  The terms may come in any order.  A variable entry
-    whose key set and field types match its kind is built in one step; any
-    other is read field by field, which names the offending field."""
+    signed 64 bits.  The terms may come in any order.  Each variable is read
+    through the field table of its kind (:meth:`DocumentReader.read`)."""
     doc = _read.document(content, _QUBO_KEYS)
     n = _read.integer(doc["n"], "n")
     weight_unit = _read.integer(doc["weight_unit"], "weight_unit")
@@ -686,10 +652,7 @@ def parse_qubo_json(content: bytes | str) -> tuple[QuboModel, VariableMap]:
     variables = _read.array(doc["variables"], "variables")
     if len(variables) != n:
         raise QuboFormatError(f"variables: {len(variables)} entries for n={n}")
-    entries = [
-        QuboVariable(**raw) if _is_variable(raw, k) else _variable(raw, k)
-        for k, raw in enumerate(variables)
-    ]
+    entries = _read.read(Array(_VARIABLES), variables, "variables")
 
     offset = _read.integer(doc["offset"], "offset")
     terms = _read.array(doc["terms"], "terms")
@@ -697,4 +660,4 @@ def parse_qubo_json(content: bytes | str) -> tuple[QuboModel, VariableMap]:
         model = QuboModel.from_terms(n, terms, offset, penalty)
     except (TypeError, ValueError):  # name the first offending term in document order
         raise _bad_term(terms, n) from None
-    return model, VariableMap(entries=tuple(entries), weight_unit=weight_unit)
+    return model, VariableMap(entries=entries, weight_unit=weight_unit)

@@ -36,6 +36,8 @@ from trainload.qubo import QuboFormatError, QuboModel, QuboVariable, VariableMap
 settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
+# A deeper loader fuzz run: pytest tests/test_fuzz.py --hypothesis-profile fuzz
+settings.register_profile("fuzz", settings.get_profile("suite"), max_examples=2000)
 settings.load_profile("suite")
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -309,8 +311,8 @@ def random_messy_solution(instance: Instance, rng: random.Random) -> Solution:
 
 # ---------------------------------------------------------------------------
 # Reference loaders: every field read on its own, through DocumentReader.
-# The package builds well-typed records in one step and reads only the
-# others this way; tests/test_fuzz.py holds the two to the same results.
+# The package reads each array of records through one field table per
+# record kind; tests/test_fuzz.py holds the two to the same results.
 # ---------------------------------------------------------------------------
 
 _REF_TOP_KEYS = ("alpha", "train_max_weight", "max_tiers", "containers", "stacks", "wagons")
