@@ -23,12 +23,11 @@ Three neighborhood moves, drawn uniformly per attempt:
 ``config``    Re-pick the weight configuration of a wagon that has more
               than one (single-config wagons are never drawn).
 
-Moves are drawn, checked and costed incrementally on an integer-indexed
-:class:`AnnealState` with running slot, wagon and train loads.  Because the
-current plan is feasible, a candidate is feasible iff the few quantities it
-changes stay within their limits (delta feasibility), and
-:meth:`AnnealState.draw` checks each candidate as it builds it, one check
-per shape:
+Moves are drawn, checked and costed by one generator,
+:meth:`AnnealState.draws`, on an integer-indexed plan with running slot,
+wagon and train loads.  Because the current plan is feasible, a candidate
+is feasible iff the few quantities it changes stay within their limits
+(delta feasibility), so each shape checks only its own:
 
 * insertion: the slot limit, the wagon load and the train load;
 * trade (both containers loaded): both slot limits, and both wagon loads
@@ -39,9 +38,13 @@ per shape:
 * unassign: nothing, since weights are non-negative;
 * config: every occupied slot of the wagon against the new limits.
 
-Only a candidate that fits becomes a move.  Its objective change (delta
-cost) adds :func:`~trainload.evaluation.rehandle_change`, the one
-incremental rehandle rule, for each container whose position changes.
+A candidate that fits is costed by its shape as it passes: a single mover
+by its value change plus :func:`~trainload.evaluation.rehandle_change`
+(the one incremental rehandle rule), a replace or a trade across wagons by
+one rule change per mover, the second taken with the first moved, and a
+trade on one wagon or a config move by 0.  The generator holds the plan's
+lists from the start of a solve and :meth:`AnnealState.apply` changes
+them in place, so the two always see one plan.
 
 ``check_feasibility``, ``shifted_objective`` and ``evaluate`` stay the
 reference: the state starts from a plan they verify and score, ``solve``
@@ -172,19 +175,6 @@ def initial_solution(instance: Instance) -> Solution:
     return Solution.from_maps({}, configs)
 
 
-def _below(n: int, getrandbits) -> int:
-    """A uniform integer in ``[0, n)`` for ``n > 0``, drawn as
-    ``random.Random.randrange(n)`` draws it (CPython's
-    ``_randbelow_with_getrandbits``): ``k = n.bit_length()`` bits,
-    redrawn until below ``n``.  It reads the same numbers from the stream
-    without ``randrange``'s argument checks and call layers."""
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
-
-
 def accept(delta: float, temperature: float, rng: Random) -> bool:
     """Acceptance rule: improving or equal deltas always pass; worsening
     deltas pass with probability ``exp(-delta / temperature)``."""
@@ -197,8 +187,8 @@ def accept(delta: float, temperature: float, rng: Random) -> bool:
 
 class AnnealState:
     """A feasible plan in integer-indexed form, with running loads and
-    objective, that draws feasible moves (:meth:`draw` builds and checks
-    each candidate in one pass), costs them (:meth:`delta`) and applies them.
+    objective: :meth:`draws` yields its feasible moves, costed, and
+    :meth:`apply` makes one current.
 
     The layout is the instance's: its integer tables (``slot_wagon``,
     ``wagon_slots``, ``slot_limits``, ``above``, ``below``) are read, not
@@ -206,14 +196,15 @@ class AnnealState:
     pair ``(changes, config)``: ``changes`` is a tuple of ``(container,
     slot)`` pairs giving each moved container's new slot (``-1`` takes it
     off the train), and ``config`` is ``None`` or a ``(wagon, config)``
-    pair.  The order in which draws consume the random stream is part of
-    the solver's seeded output: the kind first, then swap partners from
-    ``instance.containers`` order, relocated containers from the assigned
-    ids in sorted order, empty slots in ``all_slots`` order and config
-    alternatives in index order.  Each index is drawn with ``getrandbits``
-    exactly as ``randrange`` draws it (see :func:`_below`), so for the
-    :class:`random.Random` streams :func:`solve` uses the numbers are those
-    of ``randrange``.
+    pair.  :meth:`apply` rebinds only the scalars ``train_load`` and
+    ``objective``, which :meth:`draws` reads through the state; it changes
+    every list in place.  The order in which draws consume the random
+    stream is part of the solver's seeded output: the kind first, then swap
+    partners from ``instance.containers`` order, relocated containers from
+    the assigned ids in sorted order, empty slots in ``all_slots`` order and
+    config alternatives in index order.  An index below ``n`` is drawn as
+    ``random.Random.randrange(n)`` draws it: ``n.bit_length()`` bits from
+    ``getrandbits``, redrawn until below ``n``.
     """
 
     def __init__(self, instance: Instance, solution: Solution):
@@ -264,136 +255,145 @@ class AnnealState:
         self.assigned = sorted(self.rank[i] for i, s in enumerate(self.slot) if s >= 0)
         self.objective = shifted_objective(instance, solution)
 
-    # -- drawing ---------------------------------------------------------------
+    # -- drawing, costing and applying -----------------------------------------
 
-    def draw(self, rng: Random):
-        """A feasible move, redrawn up to ``MAX_NEIGHBOR_RETRIES`` times;
-        ``None`` when every attempt fails.  Each attempt draws an index into
-        :data:`MOVE_KINDS`, builds the candidate and checks only the limits
-        its shape can break (see the module docstring)."""
+    def draws(self, rng: Random):
+        """Per ``next``, a feasible move of the current plan and its
+        objective change as ``(move, delta)``, or ``None`` when
+        ``MAX_NEIGHBOR_RETRIES`` attempts all fail.  Each attempt draws a
+        kind, builds the candidate and checks and costs it by its shape
+        (see the module docstring).  Nothing is drawn ahead of ``next``."""
         bits = rng.getrandbits
-        slot, length, weight, empty = self.slot, self.length, self.weight, self.empty
-        slot_wagon, slot_limits, config = self.slot_wagon, self.slot_limits, self.config
-        wagon_load, wagon_max = self.wagon_load, self.wagon_max
-        train_load, train_max = self.train_load, self.train_max
-        n, kinds = len(slot), len(MOVE_KINDS)
-        for _ in range(MAX_NEIGHBOR_RETRIES):
-            kind = _below(kinds, bits)
-            if kind == 0:  # swap
-                if not n:
-                    continue
-                a = _below(n, bits)
-                sa = slot[a]
-                wt = weight[a]
-                if sa < 0:
-                    # Insertion: the degenerate swap with an empty slot.
-                    empties = empty[length[a]]
-                    if not empties:
+        slot, occupant, position, config = self.slot, self.occupant, self.position, self.config
+        length, weight, value, empty = self.length, self.weight, self.value, self.empty
+        above, below, alpha, yard = self.above, self.below, self.alpha, self.unloaded
+        slot_wagon, slot_limits, wagon_slots = self.slot_wagon, self.slot_limits, self.wagon_slots
+        wagon_load, wagon_max, train_max = self.wagon_load, self.wagon_max, self.train_max
+        assigned, by_rank = self.assigned, self.by_rank
+        flexible, config_count = self.flexible, self.config_count
+        kinds, n, m = len(MOVE_KINDS), len(slot), len(flexible)
+        kind_bits, n_bits, m_bits = kinds.bit_length(), n.bit_length(), m.bit_length()
+        attempts = range(MAX_NEIGHBOR_RETRIES)
+        while True:
+            for _ in attempts:
+                kind = bits(kind_bits)
+                while kind >= kinds:
+                    kind = bits(kind_bits)
+                if kind == 0:  # swap
+                    if not n:
                         continue
-                    s = empties[_below(len(empties), bits)]
-                    w = slot_wagon[s]
-                    if (
-                        wt <= slot_limits[s][config[w]]
-                        and wagon_load[w] + wt <= wagon_max[w]
-                        and train_load + wt <= train_max
-                    ):
-                        return ((a, s),), None
-                    continue
-                if n < 2:
-                    continue
-                b = a
-                while b == a:
-                    b = _below(n, bits)
-                if length[a] != length[b]:
-                    continue
-                sb = slot[b]
-                wa = slot_wagon[sa]
-                d = weight[b] - wt
-                if sb < 0:
-                    # Replace: b takes a's slot and a leaves the train.
-                    if (
-                        weight[b] <= slot_limits[sa][config[wa]]
-                        and wagon_load[wa] + d <= wagon_max[wa]
-                        and train_load + d <= train_max
-                    ):
-                        return ((b, sa), (a, -1)), None
-                    continue
-                # Trade: the train load is unchanged, and so is a wagon's
-                # when both slots are on it.
-                wb = slot_wagon[sb]
-                if (
-                    wt <= slot_limits[sb][config[wb]]
-                    and weight[b] <= slot_limits[sa][config[wa]]
-                    and (
-                        wa == wb
-                        or (wagon_load[wa] + d <= wagon_max[wa] and wagon_load[wb] - d <= wagon_max[wb])
-                    )
-                ):
-                    return ((a, sb), (b, sa)), None
-            elif kind == 1:  # relocate
-                assigned = self.assigned
-                if not assigned:
-                    continue
-                c = self.by_rank[assigned[_below(len(assigned), bits)]]
-                empties = empty[length[c]]
-                if not empties:
-                    return ((c, -1),), None  # unassign
-                s = empties[_below(len(empties), bits)]
-                w = slot_wagon[s]
-                wt = weight[c]
-                if wt <= slot_limits[s][config[w]] and (
-                    slot_wagon[slot[c]] == w or wagon_load[w] + wt <= wagon_max[w]
-                ):
-                    return ((c, s),), None
-            else:  # config
-                flexible = self.flexible
-                if not flexible:
-                    continue
-                w = flexible[_below(len(flexible), bits)]
-                b = _below(self.config_count[w] - 1, bits)
-                if b >= config[w]:
-                    b += 1
-                occupant = self.occupant
-                for s in self.wagon_slots[w]:
-                    i = occupant[s]
-                    if i >= 0 and weight[i] > slot_limits[s][b]:
+                    a = bits(n_bits)
+                    while a >= n:
+                        a = bits(n_bits)
+                    sa, wt = slot[a], weight[a]
+                    if sa < 0:
+                        # Insertion: the degenerate swap with an empty slot.
+                        empties = empty[length[a]]
+                        k = len(empties)
+                        if not k:
+                            continue
+                        r = bits(k.bit_length())
+                        while r >= k:
+                            r = bits(k.bit_length())
+                        s = empties[r]
+                        w = slot_wagon[s]
+                        if (
+                            wt <= slot_limits[s][config[w]]
+                            and wagon_load[w] + wt <= wagon_max[w]
+                            and self.train_load + wt <= train_max
+                        ):
+                            change = rehandle_change(above[a], below[a], position, yard, w)
+                            yield (((a, s),), None), alpha * change - value[a]
+                            break
+                        continue
+                    if n < 2:
+                        continue
+                    b = a  # a partner other than a: redrawn while equal or out of range
+                    while b == a or b >= n:
+                        b = bits(n_bits)
+                    if length[a] != length[b]:
+                        continue
+                    sb, wa, wt_b = slot[b], slot_wagon[sa], weight[b]
+                    d = wt_b - wt
+                    if sb < 0:
+                        # Replace: b takes a's slot and a leaves the train.
+                        if (
+                            wt_b <= slot_limits[sa][config[wa]]
+                            and wagon_load[wa] + d <= wagon_max[wa]
+                            and self.train_load + d <= train_max
+                        ):
+                            change = rehandle_change(above[b], below[b], position, yard, wa)
+                            position[b] = wa
+                            change += rehandle_change(above[a], below[a], position, wa, yard)
+                            position[b] = yard
+                            yield (((b, sa), (a, -1)), None), alpha * change + value[a] - value[b]
+                            break
+                        continue
+                    # Trade: the train load is unchanged, and so is a wagon's
+                    # when both slots are on it.
+                    wb = slot_wagon[sb]
+                    if wt > slot_limits[sb][config[wb]] or wt_b > slot_limits[sa][config[wa]]:
+                        continue
+                    if wa == wb:
+                        yield (((a, sb), (b, sa)), None), 0
                         break
-                else:
-                    return (), (w, b)
-        return None
-
-    # -- costing and applying --------------------------------------------------
-
-    def delta(self, move) -> int:
-        """Change of the shifted objective if ``move`` were applied: the
-        value of the containers that enter or leave the train, and the sum of
-        :func:`~trainload.evaluation.rehandle_change` over the containers
-        whose position changes, each taken with the earlier ones moved."""
-        changes, _ = move
-        slot, position = self.slot, self.position
-        value = 0
-        moved = []
-        for i, s in changes:
-            if s >= 0:
-                p = self.slot_wagon[s]
-                if slot[i] < 0:
-                    value -= self.value[i]
+                    if wagon_load[wa] + d <= wagon_max[wa] and wagon_load[wb] - d <= wagon_max[wb]:
+                        change = rehandle_change(above[a], below[a], position, wa, wb)
+                        position[a] = wb
+                        change += rehandle_change(above[b], below[b], position, wb, wa)
+                        position[a] = wa
+                        yield (((a, sb), (b, sa)), None), alpha * change
+                        break
+                elif kind == 1:  # relocate
+                    k = len(assigned)
+                    if not k:
+                        continue
+                    r = bits(k.bit_length())
+                    while r >= k:
+                        r = bits(k.bit_length())
+                    c = by_rank[assigned[r]]
+                    wc = position[c]
+                    empties = empty[length[c]]
+                    k = len(empties)
+                    if not k:  # unassign
+                        change = rehandle_change(above[c], below[c], position, wc, yard)
+                        yield (((c, -1),), None), alpha * change + value[c]
+                        break
+                    r = bits(k.bit_length())
+                    while r >= k:
+                        r = bits(k.bit_length())
+                    s = empties[r]
+                    w, wt = slot_wagon[s], weight[c]
+                    if wt <= slot_limits[s][config[w]]:
+                        if w == wc:
+                            yield (((c, s),), None), 0
+                            break
+                        if wagon_load[w] + wt <= wagon_max[w]:
+                            change = rehandle_change(above[c], below[c], position, wc, w)
+                            yield (((c, s),), None), alpha * change
+                            break
+                else:  # config
+                    if not m:
+                        continue
+                    r = bits(m_bits)
+                    while r >= m:
+                        r = bits(m_bits)
+                    w = flexible[r]
+                    k = config_count[w] - 1
+                    b = bits(k.bit_length())
+                    while b >= k:
+                        b = bits(k.bit_length())
+                    if b >= config[w]:
+                        b += 1
+                    for s in wagon_slots[w]:
+                        i = occupant[s]
+                        if i >= 0 and weight[i] > slot_limits[s][b]:
+                            break
+                    else:
+                        yield ((), (w, b)), 0
+                        break
             else:
-                p = self.unloaded
-                if slot[i] >= 0:
-                    value += self.value[i]
-            if p != position[i]:
-                moved.append((i, position[i], p))
-        if not moved or not self.alpha:
-            return value
-        above, below = self.above, self.below
-        rehandles = 0
-        for i, old, new in moved:
-            rehandles += rehandle_change(above[i], below[i], position, old, new)
-            position[i] = new
-        for i, old, _ in moved:
-            position[i] = old
-        return self.alpha * rehandles + value
+                yield None
 
     def apply(self, move, delta: int) -> None:
         """Make ``move``, whose objective change is ``delta``, current."""
@@ -461,10 +461,10 @@ def generate_neighbor(instance: Instance, current: Solution, rng: Random) -> Sol
     the move checks assume a feasible start.
     """
     state = AnnealState(instance, current)
-    move = state.draw(rng)
-    if move is None:
+    drawn = next(state.draws(rng))
+    if drawn is None:
         return current
-    state.apply(move, state.delta(move))
+    state.apply(*drawn)
     return state.solution()
 
 
@@ -485,16 +485,16 @@ def solve(instance: Instance, params: SaParams = SaParams()) -> SaResult:
     best, best_obj = state.snapshot(), state.objective
 
     trace: list[LevelStats] = []
-    draw, delta_of, apply = state.draw, state.delta, state.apply
+    step, apply = state.draws(rng), state.apply
     iterations = range(params.iters_per_level)
     temperature = params.t_initial
     for level in range(params.planned_levels):
         accepted = 0
         for _ in iterations:
-            move = draw(rng)
-            if move is None:
+            drawn = next(step)
+            if drawn is None:
                 continue
-            delta = delta_of(move)
+            move, delta = drawn
             evaluations += 1
             if accept(delta, temperature, rng):
                 apply(move, delta)

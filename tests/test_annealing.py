@@ -84,14 +84,25 @@ def test_accept_requires_positive_temperature():
         accept(1.0, 0.0, random.Random(0))
 
 
+def below(n: int, getrandbits) -> int:
+    """A uniform integer in ``[0, n)`` for ``n > 0``, by the rule
+    ``AnnealState.draws`` writes inline for each index: ``n.bit_length()``
+    bits, redrawn until below ``n``."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def test_index_draws_match_randrange():
-    # The solver draws indices with annealing._below; its seeded output holds
+    # The solver draws indices by the rule of below; its seeded output holds
     # only if that reads the stream exactly as random.Random.randrange does.
     sizes = [*range(1, 1101), *(2**k + d for k in range(11, 65) for d in (-1, 0, 1))]
     for seed in range(4):
         reference, twin = stream(seed, "anneal"), stream(seed, "anneal")
         for _ in range(3):
-            drawn = [annealing._below(n, twin.getrandbits) for n in sizes]
+            drawn = [below(n, twin.getrandbits) for n in sizes]
             assert drawn == [reference.randrange(n) for n in sizes]
         assert twin.getstate() == reference.getstate()
 
@@ -216,7 +227,7 @@ def reference_candidate(instance, state: AnnealState, kind: str, rng: random.Ran
 
 
 def reference_draw(instance, state: AnnealState, rng: random.Random, tally=None):
-    """What ``AnnealState.draw`` must return: up to ``MAX_NEIGHBOR_RETRIES``
+    """The move ``AnnealState.draws`` must yield: up to ``MAX_NEIGHBOR_RETRIES``
     attempts, each a kind drawn uniformly and a candidate judged by
     ``check_feasibility`` on the plan it would make.  Returns the first
     feasible move (``None`` if there is none) and the number of candidates
@@ -235,15 +246,19 @@ def reference_draw(instance, state: AnnealState, rng: random.Random, tally=None)
     return None, rejected
 
 
-def draw_in_pair(instance, state: AnnealState, rng: random.Random, twin: random.Random, tally=None):
-    """``state.draw(rng)`` checked against :func:`reference_draw` on
-    ``twin``, a stream seeded alike: the same move after the same reads.
-    Returns the move and the reference's rejected count."""
-    move = state.draw(rng)
+def draw_in_pair(
+    instance, state: AnnealState, rng: random.Random, twin: random.Random, tally=None, step=None
+):
+    """``next(state.draws(rng))``, or ``next(step)`` for a generator held
+    across moves, checked against :func:`reference_draw` on ``twin``, a
+    stream seeded alike: the same move after the same reads.  Returns what
+    the kernel yielded (``(move, delta)`` or ``None``) and the reference's
+    rejected count."""
+    drawn = next(step or state.draws(rng))
     expected, rejected = reference_draw(instance, state, twin, tally)
-    assert move == expected
+    assert (drawn and drawn[0]) == expected
     assert rng.getstate() == twin.getstate()
-    return move, rejected
+    return drawn, rejected
 
 
 def test_move_kinds_are_drawn_uniformly(pair_instance):
@@ -251,9 +266,9 @@ def test_move_kinds_are_drawn_uniformly(pair_instance):
     state = AnnealState(pair_instance, initial_solution(pair_instance))
     rng, twin = stream(11, "anneal"), stream(11, "anneal")
     for _ in range(10_000):
-        move, _ = draw_in_pair(pair_instance, state, rng, twin, counter)
-        if move is not None:
-            state.apply(move, state.delta(move))
+        drawn, _ = draw_in_pair(pair_instance, state, rng, twin, counter)
+        if drawn is not None:
+            state.apply(*drawn)
     draws = sum(counter.values())
     assert set(counter) == set(MOVE_KINDS)
     for kind in MOVE_KINDS:
@@ -275,6 +290,8 @@ EDGE_YARDS = {
         {},
         {"w0": 0, "w1": 0},
     ),
+    # Every draw fails all its attempts: the one free slot and the other
+    # config both cap below a's weight.
     "one-container": (
         make_instance(
             containers=[("a", TWENTY, 800, 3)],
@@ -340,6 +357,36 @@ def test_draw_matches_the_reference_on_edge_yards(name):
         draw_in_pair(instance, state, move_rng, twin)
 
 
+def test_the_kernel_reads_no_further_than_its_move():
+    # generate_neighbor, and each next of a generator held while its moves
+    # are applied, leave the caller's stream where one reference draw
+    # leaves a twin stream: nothing is drawn ahead for a later move.
+    nones = moves = 0
+    for seed, (instance, assignments, configs) in enumerate(EDGE_YARDS.values()):
+        plan = Solution.from_maps(assignments, configs)
+        rng, twin = stream(seed, "ahead"), stream(seed, "ahead")
+        for _ in range(100):
+            state = AnnealState(instance, plan)
+            expected, _ = reference_draw(instance, state, twin)
+            neighbor = generate_neighbor(instance, plan, rng)
+            assert rng.getstate() == twin.getstate()
+            if expected is None:
+                assert neighbor is plan
+            else:
+                assert neighbor == materialise(instance, state, expected)
+                plan = neighbor
+        state = AnnealState(instance, plan)
+        step = state.draws(rng)
+        for _ in range(100):
+            drawn, _ = draw_in_pair(instance, state, rng, twin, step=step)
+            if drawn is None:
+                nones += 1
+                continue
+            moves += 1
+            state.apply(*drawn)
+    assert nones >= 100 and moves >= 300
+
+
 def recount_loads(instance, solution: Solution) -> tuple[list[int], int]:
     wagon = [0] * len(instance.wagons)
     for a in solution.assignments:
@@ -351,39 +398,67 @@ MUTABLE = ("occupant", "slot", "position", "config", "wagon_load", "train_load",
            "empty", "assigned", "objective")
 
 
+def shape(instance, state: AnnealState, move) -> str:
+    """Which of the kernel's costing shapes ``move`` takes on the state's plan."""
+    changes, config = move
+    if config is not None:
+        return "config"
+    wagon = instance.slot_wagon
+    if len(changes) == 2:
+        (_, s), (_, t) = changes
+        if t < 0:
+            return "replace"
+        return "trade on one wagon" if wagon[s] == wagon[t] else "trade across wagons"
+    ((i, s),) = changes
+    if s < 0:
+        return "unassign"
+    if state.slot[i] < 0:
+        return "insertion"
+    return "relocate on one wagon" if wagon[s] == state.position[i] else "relocate across wagons"
+
+
+# Admitted moves of each shape that test_delta_checks_agree_with_the_reference
+# must see with rehandles priced (alpha > 0), about half of what its seeded
+# draws make: the kernel costs each shape on its own path.
+SHAPE_FLOORS = {
+    "insertion": 200,
+    "replace": 200,
+    "trade across wagons": 25,
+    "trade on one wagon": 20,
+    "relocate on one wagon": 300,
+    "relocate across wagons": 200,
+    "unassign": 1200,
+    "config": 1800,
+}
+
+
 def test_delta_checks_agree_with_the_reference():
-    # Drive the state through many draws from random feasible starts.  Each
-    # draw is checked against reference_draw (draw_in_pair), which judges
-    # every candidate with check_feasibility, so the kernel's verdicts agree
-    # with the reference in both directions.  Every admitted move is costed
-    # against shifted_objective, and after each applied move the incremental
+    # Drive the state through many draws from random feasible starts, with
+    # one generator held per start as solve holds it.  Each draw is checked
+    # against reference_draw (draw_in_pair), which judges every candidate
+    # with check_feasibility, so the kernel's verdicts agree with the
+    # reference in both directions.  Every yielded delta is checked against
+    # shifted_objective, and after each applied move the incremental
     # bookkeeping must equal that of a state rebuilt from scratch.
     rng = random.Random(31)
     admitted = rejected = applied = 0
-    # Admitted moves keyed by (rehandles cost something, containers whose
-    # position changes: another wagon, or on or off the train).  delta sums
-    # one rule change per mover, so the floors below keep single movers,
-    # trades and replaces all exercised.
-    movers: dict[tuple[bool, int], int] = {}
+    shapes: dict[tuple[bool, str], int] = {}
     for _ in range(80):
         instance = random_instance(rng, max_containers=8, max_wagons=3)
         state = AnnealState(instance, random_feasible_solution(instance, rng))
         seed = rng.randrange(2**32)
         move_rng, twin = stream(seed, "anneal"), stream(seed, "anneal")
+        step = state.draws(move_rng)
         for _ in range(150):
-            move, misses = draw_in_pair(instance, state, move_rng, twin)
+            drawn, misses = draw_in_pair(instance, state, move_rng, twin, step=step)
             rejected += misses
-            if move is None:
+            if drawn is None:
                 continue
+            move, delta = drawn
             candidate = materialise(instance, state, move)
             admitted += 1
-            moved = sum(
-                (instance.slot_wagon[s] if s >= 0 else state.unloaded) != state.position[i]
-                for i, s in move[0]
-            )
-            key = (instance.rehandle_unit_cost > 0, moved)
-            movers[key] = movers.get(key, 0) + 1
-            delta = state.delta(move)
+            key = (instance.rehandle_unit_cost > 0, shape(instance, state, move))
+            shapes[key] = shapes.get(key, 0) + 1
             assert state.objective + delta == shifted_objective(instance, candidate)
             if not accept(delta, 2.0, rng):
                 continue
@@ -398,19 +473,33 @@ def test_delta_checks_agree_with_the_reference():
             for name in MUTABLE:
                 assert getattr(state, name) == getattr(rebuilt, name), name
     assert admitted > 2000 and rejected > 1000 and applied > 1000
-    assert movers[True, 1] > 500 and movers[True, 2] > 30
-    assert movers[False, 1] > 100 and movers[False, 2] > 10
+    priced = {name: shapes.get((True, name), 0) for name in SHAPE_FLOORS}
+    assert all(priced[name] >= floor for name, floor in SHAPE_FLOORS.items()), priced
 
 
-# A 3-high stack (b at the bottom, m, t on top) over three wagons with
-# three twenty-foot slots each.  Values b 5, m 7, t 4.  A plan pays one
-# rehandle per pair (upper, lower) whose upper container leaves later; a
-# yard container leaves last.
-STACK_OF_THREE = make_instance(
-    containers=[("b", TWENTY, 100, 5), ("m", TWENTY, 100, 7), ("t", TWENTY, 100, 4)],
-    stacks=[("b", "m", "t")],
-    wagons=[(w, (TWENTY,) * 3, ((1000,) * 3,), 5000) for w in ("w0", "w1", "w2")],
-)
+# A 3-high stack (b at the bottom, m, t on top) over three wagons of
+# twenty-foot slots.  Values b 5, m 7, t 4.  A plan pays one rehandle per
+# pair (upper, lower) whose upper container leaves later; a yard container
+# leaves last.
+
+
+def stack_of_three(start, movers, alpha):
+    """The stack's yard for one hand case: each wagon has just the slots up
+    to the highest the start plan and the move use on it, so a container
+    with no free slot left can be unassigned, as the kernel only then does."""
+    used = [*STARTS[start].values(), *filter(None, movers.values())]
+    wagons = []
+    for w in ("w0", "w1", "w2"):
+        n = 1 + max((s for wid, s in used if wid == w), default=-1)
+        wagons.append((w, (TWENTY,) * n, ((1000,) * n,), 5000))
+    return make_instance(
+        containers=[("b", TWENTY, 100, 5), ("m", TWENTY, 100, 7), ("t", TWENTY, 100, 4)],
+        stacks=[("b", "m", "t")],
+        wagons=wagons,
+        alpha=alpha,
+    )
+
+
 STARTS = {
     # m is short 1 (t), b is short 2 (m, t).
     "spread": {"b": ("w0", 0), "m": ("w1", 0), "t": ("w2", 0)},
@@ -467,7 +556,9 @@ def hand_id(start, movers, alpha) -> str:
     ids=[hand_id(s, m, a) for s, m, a, _ in HAND_DELTAS],
 )
 def test_delta_by_hand(start, movers, alpha, expected):
-    instance = replace(STACK_OF_THREE, rehandle_unit_cost=alpha)
+    # The kernel draws from the start plan, nothing applied, until it yields
+    # the case's move; the delta it yields with it is checked.
+    instance = stack_of_three(start, movers, alpha)
     plan = Solution.from_maps(STARTS[start], {"w0": 0, "w1": 0, "w2": 0})
     state = AnnealState(instance, plan)
     changes = tuple(
@@ -478,7 +569,9 @@ def test_delta_by_hand(start, movers, alpha, expected):
         for cid, target in movers.items()
     )
     move = changes, None
-    assert state.delta(move) == expected
+    step = state.draws(stream(0, "hand"))
+    delta = next(d for m, d in itertools.islice(filter(None, step), 5000) if m == move)
+    assert delta == expected
     assert state.objective + expected == shifted_objective(
         instance, materialise(instance, state, move)
     )
