@@ -481,8 +481,6 @@ def test_delta_checks_agree_with_the_reference():
 # twenty-foot slots.  Values b 5, m 7, t 4.  A plan pays one rehandle per
 # pair (upper, lower) whose upper container leaves later; a yard container
 # leaves last.
-
-
 def stack_of_three(start, movers, alpha):
     """The stack's yard for one hand case: each wagon has just the slots up
     to the highest the start plan and the move use on it, so a container
@@ -570,7 +568,7 @@ def test_delta_by_hand(start, movers, alpha, expected):
     )
     move = changes, None
     step = state.draws(stream(0, "hand"))
-    delta = next(d for m, d in itertools.islice(filter(None, step), 5000) if m == move)
+    delta = next((d for m, d in itertools.islice(filter(None, step), 5000) if m == move), None)
     assert delta == expected
     assert state.objective + expected == shifted_objective(
         instance, materialise(instance, state, move)
