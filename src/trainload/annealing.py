@@ -42,9 +42,16 @@ A candidate that fits is costed by its shape as it passes: a single mover
 by its value change plus :func:`~trainload.evaluation.rehandle_change`
 (the one incremental rehandle rule), a replace or a trade across wagons by
 one rule change per mover, the second taken with the first moved, and a
-trade on one wagon or a config move by 0.  The generator holds the plan's
-lists from the start of a solve and :meth:`AnnealState.apply` changes
-them in place, so the two always see one plan.
+trade on one wagon or a config move by 0.  The generator yields only that
+cost.  ``solve`` judges it by the acceptance rule and resumes the generator
+with its verdict: ``send(True)`` makes the move current where it was drawn,
+by its shape, and ``next`` leaves the plan; either way the generator then
+draws the next move.  So an accepted move is made only on the next resume,
+which also reads the stream for the next draw: ``solve`` snapshots a new
+best after that resume and flushes a last accepted move after its last
+level, and :func:`generate_neighbor` saves the stream's state before its
+one ``send(True)`` and restores it after, so its caller's stream moves by
+exactly one draw.
 
 ``check_feasibility``, ``shifted_objective`` and ``evaluate`` stay the
 reference: the state starts from a plan they verify and score, ``solve``
@@ -176,8 +183,9 @@ def initial_solution(instance: Instance) -> Solution:
 
 
 def accept(delta: float, temperature: float, rng: Random) -> bool:
-    """Acceptance rule: improving or equal deltas always pass; worsening
-    deltas pass with probability ``exp(-delta / temperature)``."""
+    """Acceptance rule, which :func:`solve` writes inline: improving or equal
+    deltas always pass; worsening deltas pass with probability
+    ``exp(-delta / temperature)``."""
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     if delta <= 0:
@@ -187,18 +195,15 @@ def accept(delta: float, temperature: float, rng: Random) -> bool:
 
 class AnnealState:
     """A feasible plan in integer-indexed form, with running loads and
-    objective: :meth:`draws` yields its feasible moves, costed, and
-    :meth:`apply` makes one current.
+    objective: :meth:`draws` yields the cost of each feasible move of it
+    and makes the moves it is told to.
 
     The layout is the instance's: its integer tables (``slot_wagon``,
     ``wagon_slots``, ``slot_limits``, ``above``, ``below``) are read, not
-    rebuilt, and only the plan and its running loads live here.  A *move* is a
-    pair ``(changes, config)``: ``changes`` is a tuple of ``(container,
-    slot)`` pairs giving each moved container's new slot (``-1`` takes it
-    off the train), and ``config`` is ``None`` or a ``(wagon, config)``
-    pair.  :meth:`apply` rebinds only the scalars ``train_load`` and
-    ``objective``, which :meth:`draws` reads through the state; it changes
-    every list in place.  The order in which draws consume the random
+    rebuilt, and only the plan and its running loads live here.  A move
+    made through :meth:`draws` changes every list in place and rebinds only
+    the scalars ``train_load`` and ``objective``, which the generator reads
+    through the state.  The order in which draws consume the random
     stream is part of the solver's seeded output: the kind first, then swap
     partners from ``instance.containers`` order, relocated containers from
     the assigned ids in sorted order, empty slots in ``all_slots`` order and
@@ -255,21 +260,23 @@ class AnnealState:
         self.assigned = sorted(self.rank[i] for i, s in enumerate(self.slot) if s >= 0)
         self.objective = shifted_objective(instance, solution)
 
-    # -- drawing, costing and applying -----------------------------------------
+    # -- drawing, costing and making moves ------------------------------------
 
     def draws(self, rng: Random):
-        """Per ``next``, a feasible move of the current plan and its
-        objective change as ``(move, delta)``, or ``None`` when
-        ``MAX_NEIGHBOR_RETRIES`` attempts all fail.  Each attempt draws a
-        kind, builds the candidate and checks and costs it by its shape
-        (see the module docstring).  Nothing is drawn ahead of ``next``."""
+        """Per resume, the objective change of a feasible move of the current
+        plan, or ``None`` when ``MAX_NEIGHBOR_RETRIES`` attempts all fail.
+        Each attempt draws a kind, builds the candidate and checks and costs
+        it by its shape (see the module docstring).  ``send(True)`` makes the
+        move just yielded current, by its shape, and then draws the next;
+        ``next`` (``send(None)``) leaves the plan as it is.  Nothing is drawn
+        ahead of a resume."""
         bits = rng.getrandbits
         slot, occupant, position, config = self.slot, self.occupant, self.position, self.config
         length, weight, value, empty = self.length, self.weight, self.value, self.empty
         above, below, alpha, yard = self.above, self.below, self.alpha, self.unloaded
         slot_wagon, slot_limits, wagon_slots = self.slot_wagon, self.slot_limits, self.wagon_slots
         wagon_load, wagon_max, train_max = self.wagon_load, self.wagon_max, self.train_max
-        assigned, by_rank = self.assigned, self.by_rank
+        assigned, by_rank, rank = self.assigned, self.by_rank, self.rank
         flexible, config_count = self.flexible, self.config_count
         kinds, n, m = len(MOVE_KINDS), len(slot), len(flexible)
         kind_bits, n_bits, m_bits = kinds.bit_length(), n.bit_length(), m.bit_length()
@@ -292,9 +299,10 @@ class AnnealState:
                         k = len(empties)
                         if not k:
                             continue
-                        r = bits(k.bit_length())
+                        k_bits = k.bit_length()
+                        r = bits(k_bits)
                         while r >= k:
-                            r = bits(k.bit_length())
+                            r = bits(k_bits)
                         s = empties[r]
                         w = slot_wagon[s]
                         if (
@@ -303,7 +311,14 @@ class AnnealState:
                             and self.train_load + wt <= train_max
                         ):
                             change = rehandle_change(above[a], below[a], position, yard, w)
-                            yield (((a, s),), None), alpha * change - value[a]
+                            delta = alpha * change - value[a]
+                            if (yield delta):
+                                slot[a], occupant[s], position[a] = s, a, w
+                                del empties[r]
+                                insort(assigned, rank[a])
+                                wagon_load[w] += wt
+                                self.train_load += wt
+                                self.objective += delta
                             break
                         continue
                     if n < 2:
@@ -326,7 +341,15 @@ class AnnealState:
                             position[b] = wa
                             change += rehandle_change(above[a], below[a], position, wa, yard)
                             position[b] = yard
-                            yield (((b, sa), (a, -1)), None), alpha * change + value[a] - value[b]
+                            delta = alpha * change + value[a] - value[b]
+                            if (yield delta):
+                                slot[a], slot[b], occupant[sa] = -1, sa, b
+                                position[a], position[b] = yard, wa
+                                del assigned[bisect_left(assigned, rank[a])]
+                                insort(assigned, rank[b])
+                                wagon_load[wa] += d
+                                self.train_load += d
+                                self.objective += delta
                             break
                         continue
                     # Trade: the train load is unchanged, and so is a wagon's
@@ -335,42 +358,67 @@ class AnnealState:
                     if wt > slot_limits[sb][config[wb]] or wt_b > slot_limits[sa][config[wa]]:
                         continue
                     if wa == wb:
-                        yield (((a, sb), (b, sa)), None), 0
+                        if (yield 0):
+                            slot[a], slot[b], occupant[sa], occupant[sb] = sb, sa, b, a
                         break
                     if wagon_load[wa] + d <= wagon_max[wa] and wagon_load[wb] - d <= wagon_max[wb]:
                         change = rehandle_change(above[a], below[a], position, wa, wb)
                         position[a] = wb
                         change += rehandle_change(above[b], below[b], position, wb, wa)
                         position[a] = wa
-                        yield (((a, sb), (b, sa)), None), alpha * change
+                        delta = alpha * change
+                        if (yield delta):
+                            slot[a], slot[b], occupant[sa], occupant[sb] = sb, sa, b, a
+                            position[a], position[b] = wb, wa
+                            wagon_load[wa] += d
+                            wagon_load[wb] -= d
+                            self.objective += delta
                         break
                 elif kind == 1:  # relocate
                     k = len(assigned)
                     if not k:
                         continue
-                    r = bits(k.bit_length())
-                    while r >= k:
-                        r = bits(k.bit_length())
-                    c = by_rank[assigned[r]]
-                    wc = position[c]
+                    k_bits = k.bit_length()
+                    q = bits(k_bits)
+                    while q >= k:
+                        q = bits(k_bits)
+                    c = by_rank[assigned[q]]
+                    sc, wc, wt = slot[c], position[c], weight[c]
                     empties = empty[length[c]]
                     k = len(empties)
                     if not k:  # unassign
                         change = rehandle_change(above[c], below[c], position, wc, yard)
-                        yield (((c, -1),), None), alpha * change + value[c]
+                        delta = alpha * change + value[c]
+                        if (yield delta):
+                            slot[c], occupant[sc], position[c] = -1, -1, yard
+                            empties.append(sc)  # the only empty slot of its length
+                            del assigned[q]
+                            wagon_load[wc] -= wt
+                            self.train_load -= wt
+                            self.objective += delta
                         break
-                    r = bits(k.bit_length())
+                    k_bits = k.bit_length()
+                    r = bits(k_bits)
                     while r >= k:
-                        r = bits(k.bit_length())
+                        r = bits(k_bits)
                     s = empties[r]
-                    w, wt = slot_wagon[s], weight[c]
+                    w = slot_wagon[s]
                     if wt <= slot_limits[s][config[w]]:
                         if w == wc:
-                            yield (((c, s),), None), 0
+                            if (yield 0):
+                                slot[c], occupant[sc], occupant[s] = s, -1, c
+                                del empties[r]
+                                insort(empties, sc)
                             break
                         if wagon_load[w] + wt <= wagon_max[w]:
-                            change = rehandle_change(above[c], below[c], position, wc, w)
-                            yield (((c, s),), None), alpha * change
+                            delta = alpha * rehandle_change(above[c], below[c], position, wc, w)
+                            if (yield delta):
+                                slot[c], occupant[sc], occupant[s], position[c] = s, -1, c, w
+                                del empties[r]
+                                insort(empties, sc)
+                                wagon_load[wc] -= wt
+                                wagon_load[w] += wt
+                                self.objective += delta
                             break
                 else:  # config
                     if not m:
@@ -380,9 +428,10 @@ class AnnealState:
                         r = bits(m_bits)
                     w = flexible[r]
                     k = config_count[w] - 1
-                    b = bits(k.bit_length())
+                    k_bits = k.bit_length()
+                    b = bits(k_bits)
                     while b >= k:
-                        b = bits(k.bit_length())
+                        b = bits(k_bits)
                     if b >= config[w]:
                         b += 1
                     for s in wagon_slots[w]:
@@ -390,45 +439,11 @@ class AnnealState:
                         if i >= 0 and weight[i] > slot_limits[s][b]:
                             break
                     else:
-                        yield ((), (w, b)), 0
+                        if (yield 0):
+                            config[w] = b
                         break
             else:
                 yield None
-
-    def apply(self, move, delta: int) -> None:
-        """Make ``move``, whose objective change is ``delta``, current."""
-        changes, config = move
-        if config is not None:
-            w, b = config
-            self.config[w] = b
-        weight, rank, assigned = self.weight, self.rank, self.assigned
-        slot, occupant, position = self.slot, self.occupant, self.position
-        slot_wagon, slot_length, empty = self.slot_wagon, self.slot_length, self.empty
-        wagon_load = self.wagon_load
-        train = self.train_load
-        for i, _ in changes:
-            s = slot[i]
-            if s >= 0:
-                occupant[s] = -1
-                wagon_load[slot_wagon[s]] -= weight[i]
-                train -= weight[i]
-                insort(empty[slot_length[s]], s)
-                del assigned[bisect_left(assigned, rank[i])]
-        for i, s in changes:
-            slot[i] = s
-            if s < 0:
-                position[i] = self.unloaded
-                continue
-            w = slot_wagon[s]
-            occupant[s] = i
-            position[i] = w
-            wagon_load[w] += weight[i]
-            train += weight[i]
-            empties = empty[slot_length[s]]
-            del empties[bisect_left(empties, s)]
-            insort(assigned, rank[i])
-        self.train_load = train
-        self.objective += delta
 
     def snapshot(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The container→slot array and the configs, for :meth:`solution`."""
@@ -461,10 +476,13 @@ def generate_neighbor(instance: Instance, current: Solution, rng: Random) -> Sol
     the move checks assume a feasible start.
     """
     state = AnnealState(instance, current)
-    drawn = next(state.draws(rng))
-    if drawn is None:
+    step = state.draws(rng)
+    if next(step) is None:
         return current
-    state.apply(*drawn)
+    # Making the move draws the next one; give back what that draw read.
+    drawn = rng.getstate()
+    step.send(True)
+    rng.setstate(drawn)
     return state.solution()
 
 
@@ -482,27 +500,37 @@ def solve(instance: Instance, params: SaParams = SaParams()) -> SaResult:
 
     state = AnnealState(instance, initial_solution(instance))
     evaluations = 1
-    best, best_obj = state.snapshot(), state.objective
+    current = best_obj = state.objective
+    best, due = state.snapshot(), False
 
     trace: list[LevelStats] = []
-    step, apply = state.draws(rng), state.apply
+    send, random, exp = state.draws(rng).send, rng.random, math.exp
     iterations = range(params.iters_per_level)
     temperature = params.t_initial
+    # An accepted move is made by the next send, which then draws the move
+    # after it, so a new best is snapshotted (``due``) after that send.  The
+    # first send to the generator must be None.
+    make = None
     for level in range(params.planned_levels):
         accepted = 0
         for _ in iterations:
-            drawn = next(step)
-            if drawn is None:
+            delta = send(make)
+            if due:
+                best, due = state.snapshot(), False
+            if delta is None:
                 continue
-            move, delta = drawn
             evaluations += 1
-            if accept(delta, temperature, rng):
-                apply(move, delta)
+            make = delta <= 0 or random() < exp(-delta / temperature)
+            if make:
+                current += delta
                 accepted += 1
-                if state.objective < best_obj:
-                    best, best_obj = state.snapshot(), state.objective
-        trace.append(LevelStats(level, temperature, state.objective, best_obj, accepted))
+                if current < best_obj:
+                    best_obj, due = current, True
+        trace.append(LevelStats(level, temperature, current, best_obj, accepted))
         temperature *= params.cooling_rate
+    send(make)  # makes a last accepted move; its extra draw reads only this stream
+    if due:
+        best = state.snapshot()
 
     best_solution = state.solution(best)
     report = evaluate(instance, best_solution)

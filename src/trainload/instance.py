@@ -19,6 +19,7 @@ re-serialising it yields the identical bytes.
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass
 from enum import IntEnum
@@ -356,6 +357,10 @@ class DocumentReader:
                 content = content.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise self.error(f"not valid UTF-8: {exc}") from exc
+        # A parsed document holds no reference cycles, so the cyclic
+        # collector's passes over the objects it allocates find nothing.
+        collecting = gc.isenabled()
+        gc.disable()
         try:
             doc = json.loads(content, object_pairs_hook=self._unique_keys)
         except json.JSONDecodeError as exc:
@@ -364,6 +369,9 @@ class DocumentReader:
             ) from exc
         except (RecursionError, ValueError) as exc:  # too deep; integer too long; repeated key
             raise self.error(f"invalid JSON: {exc}") from exc
+        finally:
+            if collecting:
+                gc.enable()
         return self.object(doc, "top level", keys)
 
     def _unique_keys(self, pairs: list[tuple[str, Any]]) -> dict:

@@ -7,6 +7,7 @@ import random
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -29,6 +30,7 @@ from trainload.instance import (
     Wagon,
     WeightConfig,
     Yard,
+    generate_instance,
     load_instance_file,
 )
 from trainload.qubo import QuboFormatError, QuboModel, QuboVariable, VariableMap, _bad_term
@@ -117,6 +119,18 @@ def pair_instance() -> Instance:
         stacks=[("a", "b")],
         wagons=[("w0", (TWENTY, TWENTY), ((1500, 1500), (2000, 800)), 2600)],
         train_max_weight=2600,
+    )
+
+
+@pytest.fixture
+def scan_instance() -> Instance:
+    """Single container, single slot, unit weights: 13 binary variables,
+    small enough to scan every bit vector."""
+    return make_instance(
+        containers=[("a", TWENTY, 3, 5)],
+        stacks=[("a",)],
+        wagons=[("w0", (TWENTY,), ((4,),), 4)],
+        train_max_weight=4,
     )
 
 
@@ -229,6 +243,42 @@ GOLDEN_YARDS = (
     GenSpec(60, 12, 4, 40, 90, seed=1),
     GenSpec(100, 20, 4, 48, 140, seed=1),
 )
+
+
+class Drawn(NamedTuple):
+    """A ``random_instance`` draw.  Its stacks hold containers in shuffled
+    order, so a container may sit above one listed after it; generated
+    yards list every stack bottom up."""
+
+    seed: int
+
+
+# Instances for the independent pairs of the qubo and annealing suites: the
+# two fixtures, the benchmark's 60-container export yard, a few small generated yards and
+# random draws that stack containers above later-listed ones (seed 7 has
+# no rehandle cost).
+PAIR_SHAPES = [
+    "pair_instance",
+    "scan_instance",
+    GenSpec(60, 12, 4, 40, 90, seed=1),
+    GenSpec(6, 1, 3, 2, 9, seed=42),
+    GenSpec(12, 2, 4, 7, 18, seed=1),
+    GenSpec(14, 3, 4, 8, 21, seed=1),
+    GenSpec(4, 2, 2, 3, 6, seed=3),
+    Drawn(7),
+    Drawn(19),
+    Drawn(29),
+    Drawn(35),
+]
+
+
+def pair_shape(request, shape):
+    if isinstance(shape, str):
+        return request.getfixturevalue(shape)
+    if isinstance(shape, Drawn):
+        rng = random.Random(shape.seed)
+        return random_instance(rng, max_containers=10, max_wagons=3, max_tiers=4)
+    return generate_instance(shape)
 
 
 def feasible_pairs(instance: Instance) -> list[list[int]]:

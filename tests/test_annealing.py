@@ -6,13 +6,22 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import FORTY, TWENTY, make_instance, random_feasible_solution, random_instance
+from conftest import (
+    FORTY,
+    PAIR_SHAPES,
+    TWENTY,
+    make_instance,
+    pair_shape,
+    random_feasible_solution,
+    random_instance,
+)
 from trainload import annealing
 from trainload.annealing import (
     MAX_NEIGHBOR_RETRIES,
     MAX_PLANNED_ITERATIONS,
     MOVE_KINDS,
     AnnealState,
+    LevelStats,
     SaParams,
     accept,
     generate_neighbor,
@@ -246,29 +255,47 @@ def reference_draw(instance, state: AnnealState, rng: random.Random, tally=None)
     return None, rejected
 
 
+MUTABLE = ("occupant", "slot", "position", "config", "wagon_load", "train_load",
+           "empty", "assigned", "objective")
+
+
 def draw_in_pair(
-    instance, state: AnnealState, rng: random.Random, twin: random.Random, tally=None, step=None
+    instance, state: AnnealState, rng: random.Random, twin: random.Random, tally=None,
+    step=None, made=None,
 ):
-    """``next(state.draws(rng))``, or ``next(step)`` for a generator held
-    across moves, checked against :func:`reference_draw` on ``twin``, a
-    stream seeded alike: the same move after the same reads.  Returns what
-    the kernel yielded (``(move, delta)`` or ``None``) and the reference's
-    rejected count."""
-    drawn = next(step or state.draws(rng))
-    expected, rejected = reference_draw(instance, state, twin, tally)
-    assert (drawn and drawn[0]) == expected
+    """One resume of ``step``, a generator held across moves (a new
+    ``state.draws(rng)`` if ``None``), checked against
+    :func:`reference_draw` on ``twin``, a stream seeded alike, which names
+    the move.  ``made`` is ``None`` for ``next``, or the plan the move
+    last yielded makes, for ``send(True)``: every ``MUTABLE`` field must
+    then equal that of a state rebuilt from it.  Both streams must end
+    alike, and the yielded delta must be the reference objective change of
+    the reference's move.  Returns that move (``None`` if there is none),
+    the delta and the reference's rejected count."""
+    step = step or state.draws(rng)
+    delta = next(step) if made is None else step.send(True)
+    if made is not None:
+        rebuilt = AnnealState(instance, made)
+        for name in MUTABLE:
+            assert getattr(state, name) == getattr(rebuilt, name), name
+    move, rejected = reference_draw(instance, state, twin, tally)
     assert rng.getstate() == twin.getstate()
-    return drawn, rejected
+    if move is None:
+        assert delta is None
+    else:
+        candidate = materialise(instance, state, move)
+        assert delta == shifted_objective(instance, candidate) - state.objective
+    return move, delta, rejected
 
 
 def test_move_kinds_are_drawn_uniformly(pair_instance):
     counter: dict[str, int] = {}
     state = AnnealState(pair_instance, initial_solution(pair_instance))
     rng, twin = stream(11, "anneal"), stream(11, "anneal")
+    step, made = state.draws(rng), None
     for _ in range(10_000):
-        drawn, _ = draw_in_pair(pair_instance, state, rng, twin, counter)
-        if drawn is not None:
-            state.apply(*drawn)
+        move, _, _ = draw_in_pair(pair_instance, state, rng, twin, counter, step, made)
+        made = None if move is None else materialise(pair_instance, state, move)
     draws = sum(counter.values())
     assert set(counter) == set(MOVE_KINDS)
     for kind in MOVE_KINDS:
@@ -358,9 +385,9 @@ def test_draw_matches_the_reference_on_edge_yards(name):
 
 
 def test_the_kernel_reads_no_further_than_its_move():
-    # generate_neighbor, and each next of a generator held while its moves
-    # are applied, leave the caller's stream where one reference draw
-    # leaves a twin stream: nothing is drawn ahead for a later move.
+    # generate_neighbor, and each resume of a generator held while it makes
+    # its moves, leave the caller's stream where one reference draw leaves
+    # a twin stream: nothing is drawn ahead for a later move.
     nones = moves = 0
     for seed, (instance, assignments, configs) in enumerate(EDGE_YARDS.values()):
         plan = Solution.from_maps(assignments, configs)
@@ -376,26 +403,28 @@ def test_the_kernel_reads_no_further_than_its_move():
                 assert neighbor == materialise(instance, state, expected)
                 plan = neighbor
         state = AnnealState(instance, plan)
-        step = state.draws(rng)
+        step, made = state.draws(rng), None
         for _ in range(100):
-            drawn, _ = draw_in_pair(instance, state, rng, twin, step=step)
-            if drawn is None:
+            move, _, _ = draw_in_pair(instance, state, rng, twin, step=step, made=made)
+            made = None if move is None else materialise(instance, state, move)
+            if move is None:
                 nones += 1
-                continue
-            moves += 1
-            state.apply(*drawn)
+            else:
+                moves += 1
     assert nones >= 100 and moves >= 300
 
 
-def recount_loads(instance, solution: Solution) -> tuple[list[int], int]:
-    wagon = [0] * len(instance.wagons)
-    for a in solution.assignments:
-        wagon[instance.wagon_position[a.wagon]] += instance.container_map[a.container].weight
-    return wagon, sum(wagon)
-
-
-MUTABLE = ("occupant", "slot", "position", "config", "wagon_load", "train_load",
-           "empty", "assigned", "objective")
+def test_a_send_after_no_move_changes_nothing():
+    # Every draw on this yard fails all its attempts: send(True) after the
+    # None it yields must leave the plan and its running totals as they are.
+    instance, assignments, configs = EDGE_YARDS["one-container"]
+    plan = Solution.from_maps(assignments, configs)
+    state = AnnealState(instance, plan)
+    rng, twin = stream(8, "anneal"), stream(8, "anneal")
+    step = state.draws(rng)
+    assert draw_in_pair(instance, state, rng, twin, step=step)[0] is None
+    for _ in range(20):
+        assert draw_in_pair(instance, state, rng, twin, step=step, made=plan)[0] is None
 
 
 def shape(instance, state: AnnealState, move) -> str:
@@ -438,8 +467,8 @@ def test_delta_checks_agree_with_the_reference():
     # against reference_draw (draw_in_pair), which judges every candidate
     # with check_feasibility, so the kernel's verdicts agree with the
     # reference in both directions.  Every yielded delta is checked against
-    # shifted_objective, and after each applied move the incremental
-    # bookkeeping must equal that of a state rebuilt from scratch.
+    # shifted_objective, and after each move made by send(True) the
+    # incremental bookkeeping must equal that of a state rebuilt from scratch.
     rng = random.Random(31)
     admitted = rejected = applied = 0
     shapes: dict[tuple[bool, str], int] = {}
@@ -448,30 +477,19 @@ def test_delta_checks_agree_with_the_reference():
         state = AnnealState(instance, random_feasible_solution(instance, rng))
         seed = rng.randrange(2**32)
         move_rng, twin = stream(seed, "anneal"), stream(seed, "anneal")
-        step = state.draws(move_rng)
+        step, made = state.draws(move_rng), None
         for _ in range(150):
-            drawn, misses = draw_in_pair(instance, state, move_rng, twin, step=step)
+            move, delta, misses = draw_in_pair(instance, state, move_rng, twin, None, step, made)
             rejected += misses
-            if drawn is None:
+            made = None
+            if move is None:
                 continue
-            move, delta = drawn
-            candidate = materialise(instance, state, move)
             admitted += 1
             key = (instance.rehandle_unit_cost > 0, shape(instance, state, move))
             shapes[key] = shapes.get(key, 0) + 1
-            assert state.objective + delta == shifted_objective(instance, candidate)
-            if not accept(delta, 2.0, rng):
-                continue
-            state.apply(move, delta)
-            applied += 1
-            current = state.solution()
-            assert current == candidate
-            assert check_feasibility(instance, current) == []
-            assert state.objective == shifted_objective(instance, current)
-            assert (state.wagon_load, state.train_load) == recount_loads(instance, current)
-            rebuilt = AnnealState(instance, current)
-            for name in MUTABLE:
-                assert getattr(state, name) == getattr(rebuilt, name), name
+            if accept(delta, 2.0, rng):
+                made = materialise(instance, state, move)
+                applied += 1
     assert admitted > 2000 and rejected > 1000 and applied > 1000
     priced = {name: shapes.get((True, name), 0) for name in SHAPE_FLOORS}
     assert all(priced[name] >= floor for name, floor in SHAPE_FLOORS.items()), priced
@@ -554,8 +572,9 @@ def hand_id(start, movers, alpha) -> str:
     ids=[hand_id(s, m, a) for s, m, a, _ in HAND_DELTAS],
 )
 def test_delta_by_hand(start, movers, alpha, expected):
-    # The kernel draws from the start plan, nothing applied, until it yields
-    # the case's move; the delta it yields with it is checked.
+    # The kernel draws from the start plan with next, nothing made, in
+    # lockstep with a reference draw on a twin stream; the delta it yields
+    # when the reference names the case's move is checked.
     instance = stack_of_three(start, movers, alpha)
     plan = Solution.from_maps(STARTS[start], {"w0": 0, "w1": 0, "w2": 0})
     state = AnnealState(instance, plan)
@@ -567,9 +586,10 @@ def test_delta_by_hand(start, movers, alpha, expected):
         for cid, target in movers.items()
     )
     move = changes, None
-    step = state.draws(stream(0, "hand"))
-    delta = next((d for m, d in itertools.islice(filter(None, step), 5000) if m == move), None)
-    assert delta == expected
+    rng, twin = stream(0, "hand"), stream(0, "hand")
+    deltas = itertools.islice(state.draws(rng), 5000)
+    named = (d for d in deltas if reference_draw(instance, state, twin)[0] == move)
+    assert next(named, "never drawn") == expected
     assert state.objective + expected == shifted_objective(
         instance, materialise(instance, state, move)
     )
@@ -588,6 +608,67 @@ def test_solve_raises_when_the_reference_disagrees(pair_instance, monkeypatch):
 # ---------------------------------------------------------------------------
 # Full schedule
 # ---------------------------------------------------------------------------
+
+
+def reference_solve(instance, params: SaParams):
+    """The schedule :func:`solve` runs, one plain step at a time: a
+    neighbour from :func:`generate_neighbor` (``current`` itself counts as
+    no evaluation), judged by :func:`accept` on the reference objective,
+    and each new best kept at once.  Returns the best plan, the trace and
+    the evaluation count."""
+    rng = stream(params.seed, "anneal")
+    current = best = initial_solution(instance)
+    objective = best_obj = shifted_objective(instance, current)
+    evaluations, trace, temperature = 1, [], params.t_initial
+    for level in range(params.planned_levels):
+        accepted = 0
+        for _ in range(params.iters_per_level):
+            neighbor = generate_neighbor(instance, current, rng)
+            if neighbor is current:
+                continue
+            evaluations += 1
+            delta = shifted_objective(instance, neighbor) - objective
+            if accept(delta, temperature, rng):
+                current, objective = neighbor, objective + delta
+                accepted += 1
+                if objective < best_obj:
+                    best, best_obj = current, objective
+        trace.append(LevelStats(level, temperature, objective, best_obj, accepted))
+        temperature *= params.cooling_rate
+    return best, tuple(trace), evaluations
+
+
+# Short schedules for the pair below; the one-draw schedule's move, when
+# accepted and a new best, is made only by the send after the last level.
+PAIR_SCHEDULES = [
+    SaParams(t_initial=20.0, t_final=0.5, cooling_rate=0.6, iters_per_level=25),
+    SaParams(t_initial=10.0, t_final=5.0, cooling_rate=0.5, iters_per_level=1),
+]
+
+
+def assert_solve_matches_the_reference(instance, seeds):
+    for params in PAIR_SCHEDULES:
+        for seed in seeds:
+            params = replace(params, seed=seed)
+            result = solve(instance, params)
+            plain = reference_solve(instance, params)
+            assert (result.best_solution, result.trace, result.evaluations) == plain, params
+
+
+@pytest.mark.parametrize("shape", PAIR_SHAPES, ids=str)
+def test_solve_matches_a_plain_reference_solve(request, shape):
+    # solve makes an accepted move on its next send and snapshots a new
+    # best after it; the reference makes and keeps each one at once.
+    base = pair_shape(request, shape)
+    for alpha in (0, 2):
+        assert_solve_matches_the_reference(replace(base, rehandle_unit_cost=alpha), range(3))
+
+
+def test_solve_matches_a_plain_reference_solve_on_random_yards():
+    rng = random.Random(77)
+    for _ in range(30):
+        instance = random_instance(rng, max_containers=8, max_wagons=3)
+        assert_solve_matches_the_reference(instance, [rng.randrange(2**32)])
 
 
 def level_count(params: SaParams) -> int:

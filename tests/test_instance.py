@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import random
@@ -29,6 +30,7 @@ from trainload.instance import (
     VALUE_RANGE,
     WEIGHT_RANGE,
     Container,
+    DocumentReader,
     GenSpec,
     GenSpecError,
     Instance,
@@ -127,6 +129,32 @@ def test_repeated_keys_are_rejected():
         load_instance(text[:-1] + ', "alpha": 5}')
     with pytest.raises(InstanceFormatError, match="repeated key 'weight'"):
         load_instance(text.replace('"weight": ', '"weight": 1, "weight": ', 1))
+
+
+GOOD_DOCUMENT = '{"a": [1, {"b": 2}]}'
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize(
+    "content",
+    [GOOD_DOCUMENT, '{"a": 1, "a": 2}', "{nope", b"\xff", '{"b": 1}'],
+    ids=["good", "repeated-key", "invalid-json", "not-utf8", "unknown-key"],
+)
+def test_document_gives_back_the_collector_state(collecting, content):
+    # document pauses the cyclic collector while json.loads builds the
+    # document; the caller's state comes back whether or not it parses.
+    reader = DocumentReader(InstanceFormatError)
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        if content == GOOD_DOCUMENT:
+            assert reader.document(content, ("a",)) == {"a": [1, {"b": 2}]}
+        else:
+            with pytest.raises(InstanceFormatError):
+                reader.document(content, ("a",))
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_config_arity_must_match_slot_count():

@@ -1,15 +1,16 @@
 import json
 import random
-from typing import NamedTuple
 
 import pytest
 
 from conftest import (
     GOLDEN_YARDS,
+    PAIR_SHAPES,
     TWENTY,
     coarsened,
     feasible_pairs,
     make_instance,
+    pair_shape,
     random_feasible_solution,
     random_instance,
     traced,
@@ -37,18 +38,6 @@ from trainload.qubo import (
     model_size,
     parse_qubo_json,
 )
-
-
-@pytest.fixture
-def scan_instance():
-    """Single container, single slot, unit weights: 13 binary variables,
-    small enough to scan every bit vector."""
-    return make_instance(
-        containers=[("a", TWENTY, 3, 5)],
-        stacks=[("a",)],
-        wagons=[("w0", (TWENTY,), ((4,),), 4)],
-        train_max_weight=4,
-    )
 
 
 def dense_energy(model, bits) -> int:
@@ -114,42 +103,6 @@ def documented_json(model, varmap) -> str:
         "weight_unit": varmap.weight_unit,
     }
     return json.dumps(doc, separators=(",", ":")) + "\n"
-
-
-class Drawn(NamedTuple):
-    """A ``random_instance`` draw.  Its stacks hold containers in shuffled
-    order, so a container may sit above one listed after it; generated
-    yards list every stack bottom up."""
-
-    seed: int
-
-
-# Instances for the independent pairs below: the two fixtures, the
-# benchmark's 60-container export yard, a few small generated yards and
-# random draws that stack containers above later-listed ones (seed 7 has
-# no rehandle cost).
-PAIR_SHAPES = [
-    "pair_instance",
-    "scan_instance",
-    GenSpec(60, 12, 4, 40, 90, seed=1),
-    GenSpec(6, 1, 3, 2, 9, seed=42),
-    GenSpec(12, 2, 4, 7, 18, seed=1),
-    GenSpec(14, 3, 4, 8, 21, seed=1),
-    GenSpec(4, 2, 2, 3, 6, seed=3),
-    Drawn(7),
-    Drawn(19),
-    Drawn(29),
-    Drawn(35),
-]
-
-
-def pair_shape(request, shape):
-    if isinstance(shape, str):
-        return request.getfixturevalue(shape)
-    if isinstance(shape, Drawn):
-        rng = random.Random(shape.seed)
-        return random_instance(rng, max_containers=10, max_wagons=3, max_tiers=4)
-    return generate_instance(shape)
 
 
 def random_bits(rng, n):
