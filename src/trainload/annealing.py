@@ -479,9 +479,9 @@ def generate_neighbor(instance: Instance, current: Solution, rng: Random) -> Sol
     if next(step) is None:
         return current
     # Making the move draws the next one; give back what that draw read.
-    drawn = rng.getstate()
+    before = rng.getstate()
     step.send(True)
-    rng.setstate(drawn)
+    rng.setstate(before)
     return state.solution()
 
 
