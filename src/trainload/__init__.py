@@ -29,8 +29,7 @@ _EXPORTS = {
     "instance": (
         "Container", "ContainerLength", "GenSpec", "Instance", "InstanceFormatError",
         "InstanceInvariantError", "Slot", "Wagon", "WeightConfig", "Yard",
-        "derive_blocking_pairs", "generate_instance", "load_instance",
-        "load_instance_file", "serialize_instance",
+        "generate_instance", "load_instance", "load_instance_file", "serialize_instance",
     ),
     "model_stats": ("compare", "count_model_a", "count_model_b"),
     "oracle": ("enumerate_optima", "iter_feasible_solutions"),

@@ -23,8 +23,8 @@ Three neighborhood moves, drawn uniformly per attempt:
 ``config``    Re-pick the weight configuration of a wagon that has more
               than one (single-config wagons are never drawn).
 
-Moves are drawn, checked and costed by one generator,
-:meth:`AnnealState.draws`, on an integer-indexed plan with running slot,
+Moves are drawn, checked, costed, judged and made by one method,
+:meth:`AnnealState.run`, on an integer-indexed plan with running slot,
 wagon and train loads.  Because the current plan is feasible, a candidate
 is feasible iff the few quantities it changes stay within their limits
 (delta feasibility), so each shape checks only its own:
@@ -42,16 +42,12 @@ A candidate that fits is costed by its shape as it passes: a single mover
 by its value change plus :func:`~trainload.evaluation.rehandle_change`
 (the one incremental rehandle rule), a replace or a trade across wagons by
 one rule change per mover, the second taken with the first moved, and a
-trade on one wagon or a config move by 0.  The generator yields only that
-cost.  ``solve`` judges it by the acceptance rule and resumes the generator
-with its verdict: ``send(True)`` makes the move current where it was drawn,
-by its shape, and ``next`` leaves the plan; either way the generator then
-draws the next move.  So an accepted move is made only on the next resume,
-which also reads the stream for the next draw: ``solve`` snapshots a new
-best after that resume and flushes a last accepted move after its last
-level, and :func:`generate_neighbor` saves the stream's state before its
-one ``send(True)`` and restores it after, so its caller's stream moves by
-exactly one draw.
+trade on one wagon or a config move by 0.  A costed move is judged by the
+acceptance rule where it is built and, if it passes, made there by its
+shape; the zero-cost shapes are made outright.  ``solve`` makes one
+:meth:`~AnnealState.run` call per cooling level, and
+:func:`generate_neighbor` one draw whose ``ceiling`` admits any feasible
+move.  Nothing is drawn ahead of the move being made.
 
 ``check_feasibility``, ``shifted_objective`` and ``evaluate`` stay the
 reference: the state starts from a plan they verify and score, ``solve``
@@ -183,9 +179,9 @@ def initial_solution(instance: Instance) -> Solution:
 
 
 def accept(delta: float, temperature: float, rng: Random) -> bool:
-    """Acceptance rule, which :func:`solve` writes inline: improving or equal
-    deltas always pass; worsening deltas pass with probability
-    ``exp(-delta / temperature)``."""
+    """Acceptance rule, which :meth:`AnnealState.run` writes inline for each
+    costed move (``ceiling`` 0): improving or equal deltas always pass;
+    worsening deltas pass with probability ``exp(-delta / temperature)``."""
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     if delta <= 0:
@@ -195,21 +191,22 @@ def accept(delta: float, temperature: float, rng: Random) -> bool:
 
 class AnnealState:
     """A feasible plan in integer-indexed form, with running loads and
-    objective: :meth:`draws` yields the cost of each feasible move of it
-    and makes the moves it is told to.
+    objective and the best plan seen: :meth:`run` draws, costs, judges and
+    makes its moves.
 
     The layout is the instance's: its integer tables (``slot_wagon``,
     ``wagon_slots``, ``slot_limits``, ``above``, ``below``) are read, not
     rebuilt, and only the plan and its running loads live here.  A move
-    made through :meth:`draws` changes every list in place and rebinds only
-    the scalars ``train_load`` and ``objective``, which the generator reads
-    through the state.  The order in which draws consume the random
-    stream is part of the solver's seeded output: the kind first, then swap
-    partners from ``instance.containers`` order, relocated containers from
-    the assigned ids in sorted order, empty slots in ``all_slots`` order and
-    config alternatives in index order.  An index below ``n`` is drawn as
-    ``random.Random.randrange(n)`` draws it: ``n.bit_length()`` bits from
-    ``getrandbits``, redrawn until below ``n``.
+    made by :meth:`run` changes every list in place; the scalars
+    ``train_load``, ``objective`` and ``best_objective`` are locals of the
+    call, written back when it returns.  The order in which draws consume
+    the random stream is part of the solver's seeded output: the kind
+    first, then swap partners from ``instance.containers`` order, relocated
+    containers from the assigned ids in sorted order, empty slots in
+    ``all_slots`` order and config alternatives in index order.  An index
+    below ``n`` is drawn as ``random.Random.randrange(n)`` draws it:
+    ``n.bit_length()`` bits from ``getrandbits``, redrawn until below
+    ``n``.
     """
 
     def __init__(self, instance: Instance, solution: Solution):
@@ -257,19 +254,26 @@ class AnnealState:
             if self.occupant[s] < 0:
                 self.empty[length].append(s)
         self.assigned = sorted(self.rank[i] for i, s in enumerate(self.slot) if s >= 0)
-        self.objective = shifted_objective(instance, solution)
+        self.objective = self.best_objective = shifted_objective(instance, solution)
+        self.best = tuple(self.slot), tuple(self.config)
 
-    # -- drawing, costing and making moves ------------------------------------
+    # -- drawing, costing, judging and making moves ---------------------------
 
-    def draws(self, rng: Random):
-        """Per resume, the objective change of a feasible move of the current
-        plan, or ``None`` when ``MAX_NEIGHBOR_RETRIES`` attempts all fail.
-        Each attempt draws a kind, builds the candidate and checks and costs
-        it by its shape (see the module docstring).  ``send(True)`` makes the
-        move just yielded current, by its shape, and then draws the next;
-        ``next`` (``send(None)``) leaves the plan as it is.  Nothing is drawn
-        ahead of a resume."""
-        bits = rng.getrandbits
+    def run(
+        self, rng: Random, temperature: float, draws: int, ceiling: float = 0
+    ) -> tuple[int, int]:
+        """Make ``draws`` draws at ``temperature``; return how many found a
+        feasible move and how many of those moves were made.
+
+        A draw makes up to ``MAX_NEIGHBOR_RETRIES`` attempts, each drawing a
+        kind and building, checking and costing the candidate by its shape
+        (see the module docstring).  The first feasible candidate is judged
+        where it is built: a costed move is made when its objective change
+        ``delta`` is at most ``ceiling`` or ``random() < exp(-delta /
+        temperature)``, and the zero-cost shapes are made outright.  A plan
+        that beats ``best_objective`` is snapshotted in ``best`` right after
+        the move that reaches it."""
+        bits, random, exp = rng.getrandbits, rng.random, math.exp
         slot, occupant, position, config = self.slot, self.occupant, self.position, self.config
         length, weight, value, empty = self.length, self.weight, self.value, self.empty
         above, below, alpha, yard = self.above, self.below, self.alpha, self.unloaded
@@ -280,7 +284,9 @@ class AnnealState:
         kinds, n, m = len(MOVE_KINDS), len(slot), len(flexible)
         kind_bits, n_bits, m_bits = kinds.bit_length(), n.bit_length(), m.bit_length()
         attempts = range(MAX_NEIGHBOR_RETRIES)
-        while True:
+        train_load, objective, best_objective = self.train_load, self.objective, self.best_objective
+        found = accepted = 0
+        for _ in range(draws):
             for _ in attempts:
                 kind = bits(kind_bits)
                 while kind >= kinds:
@@ -307,17 +313,17 @@ class AnnealState:
                         if (
                             wt <= slot_limits[s][config[w]]
                             and wagon_load[w] + wt <= wagon_max[w]
-                            and self.train_load + wt <= train_max
+                            and train_load + wt <= train_max
                         ):
                             change = rehandle_change(above[a], below[a], position, yard, w)
                             delta = alpha * change - value[a]
-                            if (yield delta):
+                            made = delta <= ceiling or random() < exp(-delta / temperature)
+                            if made:
                                 slot[a], occupant[s], position[a] = s, a, w
                                 del empties[r]
                                 insort(assigned, rank[a])
                                 wagon_load[w] += wt
-                                self.train_load += wt
-                                self.objective += delta
+                                train_load += wt
                             break
                         continue
                     if n < 2:
@@ -334,21 +340,21 @@ class AnnealState:
                         if (
                             wt_b <= slot_limits[sa][config[wa]]
                             and wagon_load[wa] + d <= wagon_max[wa]
-                            and self.train_load + d <= train_max
+                            and train_load + d <= train_max
                         ):
                             change = rehandle_change(above[b], below[b], position, yard, wa)
                             position[b] = wa
                             change += rehandle_change(above[a], below[a], position, wa, yard)
                             position[b] = yard
                             delta = alpha * change + value[a] - value[b]
-                            if (yield delta):
+                            made = delta <= ceiling or random() < exp(-delta / temperature)
+                            if made:
                                 slot[a], slot[b], occupant[sa] = -1, sa, b
                                 position[a], position[b] = yard, wa
                                 del assigned[bisect_left(assigned, rank[a])]
                                 insort(assigned, rank[b])
                                 wagon_load[wa] += d
-                                self.train_load += d
-                                self.objective += delta
+                                train_load += d
                             break
                         continue
                     # Trade: the train load is unchanged, and so is a wagon's
@@ -357,8 +363,8 @@ class AnnealState:
                     if wt > slot_limits[sb][config[wb]] or wt_b > slot_limits[sa][config[wa]]:
                         continue
                     if wa == wb:
-                        if (yield 0):
-                            slot[a], slot[b], occupant[sa], occupant[sb] = sb, sa, b, a
+                        slot[a], slot[b], occupant[sa], occupant[sb] = sb, sa, b, a
+                        delta, made = 0, True
                         break
                     if wagon_load[wa] + d <= wagon_max[wa] and wagon_load[wb] - d <= wagon_max[wb]:
                         change = rehandle_change(above[a], below[a], position, wa, wb)
@@ -366,12 +372,12 @@ class AnnealState:
                         change += rehandle_change(above[b], below[b], position, wb, wa)
                         position[a] = wa
                         delta = alpha * change
-                        if (yield delta):
+                        made = delta <= ceiling or random() < exp(-delta / temperature)
+                        if made:
                             slot[a], slot[b], occupant[sa], occupant[sb] = sb, sa, b, a
                             position[a], position[b] = wb, wa
                             wagon_load[wa] += d
                             wagon_load[wb] -= d
-                            self.objective += delta
                         break
                 elif kind == 1:  # relocate
                     k = len(assigned)
@@ -388,13 +394,13 @@ class AnnealState:
                     if not k:  # unassign
                         change = rehandle_change(above[c], below[c], position, wc, yard)
                         delta = alpha * change + value[c]
-                        if (yield delta):
+                        made = delta <= ceiling or random() < exp(-delta / temperature)
+                        if made:
                             slot[c], occupant[sc], position[c] = -1, -1, yard
                             empties.append(sc)  # the only empty slot of its length
                             del assigned[q]
                             wagon_load[wc] -= wt
-                            self.train_load -= wt
-                            self.objective += delta
+                            train_load -= wt
                         break
                     k_bits = k.bit_length()
                     r = bits(k_bits)
@@ -404,20 +410,20 @@ class AnnealState:
                     w = slot_wagon[s]
                     if wt <= slot_limits[s][config[w]]:
                         if w == wc:
-                            if (yield 0):
-                                slot[c], occupant[sc], occupant[s] = s, -1, c
-                                del empties[r]
-                                insort(empties, sc)
+                            slot[c], occupant[sc], occupant[s] = s, -1, c
+                            del empties[r]
+                            insort(empties, sc)
+                            delta, made = 0, True
                             break
                         if wagon_load[w] + wt <= wagon_max[w]:
                             delta = alpha * rehandle_change(above[c], below[c], position, wc, w)
-                            if (yield delta):
+                            made = delta <= ceiling or random() < exp(-delta / temperature)
+                            if made:
                                 slot[c], occupant[sc], occupant[s], position[c] = s, -1, c, w
                                 del empties[r]
                                 insort(empties, sc)
                                 wagon_load[wc] -= wt
                                 wagon_load[w] += wt
-                                self.objective += delta
                             break
                 else:  # config
                     if not m:
@@ -438,19 +444,24 @@ class AnnealState:
                         if i >= 0 and weight[i] > slot_limits[s][b]:
                             break
                     else:
-                        if (yield 0):
-                            config[w] = b
+                        config[w] = b
+                        delta, made = 0, True
                         break
             else:
-                yield None
+                continue  # every attempt failed
+            found += 1
+            if made:
+                accepted += 1
+                objective += delta
+                if objective < best_objective:
+                    best_objective = objective
+                    self.best = tuple(slot), tuple(config)
+        self.train_load, self.objective, self.best_objective = train_load, objective, best_objective
+        return found, accepted
 
-    def snapshot(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The container→slot array and the configs, for :meth:`solution`."""
-        return tuple(self.slot), tuple(self.config)
-
-    def solution(self, snapshot=None) -> Solution:
-        """The current plan, or a snapshotted one, as a :class:`Solution`."""
-        slots, configs = snapshot or self.snapshot()
+    def solution(self, best: bool = False) -> Solution:
+        """The current plan, or the ``best`` one, as a :class:`Solution`."""
+        slots, configs = self.best if best else (self.slot, self.config)
         instance = self.instance
         all_slots = instance.all_slots
         return Solution.from_maps(
@@ -475,14 +486,8 @@ def generate_neighbor(instance: Instance, current: Solution, rng: Random) -> Sol
     the move checks assume a feasible start.
     """
     state = AnnealState(instance, current)
-    step = state.draws(rng)
-    if next(step) is None:
-        return current
-    # Making the move draws the next one; give back what that draw read.
-    before = rng.getstate()
-    step.send(True)
-    rng.setstate(before)
-    return state.solution()
+    found, _ = state.run(rng, math.inf, 1, ceiling=math.inf)
+    return state.solution() if found else current
 
 
 def solve(instance: Instance, params: SaParams = SaParams()) -> SaResult:
@@ -499,39 +504,17 @@ def solve(instance: Instance, params: SaParams = SaParams()) -> SaResult:
 
     state = AnnealState(instance, initial_solution(instance))
     evaluations = 1
-    current = best_obj = state.objective
-    best, due = state.snapshot(), False
-
     trace: list[LevelStats] = []
-    send, random, exp = state.draws(rng).send, rng.random, math.exp
-    iterations = range(params.iters_per_level)
     temperature = params.t_initial
-    # An accepted move is made by the next send, which then draws the move
-    # after it, so a new best is snapshotted (``due``) after that send.  The
-    # first send to the generator must be None.
-    make = None
     for level in range(params.planned_levels):
-        accepted = 0
-        for _ in iterations:
-            delta = send(make)
-            if due:
-                best, due = state.snapshot(), False
-            if delta is None:
-                continue
-            evaluations += 1
-            make = delta <= 0 or random() < exp(-delta / temperature)
-            if make:
-                current += delta
-                accepted += 1
-                if current < best_obj:
-                    best_obj, due = current, True
-        trace.append(LevelStats(level, temperature, current, best_obj, accepted))
+        found, accepted = state.run(rng, temperature, params.iters_per_level)
+        evaluations += found
+        trace.append(
+            LevelStats(level, temperature, state.objective, state.best_objective, accepted)
+        )
         temperature *= params.cooling_rate
-    send(make)  # makes a last accepted move; its extra draw reads only this stream
-    if due:
-        best = state.snapshot()
 
-    best_solution = state.solution(best)
+    best_solution, best_obj = state.solution(best=True), state.best_objective
     report = evaluate(instance, best_solution)
     if not report.feasible or report.objective_shifted != best_obj:
         raise RuntimeError(

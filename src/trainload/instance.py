@@ -19,7 +19,6 @@ re-serialising it yields the identical bytes.
 
 from __future__ import annotations
 
-import gc
 import json
 from dataclasses import dataclass
 from enum import IntEnum
@@ -132,13 +131,6 @@ class Wagon:
                 )
         if self.max_weight < 0:
             raise InstanceInvariantError(f"wagon '{self.id}': negative max_weight")
-
-
-class BlockingPair(NamedTuple):
-    """Two containers in one stack: ``above`` must move before ``below``."""
-
-    below: str
-    above: str
 
 
 @dataclass(frozen=True)
@@ -290,19 +282,6 @@ class Instance:
         return sum(c.value for c in self.containers)
 
 
-def derive_blocking_pairs(instance: Instance) -> list[BlockingPair]:
-    """All (below, above) pairs sharing a stack, ordered by stack, then
-    below tier, then above tier.  The package reads ``Instance.above`` and
-    ``below`` instead; these pairs and :class:`BlockingPair` stay as exported
-    API and as an independent reference for those tables in the tests."""
-    pairs: list[BlockingPair] = []
-    for stack in instance.yard.stacks:
-        for lb in range(len(stack)):
-            for la in range(lb + 1, len(stack)):
-                pairs.append(BlockingPair(stack[lb], stack[la]))
-    return pairs
-
-
 # ---------------------------------------------------------------------------
 # JSON documents
 # ---------------------------------------------------------------------------
@@ -357,10 +336,6 @@ class DocumentReader:
                 content = content.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise self.error(f"not valid UTF-8: {exc}") from exc
-        # A parsed document holds no reference cycles, so the cyclic
-        # collector's passes over the objects it allocates find nothing.
-        collecting = gc.isenabled()
-        gc.disable()
         try:
             doc = json.loads(content, object_pairs_hook=self._unique_keys)
         except json.JSONDecodeError as exc:
@@ -369,9 +344,6 @@ class DocumentReader:
             ) from exc
         except (RecursionError, ValueError) as exc:  # too deep; integer too long; repeated key
             raise self.error(f"invalid JSON: {exc}") from exc
-        finally:
-            if collecting:
-                gc.enable()
         return self.object(doc, "top level", keys)
 
     def _unique_keys(self, pairs: list[tuple[str, Any]]) -> dict:

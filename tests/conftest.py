@@ -281,6 +281,25 @@ def pair_shape(request, shape):
     return generate_instance(shape)
 
 
+class BlockingPair(NamedTuple):
+    """Two containers in one stack: ``above`` must move before ``below``."""
+
+    below: str
+    above: str
+
+
+def derive_blocking_pairs(instance: Instance) -> list[BlockingPair]:
+    """All (below, above) pairs sharing a stack, ordered by stack, then
+    below tier, then above tier: the reference for ``Instance.above`` and
+    ``below``, which the package reads instead."""
+    pairs: list[BlockingPair] = []
+    for stack in instance.yard.stacks:
+        for lb in range(len(stack)):
+            for la in range(lb + 1, len(stack)):
+                pairs.append(BlockingPair(stack[lb], stack[la]))
+    return pairs
+
+
 def feasible_pairs(instance: Instance) -> list[list[int]]:
     """Per container, in train order, each slot (its index in ``all_slots``)
     where the plan loading that container alone passes ``check_feasibility``

@@ -13,7 +13,7 @@ import math
 import random
 import time
 
-from conftest import TWENTY, FORTY, make_instance, random_instance
+from conftest import TWENTY, FORTY, derive_blocking_pairs, make_instance, random_instance
 from trainload.annealing import SaParams, accept, solve
 from trainload.cli import main
 from trainload.evaluation import (
@@ -22,7 +22,7 @@ from trainload.evaluation import (
     evaluate,
     simulate_loading,
 )
-from trainload.instance import GenSpec, derive_blocking_pairs, generate_instance
+from trainload.instance import GenSpec, generate_instance
 from trainload.model_stats import compare, count_model_a, count_model_b
 from trainload.oracle import (
     enumerate_optima,

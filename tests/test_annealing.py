@@ -95,7 +95,7 @@ def test_accept_requires_positive_temperature():
 
 def below(n: int, getrandbits) -> int:
     """A uniform integer in ``[0, n)`` for ``n > 0``, by the rule
-    ``AnnealState.draws`` writes inline for each index: ``n.bit_length()``
+    ``AnnealState.run`` writes inline for each index: ``n.bit_length()``
     bits, redrawn until below ``n``."""
     k = n.bit_length()
     r = getrandbits(k)
@@ -236,7 +236,7 @@ def reference_candidate(instance, state: AnnealState, kind: str, rng: random.Ran
 
 
 def reference_draw(instance, state: AnnealState, rng: random.Random, tally=None):
-    """The move ``AnnealState.draws`` must yield: up to ``MAX_NEIGHBOR_RETRIES``
+    """The move a draw of ``AnnealState.run`` must find: up to ``MAX_NEIGHBOR_RETRIES``
     attempts, each a kind drawn uniformly and a candidate judged by
     ``check_feasibility`` on the plan it would make.  Returns the first
     feasible move (``None`` if there is none) and the number of candidates
@@ -259,43 +259,37 @@ MUTABLE = ("occupant", "slot", "position", "config", "wagon_load", "train_load",
            "empty", "assigned", "objective")
 
 
-def draw_in_pair(
-    instance, state: AnnealState, rng: random.Random, twin: random.Random, tally=None,
-    step=None, made=None,
-):
-    """One resume of ``step``, a generator held across moves (a new
-    ``state.draws(rng)`` if ``None``), checked against
-    :func:`reference_draw` on ``twin``, a stream seeded alike, which names
-    the move.  ``made`` is ``None`` for ``next``, or the plan the move
-    last yielded makes, for ``send(True)``: every ``MUTABLE`` field must
-    then equal that of a state rebuilt from it.  Both streams must end
-    alike, and the yielded delta must be the reference objective change of
-    the reference's move.  Returns that move (``None`` if there is none),
-    the delta and the reference's rejected count."""
-    step = step or state.draws(rng)
-    delta = next(step) if made is None else step.send(True)
-    if made is not None:
-        rebuilt = AnnealState(instance, made)
-        for name in MUTABLE:
-            assert getattr(state, name) == getattr(rebuilt, name), name
+def draw_in_pair(instance, state: AnnealState, rng: random.Random, twin: random.Random, tally=None):
+    """One draw of ``state.run`` that makes any feasible move it finds,
+    checked against :func:`reference_draw` on ``twin``, a stream seeded
+    alike, which names the move.  Both streams must end alike, the
+    objective change must be the reference's for the plan the draw leaves,
+    and every ``MUTABLE`` field must equal that of a state rebuilt from that
+    plan; a new best must be snapshotted at once.  Returns the move
+    (``None`` if there is none), its delta and the reference's rejected
+    count."""
     move, rejected = reference_draw(instance, state, twin, tally)
+    made = state.solution() if move is None else materialise(instance, state, move)
+    objective, best_objective = state.objective, state.best_objective
+    assert state.run(rng, math.inf, 1, ceiling=math.inf) == ((0, 0) if move is None else (1, 1))
     assert rng.getstate() == twin.getstate()
-    if move is None:
-        assert delta is None
-    else:
-        candidate = materialise(instance, state, move)
-        assert delta == shifted_objective(instance, candidate) - state.objective
-    return move, delta, rejected
+    delta = state.objective - objective
+    assert delta == shifted_objective(instance, made) - objective
+    rebuilt = AnnealState(instance, made)
+    for name in MUTABLE:
+        assert getattr(state, name) == getattr(rebuilt, name), name
+    assert state.best_objective == min(best_objective, state.objective)
+    if state.objective < best_objective:
+        assert state.best == (tuple(state.slot), tuple(state.config))
+    return move, (None if move is None else delta), rejected
 
 
 def test_move_kinds_are_drawn_uniformly(pair_instance):
     counter: dict[str, int] = {}
     state = AnnealState(pair_instance, initial_solution(pair_instance))
     rng, twin = stream(11, "anneal"), stream(11, "anneal")
-    step, made = state.draws(rng), None
     for _ in range(10_000):
-        move, _, _ = draw_in_pair(pair_instance, state, rng, twin, counter, step, made)
-        made = None if move is None else materialise(pair_instance, state, move)
+        draw_in_pair(pair_instance, state, rng, twin, counter)
     draws = sum(counter.values())
     assert set(counter) == set(MOVE_KINDS)
     for kind in MOVE_KINDS:
@@ -376,18 +370,19 @@ EDGE_YARDS = {
 
 @pytest.mark.parametrize("name", EDGE_YARDS)
 def test_draw_matches_the_reference_on_edge_yards(name):
-    # Every draw is made from the edge plan itself: nothing is applied.
+    # Every draw is made from the edge plan itself: the state is rebuilt
+    # from it before each draw.
     instance, assignments, configs = EDGE_YARDS[name]
-    state = AnnealState(instance, Solution.from_maps(assignments, configs))
+    plan = Solution.from_maps(assignments, configs)
     move_rng, twin = stream(5, "anneal"), stream(5, "anneal")
     for _ in range(300):
-        draw_in_pair(instance, state, move_rng, twin)
+        draw_in_pair(instance, AnnealState(instance, plan), move_rng, twin)
 
 
 def test_the_kernel_reads_no_further_than_its_move():
-    # generate_neighbor, and each resume of a generator held while it makes
-    # its moves, leave the caller's stream where one reference draw leaves
-    # a twin stream: nothing is drawn ahead for a later move.
+    # generate_neighbor, and each draw of a state held while it makes its
+    # moves, leave the caller's stream where one reference draw leaves a
+    # twin stream: nothing is drawn ahead for a later move.
     nones = moves = 0
     for seed, (instance, assignments, configs) in enumerate(EDGE_YARDS.values()):
         plan = Solution.from_maps(assignments, configs)
@@ -403,10 +398,8 @@ def test_the_kernel_reads_no_further_than_its_move():
                 assert neighbor == materialise(instance, state, expected)
                 plan = neighbor
         state = AnnealState(instance, plan)
-        step, made = state.draws(rng), None
         for _ in range(100):
-            move, _, _ = draw_in_pair(instance, state, rng, twin, step=step, made=made)
-            made = None if move is None else materialise(instance, state, move)
+            move, _, _ = draw_in_pair(instance, state, rng, twin)
             if move is None:
                 nones += 1
             else:
@@ -414,21 +407,39 @@ def test_the_kernel_reads_no_further_than_its_move():
     assert nones >= 100 and moves >= 300
 
 
-def test_a_send_after_no_move_changes_nothing():
-    # Every draw on this yard fails all its attempts: send(True) after the
-    # None it yields must leave the plan and its running totals as they are.
-    instance, assignments, configs = EDGE_YARDS["one-container"]
+def test_a_rejected_move_changes_nothing():
+    # With ceiling 0 and a temperature where exp(-delta / T) is 0.0, every
+    # worsening move is rejected: it changes no field, and the draw reads
+    # one reference draw plus the one random() that judged it.  A move that
+    # costs nothing or gains is made without a random().  Each draw starts
+    # from the edge plan.
+    instance, assignments, configs = EDGE_YARDS["every-slot-full"]
     plan = Solution.from_maps(assignments, configs)
-    state = AnnealState(instance, plan)
     rng, twin = stream(8, "anneal"), stream(8, "anneal")
-    step = state.draws(rng)
-    assert draw_in_pair(instance, state, rng, twin, step=step)[0] is None
-    for _ in range(20):
-        assert draw_in_pair(instance, state, rng, twin, step=step, made=plan)[0] is None
+    temperature, rejected = 1e-300, 0
+    assert math.exp(-1 / temperature) == 0.0
+    for _ in range(300):
+        state = AnnealState(instance, plan)
+        move, _ = reference_draw(instance, state, twin)
+        worse = move is not None and shifted_objective(
+            instance, materialise(instance, state, move)
+        ) > state.objective
+        if worse:
+            twin.random()
+        found, made = state.run(rng, temperature, 1)
+        assert (found, made) == (move is not None, move is not None and not worse)
+        assert rng.getstate() == twin.getstate()
+        if worse:
+            rebuilt = AnnealState(instance, plan)
+            for name in (*MUTABLE, "best", "best_objective"):
+                assert getattr(state, name) == getattr(rebuilt, name), name
+            rejected += 1
+    assert rejected >= 50
 
 
-def shape(instance, state: AnnealState, move) -> str:
-    """Which of the kernel's costing shapes ``move`` takes on the state's plan."""
+def shape(instance, slot, position, move) -> str:
+    """Which of the kernel's costing shapes ``move`` takes on the plan with
+    container→slot array ``slot`` and container→wagon array ``position``."""
     changes, config = move
     if config is not None:
         return "config"
@@ -441,9 +452,9 @@ def shape(instance, state: AnnealState, move) -> str:
     ((i, s),) = changes
     if s < 0:
         return "unassign"
-    if state.slot[i] < 0:
+    if slot[i] < 0:
         return "insertion"
-    return "relocate on one wagon" if wagon[s] == state.position[i] else "relocate across wagons"
+    return "relocate on one wagon" if wagon[s] == position[i] else "relocate across wagons"
 
 
 # Admitted moves of each shape that test_delta_checks_agree_with_the_reference
@@ -463,12 +474,14 @@ SHAPE_FLOORS = {
 
 def test_delta_checks_agree_with_the_reference():
     # Drive the state through many draws from random feasible starts, with
-    # one generator held per start as solve holds it.  Each draw is checked
+    # one state held per start as solve holds it.  Each draw is checked
     # against reference_draw (draw_in_pair), which judges every candidate
     # with check_feasibility, so the kernel's verdicts agree with the
-    # reference in both directions.  Every yielded delta is checked against
-    # shifted_objective, and after each move made by send(True) the
-    # incremental bookkeeping must equal that of a state rebuilt from scratch.
+    # reference in both directions.  Every delta is checked against
+    # shifted_objective, and after each move the incremental bookkeeping
+    # must equal that of a state rebuilt from scratch.  A move the
+    # acceptance rule turns down is left by rebuilding the state from the
+    # plan before it, on the continuing stream.
     rng = random.Random(31)
     admitted = rejected = applied = 0
     shapes: dict[tuple[bool, str], int] = {}
@@ -477,19 +490,19 @@ def test_delta_checks_agree_with_the_reference():
         state = AnnealState(instance, random_feasible_solution(instance, rng))
         seed = rng.randrange(2**32)
         move_rng, twin = stream(seed, "anneal"), stream(seed, "anneal")
-        step, made = state.draws(move_rng), None
         for _ in range(150):
-            move, delta, misses = draw_in_pair(instance, state, move_rng, twin, None, step, made)
+            start, slot, position = state.solution(), state.slot[:], state.position[:]
+            move, delta, misses = draw_in_pair(instance, state, move_rng, twin)
             rejected += misses
-            made = None
             if move is None:
                 continue
             admitted += 1
-            key = (instance.rehandle_unit_cost > 0, shape(instance, state, move))
+            key = (instance.rehandle_unit_cost > 0, shape(instance, slot, position, move))
             shapes[key] = shapes.get(key, 0) + 1
             if accept(delta, 2.0, rng):
-                made = materialise(instance, state, move)
                 applied += 1
+            else:
+                state = AnnealState(instance, start)
     assert admitted > 2000 and rejected > 1000 and applied > 1000
     priced = {name: shapes.get((True, name), 0) for name in SHAPE_FLOORS}
     assert all(priced[name] >= floor for name, floor in SHAPE_FLOORS.items()), priced
@@ -572,12 +585,11 @@ def hand_id(start, movers, alpha) -> str:
     ids=[hand_id(s, m, a) for s, m, a, _ in HAND_DELTAS],
 )
 def test_delta_by_hand(start, movers, alpha, expected):
-    # The kernel draws from the start plan with next, nothing made, in
-    # lockstep with a reference draw on a twin stream; the delta it yields
-    # when the reference names the case's move is checked.
+    # The kernel draws from the start plan, a state rebuilt from it for each
+    # draw, in lockstep with a reference draw on a twin stream; the delta of
+    # the draw where the reference names the case's move is checked.
     instance = stack_of_three(start, movers, alpha)
     plan = Solution.from_maps(STARTS[start], {"w0": 0, "w1": 0, "w2": 0})
-    state = AnnealState(instance, plan)
     changes = tuple(
         (
             instance.container_index[cid],
@@ -587,11 +599,15 @@ def test_delta_by_hand(start, movers, alpha, expected):
     )
     move = changes, None
     rng, twin = stream(0, "hand"), stream(0, "hand")
-    deltas = itertools.islice(state.draws(rng), 5000)
-    named = (d for d in deltas if reference_draw(instance, state, twin)[0] == move)
-    assert next(named, "never drawn") == expected
-    assert state.objective + expected == shifted_objective(
-        instance, materialise(instance, state, move)
+    for _ in range(5000):
+        drawn, delta, _ = draw_in_pair(instance, AnnealState(instance, plan), rng, twin)
+        if drawn == move:
+            break
+    else:
+        pytest.fail("never drawn")
+    assert delta == expected
+    assert shifted_objective(instance, plan) + expected == shifted_objective(
+        instance, materialise(instance, AnnealState(instance, plan), move)
     )
 
 
@@ -638,8 +654,8 @@ def reference_solve(instance, params: SaParams):
     return best, tuple(trace), evaluations
 
 
-# Short schedules for the pair below; the one-draw schedule's move, when
-# accepted and a new best, is made only by the send after the last level.
+# Short schedules for the pair below; the one-draw schedule's last level is
+# its last draw, so a new best found there is snapshotted by that draw.
 PAIR_SCHEDULES = [
     SaParams(t_initial=20.0, t_final=0.5, cooling_rate=0.6, iters_per_level=25),
     SaParams(t_initial=10.0, t_final=5.0, cooling_rate=0.5, iters_per_level=1),
@@ -657,8 +673,8 @@ def assert_solve_matches_the_reference(instance, seeds):
 
 @pytest.mark.parametrize("shape", PAIR_SHAPES, ids=str)
 def test_solve_matches_a_plain_reference_solve(request, shape):
-    # solve makes an accepted move on its next send and snapshots a new
-    # best after it; the reference makes and keeps each one at once.
+    # solve judges, makes and snapshots each move inside one run call per
+    # level; the reference does each step in the open.
     base = pair_shape(request, shape)
     for alpha in (0, 2):
         assert_solve_matches_the_reference(replace(base, rehandle_unit_cost=alpha), range(3))

@@ -13,6 +13,7 @@ from conftest import (
     FORTY,
     GOLDEN_YARDS,
     TWENTY,
+    derive_blocking_pairs,
     feasible_pairs,
     make_instance,
     random_feasible_solution,
@@ -40,7 +41,6 @@ from trainload.instance import (
     Wagon,
     WeightConfig,
     Yard,
-    derive_blocking_pairs,
     generate_instance,
     load_instance,
     load_instance_file,
@@ -141,8 +141,8 @@ GOOD_DOCUMENT = '{"a": [1, {"b": 2}]}'
     ids=["good", "repeated-key", "invalid-json", "not-utf8", "unknown-key"],
 )
 def test_document_gives_back_the_collector_state(collecting, content):
-    # document pauses the cyclic collector while json.loads builds the
-    # document; the caller's state comes back whether or not it parses.
+    # document leaves the caller's cyclic-collector state as it found it,
+    # whether or not the content parses.
     reader = DocumentReader(InstanceFormatError)
     was = gc.isenabled()
     (gc.enable if collecting else gc.disable)()

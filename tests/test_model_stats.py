@@ -3,8 +3,15 @@ from collections import Counter
 
 import pytest
 
-from conftest import DATA_DIR, FORTY, TWENTY, make_instance, random_instance
-from trainload.instance import derive_blocking_pairs, load_instance_file
+from conftest import (
+    DATA_DIR,
+    FORTY,
+    TWENTY,
+    derive_blocking_pairs,
+    make_instance,
+    random_instance,
+)
+from trainload.instance import load_instance_file
 from trainload.model_stats import (
     compare,
     comparison_markdown,

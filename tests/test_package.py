@@ -20,18 +20,17 @@ from trainload.instance import load_instance_file
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# ``trainload.__all__`` before the package loaded its modules lazily.
+# ``trainload.__all__``: the names the package exports.
 EXPORTED = [
     "Assignment", "ConfigChoice", "Container", "ContainerLength", "EvaluationReport",
     "GenSpec", "InfeasibleSolutionError", "Instance", "InstanceFormatError",
     "InstanceInvariantError", "SaParams", "SaResult", "Slot", "Solution", "Violation",
     "ViolationKind", "Wagon", "WeightConfig", "Yard", "build_qubo", "check_feasibility",
     "compare", "count_model_a", "count_model_b", "count_rehandles_compact",
-    "decode_solution", "derive_blocking_pairs", "encode_solution", "energy_of",
-    "enumerate_optima", "evaluate", "export_qubo", "generate_instance",
-    "iter_feasible_solutions", "load_instance", "load_instance_file", "load_solution",
-    "load_solution_file", "serialize_instance", "serialize_solution", "shifted_objective",
-    "simulate_loading", "solve", "solve_many",
+    "decode_solution", "encode_solution", "energy_of", "enumerate_optima", "evaluate",
+    "export_qubo", "generate_instance", "iter_feasible_solutions", "load_instance",
+    "load_instance_file", "load_solution", "load_solution_file", "serialize_instance",
+    "serialize_solution", "shifted_objective", "simulate_loading", "solve", "solve_many",
 ]
 
 # Appended to each probe: print the trainload modules loaded, as JSON.

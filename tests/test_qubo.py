@@ -8,6 +8,7 @@ from conftest import (
     PAIR_SHAPES,
     TWENTY,
     coarsened,
+    derive_blocking_pairs,
     feasible_pairs,
     make_instance,
     pair_shape,
@@ -16,7 +17,7 @@ from conftest import (
     traced,
 )
 from trainload.evaluation import InfeasibleSolutionError, Solution, evaluate
-from trainload.instance import GenSpec, derive_blocking_pairs, generate_instance
+from trainload.instance import GenSpec, generate_instance
 from trainload.oracle import enumerate_optima, iter_feasible_solutions
 from trainload.qubo import (
     CoefficientRangeError,
