@@ -46,8 +46,8 @@ trade on one wagon or a config move by 0.  A costed move is judged by the
 acceptance rule where it is built and, if it passes, made there by its
 shape; the zero-cost shapes are made outright.  ``solve`` makes one
 :meth:`~AnnealState.run` call per cooling level, and
-:func:`generate_neighbor` one draw whose ``ceiling`` admits any feasible
-move.  Nothing is drawn ahead of the move being made.
+:func:`generate_neighbor` one draw at an infinite temperature, which makes
+any feasible move.  Nothing is drawn ahead of the move being made.
 
 ``check_feasibility``, ``shifted_objective`` and ``evaluate`` stay the
 reference: the state starts from a plan they verify and score, ``solve``
@@ -180,8 +180,8 @@ def initial_solution(instance: Instance) -> Solution:
 
 def accept(delta: float, temperature: float, rng: Random) -> bool:
     """Acceptance rule, which :meth:`AnnealState.run` writes inline for each
-    costed move (``ceiling`` 0): improving or equal deltas always pass;
-    worsening deltas pass with probability ``exp(-delta / temperature)``."""
+    costed move: improving or equal deltas always pass; worsening deltas
+    pass with probability ``exp(-delta / temperature)``."""
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     if delta <= 0:
@@ -259,20 +259,18 @@ class AnnealState:
 
     # -- drawing, costing, judging and making moves ---------------------------
 
-    def run(
-        self, rng: Random, temperature: float, draws: int, ceiling: float = 0
-    ) -> tuple[int, int]:
+    def run(self, rng: Random, temperature: float, draws: int) -> tuple[int, int]:
         """Make ``draws`` draws at ``temperature``; return how many found a
         feasible move and how many of those moves were made.
 
         A draw makes up to ``MAX_NEIGHBOR_RETRIES`` attempts, each drawing a
         kind and building, checking and costing the candidate by its shape
         (see the module docstring).  The first feasible candidate is judged
-        where it is built: a costed move is made when its objective change
-        ``delta`` is at most ``ceiling`` or ``random() < exp(-delta /
-        temperature)``, and the zero-cost shapes are made outright.  A plan
-        that beats ``best_objective`` is snapshotted in ``best`` right after
-        the move that reaches it."""
+        where it is built by the :func:`accept` rule, and the zero-cost
+        shapes are made outright.  At an infinite ``temperature`` every
+        feasible move is made without a ``random()``.  A plan that beats
+        ``best_objective`` is snapshotted in ``best`` right after the move
+        that reaches it."""
         bits, random, exp = rng.getrandbits, rng.random, math.exp
         slot, occupant, position, config = self.slot, self.occupant, self.position, self.config
         length, weight, value, empty = self.length, self.weight, self.value, self.empty
@@ -284,6 +282,7 @@ class AnnealState:
         kinds, n, m = len(MOVE_KINDS), len(slot), len(flexible)
         kind_bits, n_bits, m_bits = kinds.bit_length(), n.bit_length(), m.bit_length()
         attempts = range(MAX_NEIGHBOR_RETRIES)
+        ceiling = 0 if temperature < math.inf else math.inf  # made without a random()
         train_load, objective, best_objective = self.train_load, self.objective, self.best_objective
         found = accepted = 0
         for _ in range(draws):
@@ -486,7 +485,7 @@ def generate_neighbor(instance: Instance, current: Solution, rng: Random) -> Sol
     the move checks assume a feasible start.
     """
     state = AnnealState(instance, current)
-    found, _ = state.run(rng, math.inf, 1, ceiling=math.inf)
+    found, _ = state.run(rng, math.inf, 1)
     return state.solution() if found else current
 
 

@@ -271,7 +271,7 @@ def draw_in_pair(instance, state: AnnealState, rng: random.Random, twin: random.
     move, rejected = reference_draw(instance, state, twin, tally)
     made = state.solution() if move is None else materialise(instance, state, move)
     objective, best_objective = state.objective, state.best_objective
-    assert state.run(rng, math.inf, 1, ceiling=math.inf) == ((0, 0) if move is None else (1, 1))
+    assert state.run(rng, math.inf, 1) == ((0, 0) if move is None else (1, 1))
     assert rng.getstate() == twin.getstate()
     delta = state.objective - objective
     assert delta == shifted_objective(instance, made) - objective
@@ -408,7 +408,7 @@ def test_the_kernel_reads_no_further_than_its_move():
 
 
 def test_a_rejected_move_changes_nothing():
-    # With ceiling 0 and a temperature where exp(-delta / T) is 0.0, every
+    # At a finite temperature where exp(-delta / T) is 0.0, every
     # worsening move is rejected: it changes no field, and the draw reads
     # one reference draw plus the one random() that judged it.  A move that
     # costs nothing or gains is made without a random().  Each draw starts
