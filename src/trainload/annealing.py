@@ -40,11 +40,12 @@ is feasible iff the few quantities it changes stay within their limits
 
 A candidate that fits is costed by its shape as it passes: a single mover
 by its value change plus :func:`~trainload.evaluation.rehandle_change`
-(the one incremental rehandle rule), a replace or a trade across wagons by
-one rule change per mover, the second taken with the first moved, and a
-trade on one wagon or a config move by 0.  A costed move is judged by the
-acceptance rule where it is built and, if it passes, made there by its
-shape; the zero-cost shapes are made outright.  ``solve`` makes one
+(the one incremental rehandle rule), a replace or a trade by one rule
+change per mover, the second taken with the first moved.  The rule gives 0
+to a mover that stays on its wagon, so a trade or relocation on one wagon
+takes the cross-wagon path.  These five costed shapes are judged by one
+acceptance rule and, if they pass, made where they are built; a config
+move is made outright.  ``solve`` makes one
 :meth:`~AnnealState.run` call per cooling level, and
 :func:`generate_neighbor` one draw at an infinite temperature, which makes
 any feasible move.  Nothing is drawn ahead of the move being made.
@@ -194,9 +195,9 @@ class AnnealState:
     objective and the best plan seen: :meth:`run` draws, costs, judges and
     makes its moves.
 
-    The layout is the instance's: its integer tables (``slot_wagon``,
-    ``wagon_slots``, ``slot_limits``, ``above``, ``below``) are read, not
-    rebuilt, and only the plan and its running loads live here.  A move
+    The layout is the instance's: :meth:`run` reads its integer tables
+    (``slot_wagon``, ``wagon_slots``, ``slot_limits``, ``above``, ``below``)
+    from it, and only the plan and its running loads live here.  A move
     made by :meth:`run` changes every list in place; the scalars
     ``train_load``, ``objective`` and ``best_objective`` are locals of the
     call, written back when it returns.  The order in which draws consume
@@ -214,8 +215,8 @@ class AnnealState:
         if violations:
             raise InfeasibleSolutionError(violations)
         self.instance = instance
-        containers = instance.containers
-        index = instance.container_index
+        containers, wagons = instance.containers, instance.wagons
+        index, wagon_position = instance.container_index, instance.wagon_position
         self.length = [int(c.length) for c in containers]
         self.weight = [c.weight for c in containers]
         self.value = [c.value for c in containers]
@@ -223,32 +224,22 @@ class AnnealState:
         self.rank = [0] * len(containers)
         for r, i in enumerate(self.by_rank):
             self.rank[i] = r
-        self.above = instance.above
-        self.below = instance.below
-
-        self.slot_wagon = instance.slot_wagon
-        self.slot_limits = instance.slot_limits
-        self.wagon_slots = instance.wagon_slots
-        self.wagon_max = [w.max_weight for w in instance.wagons]
-        self.config_count = [len(w.configs) for w in instance.wagons]
+        self.wagon_max = [w.max_weight for w in wagons]
+        self.config_count = [len(w.configs) for w in wagons]
         self.flexible = [w for w, n in enumerate(self.config_count) if n >= 2]
-        self.train_max = instance.train_max_weight
-        self.alpha = instance.rehandle_unit_cost
-        self.unloaded = len(instance.wagons)  # the position of a yard container
 
-        slot_of = {(wid, si): s for s, (wid, si, _) in enumerate(instance.all_slots)}
         self.occupant = [-1] * len(instance.all_slots)
         self.slot = [-1] * len(containers)
-        self.position = [self.unloaded] * len(containers)
-        self.wagon_load = [0] * len(instance.wagons)
+        self.position = [len(wagons)] * len(containers)  # the yard's position
+        self.wagon_load = [0] * len(wagons)
         self.train_load = 0
-        for cid, ws in solution.assignment_map.items():
-            i, s = index[cid], slot_of[ws]
-            self.occupant[s], self.slot[i] = i, s
-            self.position[i] = self.slot_wagon[s]
-            self.wagon_load[self.slot_wagon[s]] += self.weight[i]
+        for cid, (wid, si) in solution.assignment_map.items():
+            i, w = index[cid], wagon_position[wid]
+            s = instance.wagon_slots[w][si]
+            self.occupant[s], self.slot[i], self.position[i] = i, s, w
+            self.wagon_load[w] += self.weight[i]
             self.train_load += self.weight[i]
-        self.config = [solution.config_map[w.id] for w in instance.wagons]
+        self.config = [solution.config_map[w.id] for w in wagons]
         self.empty: list[list[int]] = [[], [], []]  # indexed by length in TEU
         for s, (_, _, length) in enumerate(instance.all_slots):
             if self.occupant[s] < 0:
@@ -265,20 +256,21 @@ class AnnealState:
 
         A draw makes up to ``MAX_NEIGHBOR_RETRIES`` attempts, each drawing a
         kind and building, checking and costing the candidate by its shape
-        (see the module docstring).  The first feasible candidate is judged
-        where it is built by the :func:`accept` rule, and the zero-cost
-        shapes are made outright.  At an infinite ``temperature`` every
-        feasible move is made without a ``random()``.  A plan that beats
-        ``best_objective`` is snapshotted in ``best`` right after the move
-        that reaches it."""
+        (see the module docstring).  The first feasible candidate of the
+        five costed shapes is judged where it is built by the :func:`accept`
+        rule, and a config move is made outright.  At an infinite
+        ``temperature`` every feasible move is made without a ``random()``.
+        A plan that beats ``best_objective`` is snapshotted in ``best``
+        right after the move that reaches it."""
         bits, random, exp = rng.getrandbits, rng.random, math.exp
         slot, occupant, position, config = self.slot, self.occupant, self.position, self.config
         length, weight, value, empty = self.length, self.weight, self.value, self.empty
-        above, below, alpha, yard = self.above, self.below, self.alpha, self.unloaded
-        slot_wagon, slot_limits, wagon_slots = self.slot_wagon, self.slot_limits, self.wagon_slots
-        wagon_load, wagon_max, train_max = self.wagon_load, self.wagon_max, self.train_max
+        inst = self.instance
+        above, below, alpha = inst.above, inst.below, inst.rehandle_unit_cost
+        slot_wagon, slot_limits, wagon_slots = inst.slot_wagon, inst.slot_limits, inst.wagon_slots
+        wagon_load, wagon_max, train_max = self.wagon_load, self.wagon_max, inst.train_max_weight
         assigned, by_rank, rank = self.assigned, self.by_rank, self.rank
-        flexible, config_count = self.flexible, self.config_count
+        flexible, config_count, yard = self.flexible, self.config_count, len(inst.wagons)
         kinds, n, m = len(MOVE_KINDS), len(slot), len(flexible)
         kind_bits, n_bits, m_bits = kinds.bit_length(), n.bit_length(), m.bit_length()
         attempts = range(MAX_NEIGHBOR_RETRIES)
@@ -361,11 +353,9 @@ class AnnealState:
                     wb = slot_wagon[sb]
                     if wt > slot_limits[sb][config[wb]] or wt_b > slot_limits[sa][config[wa]]:
                         continue
-                    if wa == wb:
-                        slot[a], slot[b], occupant[sa], occupant[sb] = sb, sa, b, a
-                        delta, made = 0, True
-                        break
-                    if wagon_load[wa] + d <= wagon_max[wa] and wagon_load[wb] - d <= wagon_max[wb]:
+                    if wa == wb or (
+                        wagon_load[wa] + d <= wagon_max[wa] and wagon_load[wb] - d <= wagon_max[wb]
+                    ):
                         change = rehandle_change(above[a], below[a], position, wa, wb)
                         position[a] = wb
                         change += rehandle_change(above[b], below[b], position, wb, wa)
@@ -407,23 +397,18 @@ class AnnealState:
                         r = bits(k_bits)
                     s = empties[r]
                     w = slot_wagon[s]
-                    if wt <= slot_limits[s][config[w]]:
-                        if w == wc:
-                            slot[c], occupant[sc], occupant[s] = s, -1, c
+                    if wt <= slot_limits[s][config[w]] and (
+                        w == wc or wagon_load[w] + wt <= wagon_max[w]
+                    ):
+                        delta = alpha * rehandle_change(above[c], below[c], position, wc, w)
+                        made = delta <= ceiling or random() < exp(-delta / temperature)
+                        if made:
+                            slot[c], occupant[sc], occupant[s], position[c] = s, -1, c, w
                             del empties[r]
                             insort(empties, sc)
-                            delta, made = 0, True
-                            break
-                        if wagon_load[w] + wt <= wagon_max[w]:
-                            delta = alpha * rehandle_change(above[c], below[c], position, wc, w)
-                            made = delta <= ceiling or random() < exp(-delta / temperature)
-                            if made:
-                                slot[c], occupant[sc], occupant[s], position[c] = s, -1, c, w
-                                del empties[r]
-                                insort(empties, sc)
-                                wagon_load[wc] -= wt
-                                wagon_load[w] += wt
-                            break
+                            wagon_load[wc] -= wt
+                            wagon_load[w] += wt
+                        break
                 else:  # config
                     if not m:
                         continue

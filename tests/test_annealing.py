@@ -365,6 +365,17 @@ EDGE_YARDS = {
         {"a": ("w0", 0), "b": ("w1", 1)},
         {"w0": 0, "w1": 0},
     ),
+    # w0 carries exactly its max_weight, so a trade of a and b on it, or a
+    # move of either to its free slot, fits only because its load stays.
+    "wagon-at-max": (
+        make_instance(
+            containers=[("a", TWENTY, 1000, 3), ("b", TWENTY, 1500, 5), ("c", TWENTY, 600, 2)],
+            stacks=[("a", "c"), ("b",)],
+            wagons=[("w0", (TWENTY, TWENTY, TWENTY), ((1500, 1500, 1500),), 2500)],
+        ),
+        {"a": ("w0", 0), "b": ("w0", 1)},
+        {"w0": 0},
+    ),
 }
 
 
@@ -375,8 +386,15 @@ def test_draw_matches_the_reference_on_edge_yards(name):
     instance, assignments, configs = EDGE_YARDS[name]
     plan = Solution.from_maps(assignments, configs)
     move_rng, twin = stream(5, "anneal"), stream(5, "anneal")
+    shapes = set()
     for _ in range(300):
-        draw_in_pair(instance, AnnealState(instance, plan), move_rng, twin)
+        state = AnnealState(instance, plan)
+        slot, position = state.slot[:], state.position[:]
+        move, _, _ = draw_in_pair(instance, state, move_rng, twin)
+        if move is not None:
+            shapes.add(shape(instance, slot, position, move))
+    if name == "wagon-at-max":
+        assert {"trade on one wagon", "relocate on one wagon"} <= shapes, shapes
 
 
 def test_the_kernel_reads_no_further_than_its_move():
@@ -459,7 +477,7 @@ def shape(instance, slot, position, move) -> str:
 
 # Admitted moves of each shape that test_delta_checks_agree_with_the_reference
 # must see with rehandles priced (alpha > 0), about half of what its seeded
-# draws make: the kernel costs each shape on its own path.
+# draws make: every shape's checks and costs are met often.
 SHAPE_FLOORS = {
     "insertion": 200,
     "replace": 200,
