@@ -366,7 +366,7 @@ EDGE_YARDS = {
         {"w0": 0, "w1": 0},
     ),
     # w0 carries exactly its max_weight, so a trade of a and b on it, or a
-    # move of either to its free slot, fits only because its load stays.
+    # move of either to its free slot, fits only because its load stays the same.
     "wagon-at-max": (
         make_instance(
             containers=[("a", TWENTY, 1000, 3), ("b", TWENTY, 1500, 5), ("c", TWENTY, 600, 2)],
@@ -456,8 +456,8 @@ def test_a_rejected_move_changes_nothing():
 
 
 def shape(instance, slot, position, move) -> str:
-    """Which of the kernel's costing shapes ``move`` takes on the plan with
-    container→slot array ``slot`` and container→wagon array ``position``."""
+    """Which move shape ``move`` takes on the plan with container→slot
+    array ``slot`` and container→wagon array ``position``."""
     changes, config = move
     if config is not None:
         return "config"
