@@ -376,6 +376,84 @@ EDGE_YARDS = {
         {"a": ("w0", 0), "b": ("w0", 1)},
         {"w0": 0},
     ),
+    # Exact limits: the only feasible move of the named kind lands exactly on
+    # the named limit, with every other limit it meets left slack.  Inserting
+    # b brings the train to 2500.
+    "insertion-to-train-max": (
+        make_instance(
+            containers=[("a", TWENTY, 1000, 3), ("b", TWENTY, 1500, 5)],
+            stacks=[("a", "b")],
+            wagons=[("w0", (TWENTY, TWENTY), ((2000, 2000),), 4000)],
+            train_max_weight=2500,
+        ),
+        {"a": ("w0", 0)},
+        {"w0": 0},
+    ),
+    # Inserting b brings w0 to 2500.
+    "insertion-to-wagon-max": (
+        make_instance(
+            containers=[("a", TWENTY, 1000, 3), ("b", TWENTY, 1500, 5)],
+            stacks=[("a", "b")],
+            wagons=[("w0", (TWENTY, TWENTY), ((2000, 2000),), 2500)],
+        ),
+        {"a": ("w0", 0)},
+        {"w0": 0},
+    ),
+    # Relocating a to w1's free slot brings w1 to 2500; b does not fit that
+    # slot, and a trade does not fit w0's.
+    "relocate-to-wagon-max": (
+        make_instance(
+            containers=[("a", TWENTY, 900, 3), ("b", TWENTY, 1600, 5)],
+            stacks=[("a",), ("b",)],
+            wagons=[
+                ("w0", (TWENTY,), ((1000,),), 5000),
+                ("w1", (TWENTY, TWENTY), ((2000, 1000),), 2500),
+            ],
+        ),
+        {"a": ("w0", 0), "b": ("w1", 0)},
+        {"w0": 0, "w1": 0},
+    ),
+    # Trading a and b brings w0 to 1500.  Either container may be drawn
+    # first, so the full wagon is the first mover's in some draws and the
+    # partner's in others: this yard and the next meet both wagon checks of
+    # a trade at their limits.
+    "trade-to-wagon-max": (
+        make_instance(
+            containers=[("a", TWENTY, 1000, 3), ("b", TWENTY, 1500, 5)],
+            stacks=[("a",), ("b",)],
+            wagons=[
+                ("w0", (TWENTY,), ((2000,),), 1500),
+                ("w1", (TWENTY,), ((2000,),), 3000),
+            ],
+        ),
+        {"a": ("w0", 0), "b": ("w1", 0)},
+        {"w0": 0, "w1": 0},
+    ),
+    # Trading the 40-foot c and d takes w1 off its max and brings w0, which
+    # also carries e, to 2300; e has no partner of its length.
+    "trade-off-a-full-wagon": (
+        make_instance(
+            containers=[("c", FORTY, 1200, 4), ("d", FORTY, 2000, 6), ("e", TWENTY, 300, 1)],
+            stacks=[("c", "e"), ("d",)],
+            wagons=[
+                ("w0", (FORTY, TWENTY), ((3000, 1000),), 2300),
+                ("w1", (FORTY,), ((3000,),), 2000),
+            ],
+        ),
+        {"c": ("w0", 0), "e": ("w0", 1), "d": ("w1", 0)},
+        {"w0": 0, "w1": 0},
+    ),
+}
+
+# Shapes the reference must see made from an edge plan: the moves that fit
+# only because a load stays the same or lands exactly on its limit.
+EDGE_SHAPES = {
+    "wagon-at-max": {"trade on one wagon", "relocate on one wagon"},
+    "insertion-to-train-max": {"insertion"},
+    "insertion-to-wagon-max": {"insertion"},
+    "relocate-to-wagon-max": {"relocate across wagons"},
+    "trade-to-wagon-max": {"trade across wagons"},
+    "trade-off-a-full-wagon": {"trade across wagons"},
 }
 
 
@@ -393,8 +471,7 @@ def test_draw_matches_the_reference_on_edge_yards(name):
         move, _, _ = draw_in_pair(instance, state, move_rng, twin)
         if move is not None:
             shapes.add(shape(instance, slot, position, move))
-    if name == "wagon-at-max":
-        assert {"trade on one wagon", "relocate on one wagon"} <= shapes, shapes
+    assert EDGE_SHAPES.get(name, set()) <= shapes, shapes
 
 
 def test_the_kernel_reads_no_further_than_its_move():

@@ -5,9 +5,10 @@ of the best plan's canonical JSON, the per-level trace CSV and the
 evaluation count of one ``solve``.  The digests in ``data/sa_golden.json``
 were captured from the solver that rebuilt and fully re-checked a
 ``Solution`` for every candidate move, before the incremental annealing
-state replaced it.  They pin the seeded trajectory: any change to the order
-in which the random stream is consumed, or to which moves are admitted,
-changes a digest.  Never regenerate them to make a change pass.
+state replaced it; the 400-container yard's were captured from that state
+before its costed moves were folded into two paths.  They pin the seeded
+trajectory: any change to the order in which the random stream is
+consumed, or to which moves are admitted, changes a digest.  Never regenerate them to make a change pass.
 
 ``python tests/test_golden.py`` prints the digests of the current solver as
 JSON, for comparison against the committed file.
@@ -39,8 +40,13 @@ CORPUS_SHAPES = (
     GenSpec(16, 3, 4, 8, 24, seed=1),
     GenSpec(60, 12, 4, 40, 90, seed=1),
 )
-# The benchmark's anneal yards: the README large shape and a 100-container yard.
-ANNEAL_SHAPES = (GenSpec(20, 8, 4, 19, 28, seed=7), GenSpec(100, 20, 4, 48, 140, seed=1))
+# The benchmark's anneal yards (the README large shape and a 100-container
+# yard) and the 400-container yard of scripts/run_benchmark.py.
+ANNEAL_SHAPES = (
+    GenSpec(20, 8, 4, 19, 28, seed=7),
+    GenSpec(100, 20, 4, 48, 140, seed=1),
+    GenSpec(400, 80, 4, 192, 560, seed=1),
+)
 
 
 def _shape(spec: GenSpec) -> str:
