@@ -25,27 +25,33 @@ Three neighborhood moves, drawn uniformly per attempt:
 
 Moves are drawn, checked, costed, judged and made by one method,
 :meth:`AnnealState.run`, on an integer-indexed plan with running slot,
-wagon and train loads.  Because the current plan is feasible, a candidate
-is feasible iff the few quantities it changes stay within their limits
-(delta feasibility), so each shape checks only its own:
+wagon and train loads.  Every container move takes one of two paths:
 
-* insertion: the slot limit, the wagon load and the train load;
-* trade (both containers loaded): both slot limits, and both wagon loads
-  when the slots are on different wagons;
-* replace (the partner is unloaded): the slot limit for the partner, and
-  the wagon and train loads with the weight difference;
-* relocate: the slot limit, and the wagon load when it changes wagon;
-* unassign: nothing, since weights are non-negative;
-* config: every occupied slot of the wagon against the new limits.
+* one mover: a container goes to a drawn empty slot of its length (an
+  insertion or a relocation), or, when no slot of its length is empty, a
+  loaded container goes to the yard (an unassign);
+* two movers: the partner takes the first container's slot, and the first
+  container takes the partner's slot (a trade) or goes to the yard (a
+  replace).
 
-A candidate that fits is costed by its shape as it passes: a single mover
-by its value change plus :func:`~trainload.evaluation.rehandle_change`
-(the one incremental rehandle rule), a replace or a trade by one rule
-change per mover, the second taken with the first moved.  The rule gives 0
-to a mover that stays on its wagon, so a trade or relocation on one wagon
-takes the cross-wagon path.  These five costed shapes are judged by one
-acceptance rule and, if they pass, made where they are built; a config
-move is made outright.  ``solve`` makes one
+Because the current plan is feasible, a candidate is feasible iff the few
+quantities it changes stay within their limits (delta feasibility), so each
+path checks only what its move can change:
+
+* the slot limit of each slot a mover enters;
+* the load of each wagon a mover enters, skipped when the move keeps to
+  one wagon, whose load is then unchanged (a check per side would reject a
+  same-wagon trade that nets 0);
+* the train load, only when a container joins the train (an insertion or a
+  replace); weights are non-negative, so an unassign checks nothing.
+
+A config move checks every occupied slot of the wagon against the new
+limits and is made outright.  A container move that fits is costed by one
+:func:`~trainload.evaluation.rehandle_change` (the one incremental rehandle
+rule) per mover, each taken with the earlier mover moved, plus the value of
+a container that leaves or joins the train.  The rule gives 0 to a mover
+that stays on its wagon.  Each path has one acceptance test and, if it
+passes, makes the move where it is built.  ``solve`` makes one
 :meth:`~AnnealState.run` call per cooling level, and
 :func:`generate_neighbor` one draw at an infinite temperature, which makes
 any feasible move.  Nothing is drawn ahead of the move being made.
@@ -180,9 +186,9 @@ def initial_solution(instance: Instance) -> Solution:
 
 
 def accept(delta: float, temperature: float, rng: Random) -> bool:
-    """Acceptance rule, which :meth:`AnnealState.run` writes inline for each
-    costed move: improving or equal deltas always pass; worsening deltas
-    pass with probability ``exp(-delta / temperature)``."""
+    """Acceptance rule, which :meth:`AnnealState.run` writes inline once per
+    container-move path: improving or equal deltas always pass; worsening
+    deltas pass with probability ``exp(-delta / temperature)``."""
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     if delta <= 0:
@@ -255,13 +261,13 @@ class AnnealState:
         feasible move and how many of those moves were made.
 
         A draw makes up to ``MAX_NEIGHBOR_RETRIES`` attempts, each drawing a
-        kind and building, checking and costing the candidate by its shape
-        (see the module docstring).  The first feasible candidate of the
-        five costed shapes is judged where it is built by the :func:`accept`
-        rule, and a config move is made outright.  At an infinite
-        ``temperature`` every feasible move is made without a ``random()``.
-        A plan that beats ``best_objective`` is snapshotted in ``best``
-        right after the move that reaches it."""
+        kind and building a candidate.  A container move is checked, costed,
+        judged by the :func:`accept` rule and made in one of two blocks, one
+        mover or two movers (see the module docstring); the first feasible
+        candidate ends the draw, and a config move is made outright.  At an
+        infinite ``temperature`` every feasible move is made without a
+        ``random()``.  A plan that beats ``best_objective`` is snapshotted in
+        ``best`` right after the move that reaches it."""
         bits, random, exp = rng.getrandbits, rng.random, math.exp
         slot, occupant, position, config = self.slot, self.occupant, self.position, self.config
         length, weight, value, empty = self.length, self.weight, self.value, self.empty
@@ -282,134 +288,7 @@ class AnnealState:
                 kind = bits(kind_bits)
                 while kind >= kinds:
                     kind = bits(kind_bits)
-                if kind == 0:  # swap
-                    if not n:
-                        continue
-                    a = bits(n_bits)
-                    while a >= n:
-                        a = bits(n_bits)
-                    sa, wt = slot[a], weight[a]
-                    if sa < 0:
-                        # Insertion: the degenerate swap with an empty slot.
-                        empties = empty[length[a]]
-                        k = len(empties)
-                        if not k:
-                            continue
-                        k_bits = k.bit_length()
-                        r = bits(k_bits)
-                        while r >= k:
-                            r = bits(k_bits)
-                        s = empties[r]
-                        w = slot_wagon[s]
-                        if (
-                            wt <= slot_limits[s][config[w]]
-                            and wagon_load[w] + wt <= wagon_max[w]
-                            and train_load + wt <= train_max
-                        ):
-                            change = rehandle_change(above[a], below[a], position, yard, w)
-                            delta = alpha * change - value[a]
-                            made = delta <= ceiling or random() < exp(-delta / temperature)
-                            if made:
-                                slot[a], occupant[s], position[a] = s, a, w
-                                del empties[r]
-                                insort(assigned, rank[a])
-                                wagon_load[w] += wt
-                                train_load += wt
-                            break
-                        continue
-                    if n < 2:
-                        continue
-                    b = a  # a partner other than a: redrawn while equal or out of range
-                    while b == a or b >= n:
-                        b = bits(n_bits)
-                    if length[a] != length[b]:
-                        continue
-                    sb, wa, wt_b = slot[b], slot_wagon[sa], weight[b]
-                    d = wt_b - wt
-                    if sb < 0:
-                        # Replace: b takes a's slot and a leaves the train.
-                        if (
-                            wt_b <= slot_limits[sa][config[wa]]
-                            and wagon_load[wa] + d <= wagon_max[wa]
-                            and train_load + d <= train_max
-                        ):
-                            change = rehandle_change(above[b], below[b], position, yard, wa)
-                            position[b] = wa
-                            change += rehandle_change(above[a], below[a], position, wa, yard)
-                            position[b] = yard
-                            delta = alpha * change + value[a] - value[b]
-                            made = delta <= ceiling or random() < exp(-delta / temperature)
-                            if made:
-                                slot[a], slot[b], occupant[sa] = -1, sa, b
-                                position[a], position[b] = yard, wa
-                                del assigned[bisect_left(assigned, rank[a])]
-                                insort(assigned, rank[b])
-                                wagon_load[wa] += d
-                                train_load += d
-                            break
-                        continue
-                    # Trade: the train load is unchanged, and so is a wagon's
-                    # when both slots are on it.
-                    wb = slot_wagon[sb]
-                    if wt > slot_limits[sb][config[wb]] or wt_b > slot_limits[sa][config[wa]]:
-                        continue
-                    if wa == wb or (
-                        wagon_load[wa] + d <= wagon_max[wa] and wagon_load[wb] - d <= wagon_max[wb]
-                    ):
-                        change = rehandle_change(above[a], below[a], position, wa, wb)
-                        position[a] = wb
-                        change += rehandle_change(above[b], below[b], position, wb, wa)
-                        position[a] = wa
-                        delta = alpha * change
-                        made = delta <= ceiling or random() < exp(-delta / temperature)
-                        if made:
-                            slot[a], slot[b], occupant[sa], occupant[sb] = sb, sa, b, a
-                            position[a], position[b] = wb, wa
-                            wagon_load[wa] += d
-                            wagon_load[wb] -= d
-                        break
-                elif kind == 1:  # relocate
-                    k = len(assigned)
-                    if not k:
-                        continue
-                    k_bits = k.bit_length()
-                    q = bits(k_bits)
-                    while q >= k:
-                        q = bits(k_bits)
-                    c = by_rank[assigned[q]]
-                    sc, wc, wt = slot[c], position[c], weight[c]
-                    empties = empty[length[c]]
-                    k = len(empties)
-                    if not k:  # unassign
-                        change = rehandle_change(above[c], below[c], position, wc, yard)
-                        delta = alpha * change + value[c]
-                        made = delta <= ceiling or random() < exp(-delta / temperature)
-                        if made:
-                            slot[c], occupant[sc], position[c] = -1, -1, yard
-                            empties.append(sc)  # the only empty slot of its length
-                            del assigned[q]
-                            wagon_load[wc] -= wt
-                            train_load -= wt
-                        break
-                    k_bits = k.bit_length()
-                    r = bits(k_bits)
-                    while r >= k:
-                        r = bits(k_bits)
-                    s = empties[r]
-                    w = slot_wagon[s]
-                    if wt <= slot_limits[s][config[w]] and (
-                        w == wc or wagon_load[w] + wt <= wagon_max[w]
-                    ):
-                        delta = alpha * rehandle_change(above[c], below[c], position, wc, w)
-                        made = delta <= ceiling or random() < exp(-delta / temperature)
-                        if made:
-                            slot[c], occupant[sc], occupant[s], position[c] = s, -1, c, w
-                            del empties[r]
-                            insort(empties, sc)
-                            wagon_load[wc] -= wt
-                            wagon_load[w] += wt
-                        break
-                else:  # config
+                if kind == 2:  # config
                     if not m:
                         continue
                     r = bits(m_bits)
@@ -431,6 +310,104 @@ class AnnealState:
                         config[w] = b
                         delta, made = 0, True
                         break
+                    continue
+                if kind:  # relocate a loaded container, drawn by id rank
+                    k = len(assigned)
+                    if not k:
+                        continue
+                    k_bits = k.bit_length()
+                    q = bits(k_bits)
+                    while q >= k:
+                        q = bits(k_bits)
+                    a = by_rank[assigned[q]]
+                else:  # swap
+                    if not n:
+                        continue
+                    a = bits(n_bits)
+                    while a >= n:
+                        a = bits(n_bits)
+                    sa = slot[a]
+                    if sa >= 0:
+                        # Two movers: b takes a's slot, and a takes b's slot
+                        # (a trade) or goes to the yard (b replaces it).
+                        if n < 2:
+                            continue
+                        b = a  # a partner other than a: redrawn while equal or out of range
+                        while b == a or b >= n:
+                            b = bits(n_bits)
+                        if length[a] != length[b]:
+                            continue
+                        sb, wa, wb, wt = slot[b], position[a], position[b], weight[a]
+                        d = weight[b] - wt
+                        if (
+                            weight[b] <= slot_limits[sa][config[wa]]
+                            and (sb < 0 or wt <= slot_limits[sb][config[wb]])
+                            and (wa == wb or (
+                                wagon_load[wa] + d <= wagon_max[wa]
+                                and (sb < 0 or wagon_load[wb] - d <= wagon_max[wb])
+                            ))
+                            and (sb >= 0 or train_load + d <= train_max)
+                        ):
+                            change = rehandle_change(above[a], below[a], position, wa, wb)
+                            position[a] = wb  # b is costed with a moved
+                            change += rehandle_change(above[b], below[b], position, wb, wa)
+                            delta = alpha * change + (value[a] - value[b]) * (sb < 0)
+                            made = delta <= ceiling or random() < exp(-delta / temperature)
+                            if made:
+                                slot[a], slot[b], occupant[sa], position[b] = sb, sa, b, wa
+                                wagon_load[wa] += d
+                                if sb < 0:  # a leaves the train and b joins it
+                                    del assigned[bisect_left(assigned, rank[a])]
+                                    insort(assigned, rank[b])
+                                    train_load += d
+                                else:
+                                    occupant[sb] = a
+                                    wagon_load[wb] -= d
+                            else:
+                                position[a] = wa
+                            break
+                        continue
+                # One mover: a goes to a drawn empty slot of its length, or to
+                # the yard when there is none; a yard container then has no move.
+                sa, wa, wt = slot[a], position[a], weight[a]
+                empties = empty[length[a]]
+                k = len(empties)
+                if k:
+                    k_bits = k.bit_length()
+                    r = bits(k_bits)
+                    while r >= k:
+                        r = bits(k_bits)
+                    s = empties[r]
+                    w = slot_wagon[s]
+                elif sa >= 0:
+                    s, w = -1, yard
+                else:
+                    continue
+                if s < 0 or (
+                    wt <= slot_limits[s][config[w]]
+                    and (w == wa or wagon_load[w] + wt <= wagon_max[w])
+                    and (sa >= 0 or train_load + wt <= train_max)
+                ):
+                    change = rehandle_change(above[a], below[a], position, wa, w)
+                    delta = alpha * change + value[a] * ((s < 0) - (sa < 0))
+                    made = delta <= ceiling or random() < exp(-delta / temperature)
+                    if made:
+                        slot[a], position[a] = s, w
+                        if s < 0:  # a leaves the train: a relocate drew it at assigned[q]
+                            del assigned[q]
+                            train_load -= wt
+                        else:
+                            occupant[s] = a
+                            del empties[r]
+                            wagon_load[w] += wt
+                        if sa < 0:  # a joins the train
+                            insort(assigned, rank[a])
+                            train_load += wt
+                        else:
+                            occupant[sa] = -1
+                            insort(empties, sa)
+                            wagon_load[wa] -= wt
+                    break
             else:
                 continue  # every attempt failed
             found += 1

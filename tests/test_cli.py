@@ -780,3 +780,18 @@ def test_format_doc_json_examples_match_the_loaders():
         "Solution JSON": list(_SOLUTION_KEYS),
         "QUBO JSON format": list(_QUBO_KEYS),
     }
+
+
+def test_format_doc_trace_rows_are_the_solvers(tmp_path, capsys, monkeypatch):
+    """The trace CSV rows docs/formats.md shows are what ``trainload solve
+    --trace`` writes first for the README's ``small.json``."""
+    doc = (Path(__file__).parent.parent / "docs" / "formats.md").read_text(encoding="utf-8")
+    section = re.split(r"^## ", doc, flags=re.M)
+    (trace,) = [s for s in section if s.startswith("Annealing trace CSV\n")]
+    (shown,) = re.findall(r"```\n(.*?)```", trace, flags=re.S)
+    (gen,) = [argv for argv in readme_commands() if argv[0] == "gen" and "small.json" in argv]
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *gen)[0] == 0
+    assert run(capsys, "solve", "small.json", "--trace", "trace.csv")[0] == 0
+    written = (tmp_path / "trace.csv").read_text(encoding="utf-8").splitlines()
+    assert written[: len(shown.splitlines())] == shown.splitlines()

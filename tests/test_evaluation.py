@@ -295,6 +295,8 @@ def test_simulation_matches_closed_form_on_random_plans():
             solution = random_feasible_solution(instance, rng)
             sim = simulate_loading(instance, solution)
             assert sim.rehandles == count_rehandles_compact(instance, solution)
+            # docs/formats.md: the crane log holds one lift per rehandle.
+            assert sum(event.op == "lift" for event in sim.events) == sim.rehandles
             checked += 1
     assert checked == 1000
 
