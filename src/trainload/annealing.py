@@ -351,7 +351,7 @@ class AnnealState:
                             change = rehandle_change(above[a], below[a], position, wa, wb)
                             position[a] = wb  # b is costed with a moved
                             change += rehandle_change(above[b], below[b], position, wb, wa)
-                            delta = alpha * change + (value[a] - value[b]) * (sb < 0)
+                            delta = alpha * change + (value[a] - value[b] if sb < 0 else 0)
                             made = delta <= ceiling or random() < exp(-delta / temperature)
                             if made:
                                 slot[a], slot[b], occupant[sa], position[b] = sb, sa, b, wa
@@ -389,7 +389,7 @@ class AnnealState:
                     and (sa >= 0 or train_load + wt <= train_max)
                 ):
                     change = rehandle_change(above[a], below[a], position, wa, w)
-                    delta = alpha * change + value[a] * ((s < 0) - (sa < 0))
+                    delta = alpha * change + (value[a] if s < 0 else -value[a] if sa < 0 else 0)
                     made = delta <= ceiling or random() < exp(-delta / temperature)
                     if made:
                         slot[a], position[a] = s, w
