@@ -786,8 +786,8 @@ def test_format_doc_trace_rows_are_the_solvers(tmp_path, capsys, monkeypatch):
     """The trace CSV rows docs/formats.md shows are what ``trainload solve
     --trace`` writes first for the README's ``small.json``."""
     doc = (Path(__file__).parent.parent / "docs" / "formats.md").read_text(encoding="utf-8")
-    section = re.split(r"^## ", doc, flags=re.M)
-    (trace,) = [s for s in section if s.startswith("Annealing trace CSV\n")]
+    sections = re.split(r"^## ", doc, flags=re.M)
+    (trace,) = [s for s in sections if s.startswith("Annealing trace CSV\n")]
     (shown,) = re.findall(r"```\n(.*?)```", trace, flags=re.S)
     (gen,) = [argv for argv in readme_commands() if argv[0] == "gen" and "small.json" in argv]
     monkeypatch.chdir(tmp_path)

@@ -8,7 +8,8 @@ were captured from the solver that rebuilt and fully re-checked a
 state replaced it; the 400-container yard's were captured from that state
 before its costed moves were folded into two paths.  They pin the seeded
 trajectory: any change to the order in which the random stream is
-consumed, or to which moves are admitted, changes a digest.  Never regenerate them to make a change pass.
+consumed, or to which moves are admitted, changes a digest.  Never
+regenerate them to make a change pass.
 
 ``python tests/test_golden.py`` prints the digests of the current solver as
 JSON, for comparison against the committed file.
