@@ -63,6 +63,13 @@ the test suite checks every draw against a reference draw that judges each
 candidate with ``check_feasibility``, and every delta and running total
 against ``shifted_objective``.
 
+``solve`` stops at a certified optimum.  It reads ``Instance.stack_bound``
+once, a lower bound on every feasible plan's objective, and ends the
+schedule after the first level whose best plan meets it: no plan can beat
+that one, so the rest of the schedule would return it unchanged.  The trace
+and the evaluation count then cover the levels run; the moves made, and so
+the best plan, are those of the full schedule.
+
 Determinism: a run is a pure function of (instance, params); the RNG stream
 is derived from ``params.seed`` and nothing reads the clock except the
 reported wall time.
@@ -134,7 +141,8 @@ class SaParams:
 
     @property
     def planned_levels(self) -> int:
-        """Cooling levels :func:`solve` runs: the temperatures, ``t_initial``
+        """Cooling levels the schedule plans, which :func:`solve` runs unless
+        it stops at a certified optimum: the temperatures, ``t_initial``
         times ``cooling_rate`` once per level, that lie above ``t_final``.
         The closed form can count one too many where ``t_final`` is such a
         power, so it only stands in on schedules above
@@ -166,13 +174,21 @@ class LevelStats(NamedTuple):
 @dataclass(frozen=True)
 class SaResult:
     """Best plan of a solve.  ``wall_time`` and ``evaluations`` cover every
-    run of a :func:`solve_many` call; the rest is the best run's."""
+    run of a :func:`solve_many` call; the rest is the best run's.  ``bound``
+    is the instance's ``stack_bound``."""
 
     best_solution: Solution
     best_report: EvaluationReport
     trace: tuple[LevelStats, ...]
     wall_time: float
     evaluations: int
+    bound: int
+
+    @property
+    def certified(self) -> bool:
+        """Whether the best plan meets ``Instance.stack_bound``, so no
+        feasible plan is better."""
+        return self.best_report.objective_shifted == self.bound
 
 
 def initial_solution(instance: Instance) -> Solution:
@@ -455,14 +471,18 @@ def solve(instance: Instance, params: SaParams = SaParams()) -> SaResult:
     """Run one annealing schedule and return the best plan found.
 
     The best solution is tracked against every accepted state, so the
-    result can never be worse than the initial (empty) plan.  The best plan
-    is re-evaluated with :func:`evaluate`; a :class:`RuntimeError` is raised
-    if that reference finds it infeasible or scores it differently from the
-    running objective.
+    result can never be worse than the initial (empty) plan.  The schedule
+    ends after the first level whose best plan meets
+    ``instance.stack_bound``; that plan is optimal and the full schedule
+    would return it too.  The best plan is re-evaluated with
+    :func:`evaluate`; a :class:`RuntimeError` is raised if that reference
+    finds it infeasible or scores it differently from the running
+    objective, or if any plan goes below the bound.
     """
     started = time.perf_counter()
     rng = stream(params.seed, "anneal")
 
+    bound = instance.stack_bound
     state = AnnealState(instance, initial_solution(instance))
     evaluations = 1
     trace: list[LevelStats] = []
@@ -473,6 +493,13 @@ def solve(instance: Instance, params: SaParams = SaParams()) -> SaResult:
         trace.append(
             LevelStats(level, temperature, state.objective, state.best_objective, accepted)
         )
+        if state.best_objective < bound:
+            raise RuntimeError(
+                f"annealing reached objective {state.best_objective}, "
+                f"below the stack bound {bound}"
+            )
+        if state.best_objective == bound:
+            break
         temperature *= params.cooling_rate
 
     best_solution, best_obj = state.solution(best=True), state.best_objective
@@ -488,6 +515,7 @@ def solve(instance: Instance, params: SaParams = SaParams()) -> SaResult:
         trace=tuple(trace),
         wall_time=time.perf_counter() - started,
         evaluations=evaluations,
+        bound=bound,
     )
 
 

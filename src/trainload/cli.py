@@ -127,6 +127,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 "seed": args.seed,
                 "evaluations": result.evaluations,
                 "time_s": round(result.wall_time, 3),
+                "bound": result.bound,
+                "certified": result.certified,
             }
         )
         if args.out is not None:

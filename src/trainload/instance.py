@@ -20,11 +20,12 @@ re-serialising it yields the identical bytes.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
 from itertools import accumulate, chain, compress, islice, repeat
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Any, Callable, Iterable, NamedTuple
 
 from .rng import stream
@@ -265,6 +266,50 @@ class Instance:
         tiers = [self.stack_position[c.id] for c in self.containers]
         return tuple(tuple(index[cid] for cid in self.yard.stacks[k][:l]) for k, l in tiers)
 
+    @cached_property
+    def stack_bound(self) -> int:
+        """A lower bound on the ``objective_shifted`` of every feasible plan.
+
+        Valid because an unloaded container counts as leaving last
+        (``evaluation._count_rehandles``), so every plan pays at least
+        ``alpha`` for each container it leaves in the yard above one it loads.
+
+        The bound drops every other rehandle and every weight limit.  Only
+        containers with an ``eligible_slots`` entry may load, and at most as
+        many of a length as the train has slots of it.  :func:`stack_table`
+        prices each stack per (twenty-foot, forty-foot) count, and a min-plus
+        pass over the stacks combines the tables.  A length is counted only
+        where its eligible containers outnumber its slots; elsewhere its cap
+        cannot bind."""
+        tiers = [
+            (c.length, c.value) if slots else None
+            for c, slots in zip(self.containers, self.eligible_slots)
+        ]
+        slot_count = Counter(length for _, _, length in self.all_slots)
+        eligible = Counter(tier[0] for tier in tiers if tier)
+        # Each length's cap, or 0 where it is not counted (a counted one has a slot).
+        caps = [slot_count[n] if eligible[n] > slot_count[n] else 0 for n in ContainerLength]
+        index, alpha, inf = self.container_index, self.rehandle_unit_cost, float("inf")
+        best: list[list[float]] = [[0]]  # [twenty][forty] counted loads -> least cost
+        for stack in self.yard.stacks:
+            table: dict[tuple[int, int], int] = {}
+            for (t, f), cost in stack_table([tiers[index[cid]] for cid in stack], alpha).items():
+                key = (t if caps[0] else 0, f if caps[1] else 0)
+                table[key] = min(cost, table.get(key, cost))
+            none = table.pop((0, 0))  # the cost of loading none of its counted containers
+            rows = min(len(best) + max((t for t, _ in table), default=0), caps[0] + 1)
+            width = min(len(best[0]) + max((f for _, f in table), default=0), caps[1] + 1)
+            pad = [inf] * (width - len(best[0]))
+            grown = [[*map(add, row, repeat(none)), *pad] for row in best]
+            grown += ([inf] * width for _ in range(rows - len(best)))
+            for (dt, df), cost in table.items():  # best[t][f] + cost -> grown[t + dt][f + df]
+                n = min(len(best[0]), width - df)  # the columns that stay within the caps
+                for row, target in zip(best, grown[dt:] if n > 0 else ()):
+                    moved = zip(target[df : df + n], map(add, row, repeat(cost)))
+                    target[df : df + n] = [a if a < b else b for a, b in moved]
+            best = grown
+        return min(map(min, best))
+
     @property
     def total_slots(self) -> int:
         return len(self.all_slots)
@@ -280,6 +325,31 @@ class Instance:
     @cached_property
     def total_value(self) -> int:
         return sum(c.value for c in self.containers)
+
+
+def stack_table(
+    tiers: list[tuple[ContainerLength, int] | None], alpha: int
+) -> dict[tuple[int, int], int]:
+    """The least cost of loading exactly ``t`` twenty-foot and ``f``
+    forty-foot containers of one stack, keyed ``(t, f)``.
+
+    ``tiers`` lists the stack bottom tier first, each a container's (length,
+    value), or ``None`` for one that may not load.  Loading a container costs
+    ``alpha`` for each container above it left unloaded, less its value.  A
+    top-down pass carries the cost per count loaded above the current tier,
+    which fixes how many above it stay."""
+    best = {(0, 0): 0}
+    for above, tier in enumerate(reversed(tiers)):
+        if tier is None:
+            continue
+        length, value = tier
+        grown = dict(best)
+        for (t, f), cost in best.items():
+            cost += alpha * (above - t - f) - value
+            key = (t + 1, f) if length == ContainerLength.TWENTY_FOOT else (t, f + 1)
+            grown[key] = min(cost, grown.get(key, cost))
+        best = grown
+    return best
 
 
 # ---------------------------------------------------------------------------

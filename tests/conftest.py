@@ -12,6 +12,7 @@ from typing import NamedTuple
 import pytest
 from hypothesis import HealthCheck, settings
 
+from trainload.annealing import AnnealState, LevelStats, SaParams, initial_solution
 from trainload.evaluation import (
     Assignment,
     ConfigChoice,
@@ -34,6 +35,7 @@ from trainload.instance import (
     load_instance_file,
 )
 from trainload.qubo import QuboFormatError, QuboModel, QuboVariable, VariableMap, _bad_term
+from trainload.rng import stream
 
 settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -243,6 +245,40 @@ GOLDEN_YARDS = (
     GenSpec(60, 12, 4, 40, 90, seed=1),
     GenSpec(100, 20, 4, 48, 140, seed=1),
 )
+
+
+class Schedule(NamedTuple):
+    """A schedule run to its last planned level: the best plan, the trace,
+    and the evaluation count after each level."""
+
+    best_solution: Solution
+    trace: tuple[LevelStats, ...]
+    evaluations: tuple[int, ...]
+
+
+def full_schedule(instance: Instance, params: SaParams) -> Schedule:
+    """``annealing.solve``'s loop without its stop at ``stack_bound``: one
+    ``AnnealState.run`` call for every planned level.  The initial plan
+    counts as the first evaluation."""
+    rng = stream(params.seed, "anneal")
+    state = AnnealState(instance, initial_solution(instance))
+    evaluations, counts, trace, temperature = 1, [], [], params.t_initial
+    for level in range(params.planned_levels):
+        found, accepted = state.run(rng, temperature, params.iters_per_level)
+        evaluations += found
+        counts.append(evaluations)
+        trace.append(
+            LevelStats(level, temperature, state.objective, state.best_objective, accepted)
+        )
+        temperature *= params.cooling_rate
+    return Schedule(state.solution(best=True), tuple(trace), tuple(counts))
+
+
+def certified_cut(schedule: Schedule, bound: int) -> int:
+    """The number of levels ``solve`` runs of ``schedule``: up to the first
+    whose best meets ``bound``, or all of them."""
+    reached = (k for k, row in enumerate(schedule.trace) if row.best_obj == bound)
+    return next(reached, len(schedule.trace) - 1) + 1
 
 
 class Drawn(NamedTuple):

@@ -10,6 +10,7 @@ from conftest import (
     FORTY,
     PAIR_SHAPES,
     TWENTY,
+    full_schedule,
     make_instance,
     pair_shape,
     random_feasible_solution,
@@ -716,17 +717,32 @@ def test_solve_raises_when_the_reference_disagrees(pair_instance, monkeypatch):
         solve(pair_instance, SaParams(t_initial=10.0, t_final=1.0, cooling_rate=0.5))
 
 
+def test_solve_raises_below_the_bound(pair_instance):
+    pair_instance.__dict__["stack_bound"] = -10  # above the optimum, -16
+    with pytest.raises(RuntimeError, match="below the stack bound -10"):
+        solve(pair_instance, SaParams(t_initial=10.0, t_final=1.0, cooling_rate=0.5))
+
+
+def test_solve_stops_after_the_level_that_meets_the_bound(pair_instance):
+    result = solve(pair_instance, SaParams())
+    assert result.certified and result.bound == pair_instance.stack_bound == -16
+    met = [row.best_obj == -16 for row in result.trace]
+    assert met == [False] * (len(met) - 1) + [True]
+    assert len(result.trace) < SaParams().planned_levels
+
+
 # ---------------------------------------------------------------------------
 # Full schedule
 # ---------------------------------------------------------------------------
 
 
-def reference_solve(instance, params: SaParams):
+def reference_solve(instance, params: SaParams, stop: bool = True):
     """The schedule :func:`solve` runs, one plain step at a time: a
     neighbour from :func:`generate_neighbor` (``current`` itself counts as
     no evaluation), judged by :func:`accept` on the reference objective,
-    and each new best kept at once.  Returns the best plan, the trace and
-    the evaluation count."""
+    and each new best kept at once.  With ``stop``, the schedule ends after
+    the first level whose best meets ``stack_bound``.  Returns the best
+    plan, the trace and the evaluation count."""
     rng = stream(params.seed, "anneal")
     current = best = initial_solution(instance)
     objective = best_obj = shifted_objective(instance, current)
@@ -745,6 +761,8 @@ def reference_solve(instance, params: SaParams):
                 if objective < best_obj:
                     best, best_obj = current, objective
         trace.append(LevelStats(level, temperature, objective, best_obj, accepted))
+        if stop and best_obj == instance.stack_bound:
+            break
         temperature *= params.cooling_rate
     return best, tuple(trace), evaluations
 
@@ -762,8 +780,12 @@ def assert_solve_matches_the_reference(instance, seeds):
         for seed in seeds:
             params = replace(params, seed=seed)
             result = solve(instance, params)
-            plain = reference_solve(instance, params)
-            assert (result.best_solution, result.trace, result.evaluations) == plain, params
+            stopped = reference_solve(instance, params)
+            assert (result.best_solution, result.trace, result.evaluations) == stopped, params
+            # Every level of the kernel, past the stop too.
+            full = full_schedule(instance, params)
+            whole = reference_solve(instance, params, stop=False)
+            assert (full.best_solution, full.trace, full.evaluations[-1]) == whole, params
 
 
 @pytest.mark.parametrize("shape", PAIR_SHAPES, ids=str)
@@ -791,9 +813,18 @@ def level_count(params: SaParams) -> int:
     return count
 
 
-def test_default_schedule_has_270_levels(pair_instance):
+@pytest.fixture
+def uncertified():
+    """A yard whose stack bound, -67, lies below its optimum, -58, so no
+    solve on it stops before its last planned level."""
+    instance = generate_instance(GenSpec(12, 3, 4, 8, 18, seed=1))
+    assert instance.stack_bound == -67
+    return instance
+
+
+def test_default_schedule_has_270_levels(uncertified):
     params = SaParams(iters_per_level=1)
-    result = solve(pair_instance, params)
+    result = solve(uncertified, params)
     assert len(result.trace) == 270
     assert level_count(params) == 270
     expected = math.ceil(
@@ -812,8 +843,8 @@ def test_default_schedule_has_270_levels(pair_instance):
     ],
     ids=["production", "short", "smallest-normal"],
 )
-def test_planned_levels_match_the_trace(pair_instance, params):
-    result = solve(pair_instance, params)
+def test_planned_levels_match_the_trace(uncertified, params):
+    result = solve(uncertified, params)
     assert params.planned_levels == len(result.trace) == level_count(params)
     assert result.evaluations <= 1 + params.planned_iterations
 

@@ -146,6 +146,8 @@ def test_solve_json_report(tmp_path, capsys, instance_path):
     assert payload["feasible"] is True
     assert payload["runs"] == 1
     assert "time_s" in payload
+    assert payload["bound"] == load_instance_file(instance_path).stack_bound
+    assert payload["certified"] == (payload["objective_shifted"] == payload["bound"])
 
 
 def test_solve_json_names_the_solution_path(tmp_path, capsys, instance_path):
@@ -689,7 +691,12 @@ def test_qubo_format_and_out_do_not_carry_over(tmp_path, capsys, instance_path):
     assert stdout == export_qubo(model, varmap, "text")
 
 
-def test_solve_schedule_flags_do_not_carry_over(capsys, instance_path):
+def test_solve_schedule_flags_do_not_carry_over(tmp_path, capsys):
+    # A yard whose stack bound lies below its optimum, so every solve runs
+    # every planned level.
+    instance_path = tmp_path / "uncertified.json"
+    gen = ("gen", "--containers", "12", "--wagons", "3", "--tiers", "4", "--train-teu", "8")
+    assert run(capsys, *gen, "--total-teu", "18", "--seed", "1", "-o", str(instance_path))[0] == 0
     code, stdout, _ = run(
         capsys, "solve", str(instance_path), "--t-initial", "5", "--seed", "3", "--json"
     )

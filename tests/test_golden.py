@@ -2,7 +2,10 @@
 
 Each case is an (instance, schedule, seed) triple; its digest is the SHA-256
 of the best plan's canonical JSON, the per-level trace CSV and the
-evaluation count of one ``solve``.  The digests in ``data/sa_golden.json``
+evaluation count of the full schedule (``conftest.full_schedule``: every
+planned level, as ``solve`` ran before it stopped at a certified optimum).
+``solve`` is pinned as that trajectory cut after its first level whose best
+meets ``Instance.stack_bound``.  The digests in ``data/sa_golden.json``
 were captured from the solver that rebuilt and fully re-checked a
 ``Solution`` for every candidate move, before the incremental annealing
 state replaced it; the 400-container yard's were captured from that state
@@ -23,7 +26,7 @@ import random
 
 import pytest
 
-from conftest import DATA_DIR, random_instance
+from conftest import DATA_DIR, certified_cut, full_schedule, random_instance
 from trainload.annealing import SaParams, solve, trace_csv
 from trainload.evaluation import serialize_solution
 from trainload.instance import GenSpec, generate_instance
@@ -70,11 +73,11 @@ def cases():
 
 
 def digest(instance, schedule: dict, seed: int) -> str:
-    result = solve(instance, SaParams(seed=seed, **schedule))
+    result = full_schedule(instance, SaParams(seed=seed, **schedule))
     text = (
         serialize_solution(result.best_solution)
         + trace_csv(result.trace)
-        + str(result.evaluations)
+        + str(result.evaluations[-1])
     )
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -90,6 +93,23 @@ def test_seeded_trajectory_is_unchanged(case):
     name, instance, schedule, seed = case
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert digest(instance, schedule, seed) == golden[name]
+
+
+@pytest.mark.parametrize("case", list(cases()), ids=lambda case: case[0])
+def test_solve_is_the_trajectory_cut_at_the_bound(case):
+    name, instance, schedule, seed = case
+    params = SaParams(seed=seed, **schedule)
+    full = full_schedule(instance, params)
+    result = solve(instance, params)
+    bound = instance.stack_bound
+    assert min(row.best_obj for row in full.trace) >= bound
+    levels = certified_cut(full, bound)
+    assert result.trace == full.trace[:levels]
+    assert result.evaluations == full.evaluations[levels - 1]
+    # A best plan is kept only when a move beats it, and none beats the bound.
+    assert full.trace[-1].best_obj == full.trace[levels - 1].best_obj
+    assert result.best_solution == full.best_solution
+    assert (result.bound, result.certified) == (bound, result.trace[-1].best_obj == bound)
 
 
 if __name__ == "__main__":
