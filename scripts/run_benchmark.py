@@ -9,11 +9,12 @@ budget (the small and medium shapes) the ``optimum`` and ``gap`` columns
 show the certified optimum and how far the annealer's objective is above
 it; they read ``-`` elsewhere.  ``bound`` is the instance's stack bound,
 and ``certified`` reads ``yes`` when the objective meets it.  A run stops
-after the level that certifies it, so ``evals`` counts the draws made: a
-run that never certifies makes all 27,000 and the initial evaluation.
-The ``us/eval`` column shows how the cost of one move grows with the
-yard: the 100- and 400-container shapes are there to show that it stays
-flat.
+after the level that certifies it, so ``evals`` covers only the levels
+run: 27,001 on a shape that never certifies.  On those shapes the
+``us/eval`` column shows how the cost of one move grows with the yard:
+the 100- and 400-container shapes are there to show that it stays flat.
+On a certified shape it also spreads the bound and the set-up over fewer
+evaluations.
 """
 
 from __future__ import annotations

@@ -274,13 +274,6 @@ def full_schedule(instance: Instance, params: SaParams) -> Schedule:
     return Schedule(state.solution(best=True), tuple(trace), tuple(counts))
 
 
-def certified_cut(schedule: Schedule, bound: int) -> int:
-    """The number of levels ``solve`` runs of ``schedule``: up to the first
-    whose best meets ``bound``, or all of them."""
-    reached = (k for k, row in enumerate(schedule.trace) if row.best_obj == bound)
-    return next(reached, len(schedule.trace) - 1) + 1
-
-
 class Drawn(NamedTuple):
     """A ``random_instance`` draw.  Its stacks hold containers in shuffled
     order, so a container may sit above one listed after it; generated

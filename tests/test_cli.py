@@ -695,8 +695,9 @@ def test_solve_schedule_flags_do_not_carry_over(tmp_path, capsys):
     # A yard whose stack bound lies below its optimum, so every solve runs
     # every planned level.
     instance_path = tmp_path / "uncertified.json"
-    gen = ("gen", "--containers", "12", "--wagons", "3", "--tiers", "4", "--train-teu", "8")
-    assert run(capsys, *gen, "--total-teu", "18", "--seed", "1", "-o", str(instance_path))[0] == 0
+    gen = ["gen", "--containers", "12", "--wagons", "3", "--tiers", "4", "--train-teu", "8",
+           "--total-teu", "18", "--seed", "1", "-o", str(instance_path)]
+    assert run(capsys, *gen)[0] == 0
     code, stdout, _ = run(
         capsys, "solve", str(instance_path), "--t-initial", "5", "--seed", "3", "--json"
     )

@@ -26,7 +26,7 @@ import random
 
 import pytest
 
-from conftest import DATA_DIR, certified_cut, full_schedule, random_instance
+from conftest import DATA_DIR, full_schedule, random_instance
 from trainload.annealing import SaParams, solve, trace_csv
 from trainload.evaluation import serialize_solution
 from trainload.instance import GenSpec, generate_instance
@@ -103,7 +103,8 @@ def test_solve_is_the_trajectory_cut_at_the_bound(case):
     result = solve(instance, params)
     bound = instance.stack_bound
     assert min(row.best_obj for row in full.trace) >= bound
-    levels = certified_cut(full, bound)
+    met = [k for k, row in enumerate(full.trace) if row.best_obj == bound]
+    levels = met[0] + 1 if met else len(full.trace)
     assert result.trace == full.trace[:levels]
     assert result.evaluations == full.evaluations[levels - 1]
     # A best plan is kept only when a move beats it, and none beats the bound.
